@@ -20,6 +20,7 @@ import itertools
 from typing import Any, Hashable, Mapping
 
 from ..errors import EnrollmentError
+from ..runtime import Latch
 from .roles import RoleId
 
 _request_counter = itertools.count()
@@ -78,6 +79,9 @@ class EnrollmentRequest:
     # Filled in at assignment:
     performance: Any = None
     assigned_role: RoleId | None = None
+    #: Set when the request is bound to a role; the enrolling process
+    #: waits on it.
+    accepted: Latch = dataclasses.field(default_factory=Latch)
 
     @property
     def assigned(self) -> bool:

@@ -129,7 +129,7 @@ class ScriptInstance:
             partners=normalize_partners(partners))
         self._submit(request)
         if withdraw_when is None:
-            yield WaitUntil(lambda: request.assigned,
+            yield WaitUntil(request.accepted,
                             f"enrollment in {self.name} as {role!r}")
         else:
             yield WaitUntil(lambda: request.assigned or withdraw_when(),
@@ -147,7 +147,7 @@ class ScriptInstance:
         yield from declaration.body(context, **bound)
         self._role_finished(performance, role_id, process)
         if self.script.termination is Termination.DELAYED:
-            yield WaitUntil(lambda: performance.ended,
+            yield WaitUntil(performance.finished,
                             f"delayed termination of {performance.id}")
         yield DropAlias(performance.address(role_id))
         return copy_back(declaration.params, bound, actuals)
@@ -314,6 +314,7 @@ class ScriptInstance:
     def _assign(self, performance: Performance, role_id: RoleId,
                 request: EnrollmentRequest) -> None:
         request.state = RequestState.ASSIGNED
+        request.accepted.set()
         request.performance = performance
         request.assigned_role = role_id
         performance.filled[role_id] = request
@@ -358,7 +359,7 @@ class ScriptInstance:
     def _check_ended(self, performance: Performance) -> None:
         if (performance.sealed and not performance.ended
                 and performance.all_filled_done):
-            performance.ended = True
+            performance.finished.set()
             self._emit(EventKind.PERFORMANCE_END, None,
                        performance=performance.id,
                        filled=sorted(performance.filled, key=repr))

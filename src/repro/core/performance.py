@@ -19,8 +19,10 @@ Lifecycle flags:
     paper's ``r.terminated`` function).  Late enrollments go to the next
     performance.
 ``ended``
-    Every filled role's body has finished; the successive-activations rule
-    then allows the next performance to form.
+    Every filled role's body has finished (or the performance was
+    aborted); the successive-activations rule then allows the next
+    performance to form.  A read-only view of the ``finished`` latch,
+    which delayed-termination participants wait on.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Hashable
 
+from ..runtime import Latch
 from .enrollment import EnrollmentRequest
 from .roles import RoleId, family_of
 
@@ -55,7 +58,7 @@ class Performance:
         self.crashed: set[RoleId] = set()
         self.started = False
         self.sealed = False
-        self.ended = False
+        self.finished = Latch()
         self.aborted = False
 
     # -- addressing -------------------------------------------------------
@@ -107,6 +110,11 @@ class Performance:
         if role_id in self.done:
             return True
         return self.is_absent(role_id)
+
+    @property
+    def ended(self) -> bool:
+        """True once the ``finished`` latch is set."""
+        return self.finished.is_set
 
     @property
     def all_filled_done(self) -> bool:

@@ -49,17 +49,6 @@ from .roles import RoleId, family_of
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import ScriptInstance
 
-#: Test-only planted regression.  When flipped (monkeypatched by
-#: ``tests/faults/test_explore.py``), :meth:`Supervisor._abort` skips
-#: marking the aborted performance as ended — residue the kernel cannot
-#: self-heal (survivors' aliases are reclaimed when their processes
-#: finish, but a performance's ``ended`` bit is the supervisor's job
-#: alone), so the fault-space explorer (:mod:`repro.faults.explore`)
-#: must find it and shrink it to a minimal schedule.  Never set outside
-#: tests.
-SKIP_ABORT_PERFORMANCE_END = False
-
-
 class Supervisor:
     """Applies crash policies to one script instance.
 
@@ -175,8 +164,7 @@ class Supervisor:
         scheduler = instance.scheduler
         self.aborts += 1
         performance.aborted = True
-        if not SKIP_ABORT_PERFORMANCE_END:
-            performance.ended = True
+        self._end_aborted(performance)
         crashed = tuple(sorted(performance.crashed, key=repr))
         instance._emit(EventKind.PERFORMANCE_ABORT, None,
                        performance=performance.id,
@@ -198,6 +186,15 @@ class Supervisor:
             # withdraw first (their withdraw_when predicates re-run at the
             # next settle, before any new submission).
             instance.current = None
+
+    def _end_aborted(self, performance: Performance) -> None:
+        """Mark the aborted performance ended, releasing its waiters.
+
+        Residue the kernel cannot self-heal if skipped: a performance's
+        end is the supervisor's job alone (the fault explorer's planted
+        regression skips exactly this step).
+        """
+        performance.finished.set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Supervisor of {self.instance.name} crashes={self.crashes} "

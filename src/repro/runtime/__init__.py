@@ -12,9 +12,9 @@ from .board_index import IndexedBoard
 from .board_oracle import OracleBoard
 from .effects import (ELSE_BRANCH, TIMED_OUT, TIMED_OUT_BRANCH, AddAlias,
                       Choice, Deadline, Delay, DropAlias, Effect, GetName,
-                      GetTime, QueryProcesses, Receive, ReceivedMessage,
-                      ReceiveTimeout, Select, SelectResult, Send, Spawn,
-                      Trace, WaitUntil)
+                      GetTime, Latch, QueryProcesses, Receive,
+                      ReceivedMessage, ReceiveTimeout, Select, SelectResult,
+                      Send, Spawn, Trace, WaitUntil)
 from .instrument import NULL_SINK, NullSink, Sink, TeeSink
 from .process import Process, ProcessState
 from .scheduler import MatchFilter, RunResult, Scheduler, run_processes
@@ -40,6 +40,7 @@ __all__ = [
     "GetName",
     "GetTime",
     "IndexedBoard",
+    "Latch",
     "OracleBoard",
     "Process",
     "ProcessState",

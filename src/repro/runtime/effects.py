@@ -142,11 +142,50 @@ class WaitUntil(Effect):
 
     The predicate is re-evaluated whenever the scheduler's state may have
     changed (a process stepped, completed, or a rendezvous committed).  It
-    must be side-effect free.
+    must be side-effect free.  A predicate that is exactly a
+    :class:`Latch` is not polled: the process is parked on the latch and
+    woken by its :meth:`Latch.set`, at the point polling would have woken
+    it.
     """
 
     predicate: Callable[[], bool]
     description: str = "condition"
+
+
+class Latch:
+    """A one-shot condition: false until :meth:`set`, then true for good.
+
+    Calling a latch returns whether it is set, so it works anywhere a
+    ``WaitUntil`` predicate does.  The scheduler parks a process whose
+    predicate is exactly a latch instead of polling it; ``set()`` queues
+    the parked processes, and the next settle wakes them in park order,
+    interleaved with the polled waiters it wakes — the order a poll of
+    every waiter would give.  One latch parks processes of one scheduler.
+    ``is_set`` is for reading; only :meth:`set` may change it.
+    """
+
+    __slots__ = ("is_set", "_parked", "_fired")
+
+    def __init__(self) -> None:
+        self.is_set = False
+        #: Parked waiters by process name, in park order (scheduler-owned).
+        self._parked: dict[Hashable, Any] = {}
+        #: The parking scheduler's queue of set latches with waiters.
+        self._fired: list["Latch"] | None = None
+
+    def __call__(self) -> bool:
+        return self.is_set
+
+    def set(self) -> None:
+        """Set the latch (idempotent) and queue its parked waiters."""
+        if self.is_set:
+            return
+        self.is_set = True
+        if self._parked:
+            self._fired.append(self)
+
+    def __repr__(self) -> str:
+        return f"<Latch {'set' if self.is_set else 'unset'}>"
 
 
 class _TimedOut:

@@ -80,7 +80,7 @@ class Sink:
         and match-filter passes), ``commit`` (performing a committed
         rendezvous, journal time excluded), ``journal`` (the commit-cadence
         hook, i.e. the durable recorder), ``settle`` (settle-loop overhead
-        and waiter polling, the residual of a settle pass), ``timers``
+        and wake passes, the residual of a settle pass), ``timers``
         (virtual-clock advances: heap pops and timer actions), and ``run``
         (one whole ``Scheduler.run``, emitted last — the denominator for
         percentage-of-wall attribution).  Readings come from the
@@ -98,7 +98,8 @@ class Sink:
         ``commits`` rendezvous committed this pass over ``rounds``
         fixpoint rounds; ``queries`` candidate-set queries returned
         ``candidates`` matchable pairs in total; ``waiters_polled``
-        condition predicates were evaluated.  ``index_pairs`` is the peak
+        waiters were examined (polled predicates evaluated plus
+        latch-parked waiters woken).  ``index_pairs`` is the peak
         candidate-set depth observed during the pass (the board drains as
         commits land, so a post-pass sample would always read ~0) and
         ``timer_ops`` is the scheduler-lifetime cumulative

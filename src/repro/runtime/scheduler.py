@@ -21,6 +21,7 @@ import random
 import struct
 import zlib
 from collections import deque
+from operator import attrgetter
 from time import perf_counter_ns
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -31,7 +32,7 @@ from . import board as board_mod
 from .board import OfferGroup, RendezvousBoard, make_group
 from .board_index import IndexedBoard
 from .effects import (TIMED_OUT, TIMED_OUT_BRANCH, AddAlias, Choice, Deadline,
-                      Delay, DropAlias, Effect, GetName, GetTime,
+                      Delay, DropAlias, Effect, GetName, GetTime, Latch,
                       QueryProcesses, Receive, ReceiveTimeout, Select,
                       SelectResult, Send, Spawn, Trace, WaitUntil)
 from .instrument import NULL_SINK, Sink, sink_overrides
@@ -128,15 +129,19 @@ class TimerHandle:
 
 
 class _Waiter:
-    """A process blocked on a ``WaitUntil`` condition."""
+    """A process blocked on a ``WaitUntil`` condition.
 
-    __slots__ = ("process", "predicate", "description")
+    ``seq`` is the scheduler-wide park order, which fixes wake order.
+    """
+
+    __slots__ = ("process", "predicate", "description", "seq")
 
     def __init__(self, process: Process, predicate: Callable[[], bool],
-                 description: str):
+                 description: str, seq: int):
         self.process = process
         self.predicate = predicate
         self.description = description
+        self.seq = seq
 
 
 class Scheduler:
@@ -174,13 +179,14 @@ class Scheduler:
         "seed", "rng", "tracer", "max_steps", "fail_fast", "transport",
         "match_filter", "match_deadline", "now", "total_steps",
         "processes", "alias_owner", "_ready", "_board", "_waiters",
-        "_timers", "_timer_seq", "_armed_timers", "_cancelled_in_heap",
+        "_polled", "_fired", "_park_seq", "_timers", "_timer_seq",
+        "_armed_timers", "_cancelled_in_heap",
         "_process_timers", "_reaped_results", "_reaped_failures",
         "_reaped_killed", "_first_failure", "_kill_listeners",
         "_board_dirty", "commit_count", "_cadence_every", "_cadence_hook",
-        "prof_clock", "_prof_timer_ops", "_prof_journal_ns", "_sink",
-        "_sink_offer", "_sink_index", "_sink_commit", "_sink_decision",
-        "_sink_phase", "_sink_settle",
+        "prof_clock", "_prof_timer_ops", "_prof_journal_ns", "_prof_polls",
+        "_sink", "_sink_offer", "_sink_index", "_sink_commit",
+        "_sink_decision", "_sink_phase", "_sink_settle",
     )
 
     def __init__(self, seed: int = 0, tracer: Tracer | None = None,
@@ -208,7 +214,13 @@ class Scheduler:
         self._ready: deque[Process] = deque()
         self._board = board if board is not None else IndexedBoard()
         self._board.bind(self.alias_owner)
+        # Every parked waiter, in park order; the subset whose predicate
+        # must be polled; and the latches set since the last wake pass
+        # (each latch holds its own parked waiters until then).
         self._waiters: dict[Hashable, _Waiter] = {}
+        self._polled: dict[Hashable, _Waiter] = {}
+        self._fired: list[Latch] = []
+        self._park_seq = 0
         self._timers: list[tuple[float, int, TimerHandle]] = []
         self._timer_seq = 0
         # Exact armed/cancelled-in-heap counts, kept live by push, fire,
@@ -226,7 +238,7 @@ class Scheduler:
         # Set whenever an event that can change matchability happens
         # (post, withdraw, alias claim/release); cleared by ``_settle``.
         # Steps that leave it clear skip the settle entirely when no
-        # waiter predicates are parked.
+        # predicate is polled and no latch fired.
         self._board_dirty = True
         # Total committed rendezvous, kept live by _commit; the cadence
         # hook (see set_commit_cadence) fires every N-th commit without
@@ -237,11 +249,13 @@ class Scheduler:
         # Hot-path profiling (armed only while the installed sink
         # overrides on_phase/on_settle — see the sink setter).  The clock
         # is swappable so tests can install a deterministic tick counter;
-        # the two accumulators carry timer-heap op counts and the current
-        # commit's journal (cadence-hook) time out to the profiled settle.
+        # the accumulators carry timer-heap op counts, the current
+        # commit's journal (cadence-hook) time and the waiters examined
+        # by wake passes out to the profiled settle.
         self.prof_clock: Callable[[], int] = perf_counter_ns
         self._prof_timer_ops = 0
         self._prof_journal_ns = 0
+        self._prof_polls = 0
 
     def set_commit_cadence(self, every: int,
                            hook: Callable[[], None] | None) -> None:
@@ -434,7 +448,7 @@ class Scheduler:
         process.state = ProcessState.DONE
         self._board.withdraw(name)
         self._board_dirty = True
-        self._waiters.pop(name, None)
+        self._unpark(name)
         self._withdraw_process_timers(name)
         self._release_aliases(process)
         self.tracer.emit(self.now, EventKind.PROC_DONE, name, killed=True)
@@ -462,7 +476,7 @@ class Scheduler:
             return
         self._board.withdraw(name)
         self._board_dirty = True
-        self._waiters.pop(name, None)
+        self._unpark(name)
         self._withdraw_process_timers(name)
         self.tracer.emit(self.now, EventKind.INTERRUPT, name, error=repr(exc))
         self._throw(process, exc)
@@ -613,12 +627,14 @@ class Scheduler:
                 self._step(process)
             # Dirty-set settling: a step that neither posted nor withdrew
             # offers nor moved an alias cannot create a candidate pair,
-            # and with no waiters parked there is nothing to poll.  Even
-            # a dirtying step is skippable when the board can prove its
-            # candidate set is empty (needs_settle; the full-scan board
-            # always claims it needs one).
-            if self._waiters or (self._board_dirty
-                                 and self._board.needs_settle):
+            # and with no predicate polled and no latch fired there is
+            # nobody to wake (a latch-parked waiter stays parked until
+            # its latch is set).  Even a dirtying step is skippable when
+            # the board can prove its candidate set is empty
+            # (needs_settle; the full-scan board always claims it needs
+            # one).
+            if self._polled or self._fired or (self._board_dirty
+                                               and self._board.needs_settle):
                 self._settle()
         return RunResult(self)
 
@@ -875,13 +891,22 @@ class Scheduler:
                 lambda p=process, e=process.epoch: self._make_ready_if(p, e),
                 owner=process.name)
         elif isinstance(effect, WaitUntil):
-            if effect.predicate():
+            predicate = effect.predicate
+            if predicate():
                 self._make_ready(process)
             else:
                 process.state = ProcessState.BLOCKED
                 process.blocked_reason = f"until {effect.description}"
-                self._waiters[process.name] = _Waiter(
-                    process, effect.predicate, effect.description)
+                self._park_seq += 1
+                name = process.name
+                waiter = _Waiter(process, predicate, effect.description,
+                                 self._park_seq)
+                self._waiters[name] = waiter
+                if type(predicate) is Latch:
+                    predicate._parked[name] = waiter
+                    predicate._fired = self._fired
+                else:
+                    self._polled[name] = waiter
         elif isinstance(effect, GetTime):
             self._make_ready(process, self.now)
         elif isinstance(effect, GetName):
@@ -941,13 +966,12 @@ class Scheduler:
         so a settle round costs O(what this step changed).  The caller
         additionally skips the settle outright after steps that left
         ``_board_dirty`` clear (nothing posted, withdrawn, or re-aliased)
-        when no waiters are parked — such a settle is provably a no-op,
-        since the previous one already drained the candidate set.  Waiter
-        predicates are polled once per settle (the triggering step or
-        timer may have changed what they observe) and re-polled only
-        while rounds keep changing state — a commit or a wake — since
-        nothing else can newly satisfy them; with no waiters parked the
-        poll pass is skipped outright.
+        when no predicate is polled and no latch fired — such a settle is
+        provably a no-op, since the previous one already drained the
+        candidate set.  Each wake pass (:meth:`_wake`) polls the polled
+        predicates once and wakes the waiters of fired latches; passes
+        repeat only while rounds keep changing state — a commit or a wake
+        — since nothing else can newly satisfy a predicate.
         """
         if self._sink_phase:
             return self._settle_profiled()
@@ -962,27 +986,18 @@ class Scheduler:
             # and therefore the trace — is unchanged.
             rng = self.rng
             pick = board.pick
-            waiters = self._waiters
+            polled = self._polled
+            fired = self._fired
             while True:
                 while (commit := pick(rng)) is not None:
                     self._commit(commit)
                 # Commits only enqueue ready processes — no user code runs
-                # inside the drain — so with no waiters parked the board
+                # inside the drain — so with nobody to wake the board
                 # cannot refill and one drain pass is the whole fixpoint.
                 # (An empty pick consumes no RNG, so looping back after
-                # waiter wakes stays trace-identical to the legacy rounds.)
-                if not waiters:
-                    return
-                changed = False
-                for name in list(waiters):
-                    waiter = waiters.get(name)
-                    if waiter is None:
-                        continue
-                    if waiter.predicate():
-                        del waiters[name]
-                        self._make_ready(waiter.process)
-                        changed = True
-                if not changed:
+                # wakes stays trace-identical to the legacy rounds.)  The
+                # emptiness test is inlined so kernel-only runs pay no call.
+                if not (polled or fired) or not self._wake():
                     return
         board_candidates = board.candidates
         owner = self.alias_owner
@@ -1006,26 +1021,20 @@ class Scheduler:
                 commit = self.rng.choice(candidates)
                 self._commit(commit)
                 changed = True
-            if self._waiters:
-                for name in list(self._waiters):
-                    waiter = self._waiters.get(name)
-                    if waiter is None:
-                        continue
-                    if waiter.predicate():
-                        del self._waiters[name]
-                        self._make_ready(waiter.process)
-                        changed = True
+            if self._wake():
+                changed = True
 
     def _settle_profiled(self) -> None:
         """The settle loop with phase timers and work counters woven in.
 
         Identical decision sequence to :meth:`_settle` — same candidate
-        queries, same RNG draws, same commit order — so a profiled run's
-        trace is byte-identical to an unprofiled one.  Phase accounting:
-        ``match`` covers candidate queries plus match-filter passes,
-        ``commit`` the rendezvous commits (minus cadence-hook time, split
-        out as ``journal``), and ``settle`` is this pass's residual —
-        loop bookkeeping, RNG draws, and waiter-predicate polling.
+        queries, same RNG draws, same commit order, same wake passes — so
+        a profiled run's trace is byte-identical to an unprofiled one.
+        Phase accounting: ``match`` covers candidate queries plus
+        match-filter passes, ``commit`` the rendezvous commits (minus
+        cadence-hook time, split out as ``journal``), and ``settle`` is
+        this pass's residual — loop bookkeeping, RNG draws, and the wake
+        passes (predicate polls and latch wakes).
 
         On the indexed board's fast-pick path, ``match`` instead covers
         the O(1) emptiness check plus the pick (which subsumes the RNG
@@ -1036,19 +1045,18 @@ class Scheduler:
         clk = self.prof_clock
         settle_start = clk()
         self._prof_journal_ns = 0
+        polls_before = self._prof_polls
         match_ns = 0
         commit_ns = 0
-        commits = rounds = queries = candidates_seen = waiters_polled = 0
+        commits = rounds = queries = candidates_seen = 0
         pairs_peak = 0
         self._board_dirty = False
         board = self._board
         if self.match_filter is None and board.fast_pick:
             rng = self.rng
             pick = board.pick
-            waiters = self._waiters
             draining = True
             while draining:
-                draining = False
                 rounds += 1
                 while True:
                     mark = clk()
@@ -1065,72 +1073,42 @@ class Scheduler:
                     self._commit(commit)
                     commit_ns += clk() - mark
                     commits += 1
-                if not waiters:
-                    break
-                for name in list(waiters):
-                    waiter = waiters.get(name)
-                    if waiter is None:
-                        continue
-                    waiters_polled += 1
-                    if waiter.predicate():
-                        del waiters[name]
-                        self._make_ready(waiter.process)
-                        draining = True
-            sink = self._sink
-            journal_ns = self._prof_journal_ns
-            sink.on_phase("match", match_ns)
-            sink.on_phase("commit", commit_ns - journal_ns)
-            if journal_ns:
-                sink.on_phase("journal", journal_ns)
-            residual = clk() - settle_start - match_ns - commit_ns
-            sink.on_phase("settle", residual if residual > 0 else 0)
-            if self._sink_settle:
-                sink.on_settle(self.now, commits, rounds, queries,
-                               candidates_seen, waiters_polled,
-                               pairs_peak, self._prof_timer_ops)
-            return
-        board_candidates = board.candidates
-        owner = self.alias_owner
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            while True:
-                mark = clk()
-                candidates = board_candidates(owner)
-                if candidates:
-                    if len(candidates) > pairs_peak:
-                        pairs_peak = len(candidates)
-                    allow = self.match_filter
-                    if allow is not None:
-                        passed = []
-                        for c in candidates:
-                            if allow(c.sender, c.receiver):
-                                passed.append(c)
-                            elif self.match_deadline is not None:
-                                self._arm_match_deadline(c)
-                        candidates = passed
-                match_ns += clk() - mark
-                queries += 1
-                candidates_seen += len(candidates)
-                if not candidates:
-                    break
-                commit = self.rng.choice(candidates)
-                mark = clk()
-                self._commit(commit)
-                commit_ns += clk() - mark
-                commits += 1
-                changed = True
-            if self._waiters:
-                for name in list(self._waiters):
-                    waiter = self._waiters.get(name)
-                    if waiter is None:
-                        continue
-                    waiters_polled += 1
-                    if waiter.predicate():
-                        del self._waiters[name]
-                        self._make_ready(waiter.process)
-                        changed = True
+                draining = self._wake()
+        else:
+            board_candidates = board.candidates
+            owner = self.alias_owner
+            changed = True
+            while changed:
+                changed = False
+                rounds += 1
+                while True:
+                    mark = clk()
+                    candidates = board_candidates(owner)
+                    if candidates:
+                        if len(candidates) > pairs_peak:
+                            pairs_peak = len(candidates)
+                        allow = self.match_filter
+                        if allow is not None:
+                            passed = []
+                            for c in candidates:
+                                if allow(c.sender, c.receiver):
+                                    passed.append(c)
+                                elif self.match_deadline is not None:
+                                    self._arm_match_deadline(c)
+                            candidates = passed
+                    match_ns += clk() - mark
+                    queries += 1
+                    candidates_seen += len(candidates)
+                    if not candidates:
+                        break
+                    commit = self.rng.choice(candidates)
+                    mark = clk()
+                    self._commit(commit)
+                    commit_ns += clk() - mark
+                    commits += 1
+                    changed = True
+                if self._wake():
+                    changed = True
         sink = self._sink
         journal_ns = self._prof_journal_ns
         sink.on_phase("match", match_ns)
@@ -1141,8 +1119,58 @@ class Scheduler:
         sink.on_phase("settle", residual if residual > 0 else 0)
         if self._sink_settle:
             sink.on_settle(self.now, commits, rounds, queries,
-                           candidates_seen, waiters_polled,
+                           candidates_seen, self._prof_polls - polls_before,
                            pairs_peak, self._prof_timer_ops)
+
+    def _wake(self) -> bool:
+        """One wake pass: ready every waiter whose condition holds.
+
+        Polled predicates are evaluated in park order.  The waiters of
+        latches set since the last pass are woken in that same order,
+        each just before the first polled waiter parked after it, so the
+        ready queue receives exactly the sequence a poll of every waiter
+        — latches included — would give.  Returns whether anyone woke.
+        """
+        fired = self._fired
+        polled = self._polled
+        if not fired and not polled:
+            return False
+        due: list[_Waiter] = []
+        for latch in fired:
+            due.extend(latch._parked.values())
+            latch._parked.clear()
+        if len(fired) > 1:
+            due.sort(key=attrgetter("seq"))
+        fired.clear()
+        self._prof_polls += len(due) + len(polled)
+        woke = bool(due)
+        i = 0
+        pending = len(due)
+        for waiter in list(polled.values()):
+            while i < pending and due[i].seq < waiter.seq:
+                self._resume_waiter(due[i])
+                i += 1
+            if waiter.predicate():
+                del polled[waiter.process.name]
+                self._resume_waiter(waiter)
+                woke = True
+        for waiter in due[i:]:
+            self._resume_waiter(waiter)
+        return woke
+
+    def _resume_waiter(self, waiter: _Waiter) -> None:
+        del self._waiters[waiter.process.name]
+        self._make_ready(waiter.process)
+
+    def _unpark(self, name: Hashable) -> None:
+        """Drop ``name``'s waiter, if any, wherever it is parked."""
+        waiter = self._waiters.pop(name, None)
+        if waiter is None:
+            return
+        if type(waiter.predicate) is Latch:
+            waiter.predicate._parked.pop(name, None)
+        else:
+            del self._polled[name]
 
     def _arm_match_deadline(self, commit: board_mod.Commit) -> None:
         """Bound a filter-vetoed candidate pair's wait by ``match_deadline``.

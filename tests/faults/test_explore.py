@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import repro.core.supervision as supervision
+from repro.core.supervision import Supervisor
 from repro.faults.explore import (DEFAULT_ORACLES, SCENARIOS,
                                   FaultSchedule, InjectionProbe,
                                   check_saved_schedule, explore,
@@ -111,7 +111,9 @@ def test_record_exploration_publishes_coverage_counters():
 # ---------------------------------------------------------------------------
 
 def test_planted_regression_found_shrunk_and_replayed(monkeypatch, tmp_path):
-    monkeypatch.setattr(supervision, "SKIP_ABORT_PERFORMANCE_END", True)
+    end_aborted = Supervisor._end_aborted
+    monkeypatch.setattr(Supervisor, "_end_aborted",
+                        lambda self, performance: None)
     report = explore("broadcast", seed=0, budget=90)
     ce = report.counterexample
     assert ce is not None, "explorer missed the planted regression"
@@ -132,7 +134,7 @@ def test_planted_regression_found_shrunk_and_replayed(monkeypatch, tmp_path):
     assert str(path) in ce.repro_command(str(path))
 
     # ...and stops reproducing once the regression is reverted.
-    monkeypatch.setattr(supervision, "SKIP_ABORT_PERFORMANCE_END", False)
+    monkeypatch.setattr(Supervisor, "_end_aborted", end_aborted)
     fixed = check_saved_schedule(str(path))
     assert not fixed.reproduced
 

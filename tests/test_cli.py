@@ -368,8 +368,10 @@ def test_chaos_explore_green_run(tmp_path, capsys):
 
 def test_chaos_explore_finds_and_replays_planted_regression(
         monkeypatch, tmp_path, capsys):
-    import repro.core.supervision as supervision
-    monkeypatch.setattr(supervision, "SKIP_ABORT_PERFORMANCE_END", True)
+    from repro.core.supervision import Supervisor
+    end_aborted = Supervisor._end_aborted
+    monkeypatch.setattr(Supervisor, "_end_aborted",
+                        lambda self, performance: None)
     plan = tmp_path / "ce.json"
     assert main(["chaos", "broadcast", "--explore", "--budget", "90",
                  "--plan-out", str(plan)]) == 1
@@ -382,7 +384,7 @@ def test_chaos_explore_finds_and_replays_planted_regression(
                  "--replay-plan", str(plan)]) == 1
     assert "residue" in capsys.readouterr().out
     # ...and stops reproducing once the regression is reverted.
-    monkeypatch.setattr(supervision, "SKIP_ABORT_PERFORMANCE_END", False)
+    monkeypatch.setattr(Supervisor, "_end_aborted", end_aborted)
     assert main(["chaos", "broadcast", "--explore",
                  "--replay-plan", str(plan)]) == 0
     assert "passed every oracle" in capsys.readouterr().out
