@@ -24,6 +24,8 @@ from .effects import (ELSE_BRANCH, Receive, ReceivedMessage, Send,
                       SelectResult)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from random import Random
+
     from .process import Process
 
 
@@ -150,20 +152,17 @@ class RendezvousBoard:
     kept (re-exported as :mod:`repro.runtime.board_oracle`) as the
     differential oracle the indexed board is tested against.
 
-    Subclass hook protocol (all no-ops here): the scheduler calls
-    :meth:`bind` once with its live alias-owner mapping, and
-    :meth:`on_alias_claimed` / :meth:`on_alias_released` after every
-    ownership change, because alias moves are exactly the non-board
-    events that can change matchability.
+    Subclass hook protocol: the scheduler calls :meth:`bind` once with
+    its live alias-owner mapping (which :meth:`pick` scans against), and
+    :meth:`on_alias_claimed` / :meth:`on_alias_released` (no-ops here)
+    after every ownership change, because alias moves are exactly the
+    non-board events that can change matchability.
     """
-
-    #: Whether the scheduler may drain via ``candidate_count``/``pick``
-    #: instead of materializing :meth:`candidates` (indexed board only).
-    fast_pick = False
 
     def __init__(self) -> None:
         self._groups: dict[Hashable, OfferGroup] = {}
         self._post_seq = 0
+        self._owner: dict[Hashable, "Process"] = {}
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -242,6 +241,21 @@ class RendezvousBoard:
                         found.append(Commit(send=offer, recv=peer_offer))
         return found
 
+    @property
+    def candidate_count(self) -> int:
+        """Number of currently matchable pairs (a full scan here)."""
+        return len(self.candidates(self._owner))
+
+    def pick(self, rng: "Random") -> Commit | None:
+        """Draw one candidate with ``rng.choice(candidates())``.
+
+        Returns ``None``, drawing nothing, when no pair matches — the
+        settle loop's exit.  Boards that override this must consume the
+        identical draw, so a seeded run is the same on every board.
+        """
+        found = self.candidates(self._owner)
+        return rng.choice(found) if found else None
+
     def candidates_for(self, group: OfferGroup,
                        owner: dict[Hashable, "Process"]) -> list[Commit]:
         """Matchable pairs involving ``group`` (which need not be posted yet)."""
@@ -267,11 +281,12 @@ class RendezvousBoard:
         self.withdraw(commit.receiver.name)
 
     # ------------------------------------------------------------------
-    # Incremental-board hook protocol (no-ops for the full-scan board)
+    # Incremental-board hook protocol (bind aside, no-ops here)
     # ------------------------------------------------------------------
 
     def bind(self, owner: dict[Hashable, "Process"]) -> None:
-        """Adopt the scheduler's live alias-owner mapping (no-op here)."""
+        """Adopt the scheduler's live alias-owner mapping."""
+        self._owner = owner
 
     def on_alias_claimed(self, alias: Hashable, process: "Process") -> None:
         """``alias`` is now owned by ``process`` (no-op here)."""

@@ -118,11 +118,6 @@ class IndexedBoard(RendezvousBoard):
     must be the bound mapping.
     """
 
-    #: The scheduler's settle loop may use :attr:`candidate_count` and
-    #: :meth:`pick` instead of materializing :meth:`candidates` when no
-    #: match filter is installed.
-    fast_pick = True
-
     def __init__(self, owner: dict[Hashable, "Process"] | None = None):
         super().__init__()
         self._owner: dict[Hashable, "Process"] = owner if owner is not None \

@@ -96,13 +96,14 @@ class Sink:
         """One settle pass finished; its work counters, all deterministic.
 
         ``commits`` rendezvous committed this pass over ``rounds``
-        fixpoint rounds; ``queries`` candidate-set queries returned
-        ``candidates`` matchable pairs in total; ``waiters_polled``
-        waiters were examined (polled predicates evaluated plus
-        latch-parked waiters woken).  ``index_pairs`` is the peak
-        candidate-set depth observed during the pass (the board drains as
-        commits land, so a post-pass sample would always read ~0) and
-        ``timer_ops`` is the scheduler-lifetime cumulative
+        drains (one, plus one per wake pass that readied someone);
+        ``queries`` candidate queries saw ``candidates`` pairs in total,
+        counted by the board before any match-filter veto;
+        ``waiters_polled`` waiters were examined (polled predicates
+        evaluated plus latch-parked waiters woken).  ``index_pairs`` is
+        the peak candidate-set depth observed during the pass (the board
+        drains as commits land, so a post-pass sample would always read
+        ~0) and ``timer_ops`` is the scheduler-lifetime cumulative
         count of timer-heap operations (pushes, fires, cancelled pops) —
         a gauge, so the last sample is the run total.
         """

@@ -49,6 +49,9 @@ Transport = Callable[["Scheduler", board_mod.Commit], float]
 #: block (and, with timeouts, expire) until the link heals.
 MatchFilter = Callable[[Process, Process], bool]
 
+#: The settle loop's pick seam: draw one committable pair, or ``None``.
+Pick = Callable[[random.Random], board_mod.Commit | None]
+
 
 def _rng_crc(state: tuple) -> int:
     """CRC32 fingerprint of a ``random.Random`` state tuple.
@@ -250,8 +253,8 @@ class Scheduler:
         # overrides on_phase/on_settle — see the sink setter).  The clock
         # is swappable so tests can install a deterministic tick counter;
         # the accumulators carry timer-heap op counts, the current
-        # commit's journal (cadence-hook) time and the waiters examined
-        # by wake passes out to the profiled settle.
+        # settle's journal (cadence-hook) time and the waiters examined
+        # by wake passes out to the settle's timed seams.
         self.prof_clock: Callable[[], int] = perf_counter_ns
         self._prof_timer_ops = 0
         self._prof_journal_ns = 0
@@ -655,33 +658,29 @@ class Scheduler:
                 self._prof_timer_ops += 1
 
     def _advance_clock(self, to_time: float) -> None:
-        if self._sink_phase:
-            clk = self.prof_clock
-            advance_start = clk()
-            try:
-                self._advance_clock_inner(to_time)
-            finally:
-                self._sink.on_phase("timers", clk() - advance_start)
-            return
-        self._advance_clock_inner(to_time)
-
-    def _advance_clock_inner(self, to_time: float) -> None:
-        self.now = to_time
-        count_ops = self._sink_settle
-        while self._timers and self._timers[0][0] <= self.now:
-            _, seq, handle = heapq.heappop(self._timers)
-            handle._in_heap = False
-            if count_ops:
-                self._prof_timer_ops += 1
-            if handle.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._armed_timers -= 1
-            self._unregister_timer(handle)
-            if self._sink_decision:
-                self._sink.on_decision(self.now, "timer", handle.owner, seq)
-            handle.action()
-        self._prune_timers()
+        timed = self._sink_phase
+        started = self.prof_clock() if timed else 0
+        try:
+            self.now = to_time
+            count_ops = self._sink_settle
+            while self._timers and self._timers[0][0] <= self.now:
+                _, seq, handle = heapq.heappop(self._timers)
+                handle._in_heap = False
+                if count_ops:
+                    self._prof_timer_ops += 1
+                if handle.cancelled:
+                    self._cancelled_in_heap -= 1
+                    continue
+                self._armed_timers -= 1
+                self._unregister_timer(handle)
+                if self._sink_decision:
+                    self._sink.on_decision(self.now, "timer", handle.owner,
+                                           seq)
+                handle.action()
+            self._prune_timers()
+        finally:
+            if timed:
+                self._sink.on_phase("timers", self.prof_clock() - started)
 
     def _push_timer(self, time: float, action: Callable[[], None],
                     owner: Hashable | None = None) -> "TimerHandle":
@@ -961,166 +960,113 @@ class Scheduler:
     def _settle(self) -> None:
         """Commit matchable rendezvous and wake satisfied waiters to fixpoint.
 
-        With the indexed board, each candidate query drains the live pair
-        set (O(pairs log pairs)) instead of re-scanning the whole board,
-        so a settle round costs O(what this step changed).  The caller
-        additionally skips the settle outright after steps that left
-        ``_board_dirty`` clear (nothing posted, withdrawn, or re-aliased)
-        when no predicate is polled and no latch fired — such a settle is
-        provably a no-op, since the previous one already drained the
-        candidate set.  Each wake pass (:meth:`_wake`) polls the polled
-        predicates once and wakes the waiters of fired latches; passes
-        repeat only while rounds keep changing state — a commit or a wake
-        — since nothing else can newly satisfy a predicate.
+        One drain loop serves every board and match filter: ``pick`` draws
+        one committable pair with the seeded RNG (``None``, drawing
+        nothing, when there is none) and ``commit`` performs it.  Commits
+        only enqueue ready processes — no user code runs inside the drain
+        — so with nobody to wake the board cannot refill and one drain is
+        the whole fixpoint.  Each wake pass (:meth:`_wake`) polls the
+        polled predicates once and wakes the waiters of fired latches; the
+        drain repeats only after a pass that woke someone.
+
+        A profiling sink gets the same loop over timed stand-ins for
+        ``pick`` and ``commit`` (:meth:`_timed_seams`), so a profiled run
+        makes the identical decisions and its trace is byte-identical.
         """
-        if self._sink_phase:
-            return self._settle_profiled()
         self._board_dirty = False
-        board = self._board
-        if self.match_filter is None and board.fast_pick:
-            # Fast drain: the indexed board answers emptiness in O(1) and
-            # draws the committed pair straight from its maintained order
-            # without materializing (or re-sorting) a candidate list.
-            # ``pick`` consumes the identical RNG draw ``rng.choice`` on
-            # the full candidate list would, so the decision sequence —
-            # and therefore the trace — is unchanged.
-            rng = self.rng
-            pick = board.pick
-            polled = self._polled
-            fired = self._fired
-            while True:
-                while (commit := pick(rng)) is not None:
-                    self._commit(commit)
-                # Commits only enqueue ready processes — no user code runs
-                # inside the drain — so with nobody to wake the board
-                # cannot refill and one drain pass is the whole fixpoint.
-                # (An empty pick consumes no RNG, so looping back after
-                # wakes stays trace-identical to the legacy rounds.)  The
-                # emptiness test is inlined so kernel-only runs pay no call.
-                if not (polled or fired) or not self._wake():
-                    return
-        board_candidates = board.candidates
-        owner = self.alias_owner
-        changed = True
-        while changed:
-            changed = False
-            while True:
-                candidates = board_candidates(owner)
-                if candidates:
-                    allow = self.match_filter
-                    if allow is not None:
-                        passed = []
-                        for c in candidates:
-                            if allow(c.sender, c.receiver):
-                                passed.append(c)
-                            elif self.match_deadline is not None:
-                                self._arm_match_deadline(c)
-                        candidates = passed
-                if not candidates:
-                    break
-                commit = self.rng.choice(candidates)
-                self._commit(commit)
-                changed = True
-            if self._wake():
-                changed = True
+        pick = (self._board.pick if self.match_filter is None
+                else self._pick_filtered)
+        commit = self._commit
+        finish = None
+        if self._sink_phase or self._sink_settle:
+            pick, commit, finish = self._timed_seams(pick)
+        rng = self.rng
+        polled = self._polled
+        fired = self._fired
+        while True:
+            while (pair := pick(rng)) is not None:
+                commit(pair)
+            # The emptiness test is inlined so kernel-only runs pay no call.
+            if not (polled or fired) or not self._wake():
+                break
+        if finish is not None:
+            finish()
 
-    def _settle_profiled(self) -> None:
-        """The settle loop with phase timers and work counters woven in.
+    def _pick_filtered(self, rng: random.Random) -> board_mod.Commit | None:
+        """The settle loop's ``pick`` while a match filter is installed.
 
-        Identical decision sequence to :meth:`_settle` — same candidate
-        queries, same RNG draws, same commit order, same wake passes — so
-        a profiled run's trace is byte-identical to an unprofiled one.
-        Phase accounting: ``match`` covers candidate queries plus
-        match-filter passes, ``commit`` the rendezvous commits (minus
-        cadence-hook time, split out as ``journal``), and ``settle`` is
-        this pass's residual — loop bookkeeping, RNG draws, and the wake
-        passes (predicate polls and latch wakes).
+        Draws among the candidates the filter allows exactly as
+        ``rng.choice`` over that list would; a vetoed pair arms its
+        parties' match deadline, if one is set.
+        """
+        allow = self.match_filter
+        passed = []
+        for candidate in self._board.candidates(self.alias_owner):
+            if allow(candidate.sender, candidate.receiver):
+                passed.append(candidate)
+            elif self.match_deadline is not None:
+                self._arm_match_deadline(candidate)
+        return rng.choice(passed) if passed else None
 
-        On the indexed board's fast-pick path, ``match`` instead covers
-        the O(1) emptiness check plus the pick (which subsumes the RNG
-        draw the legacy path books under ``settle``) — the pick *is* the
-        candidate query there, so the taxonomy still slices at the same
-        semantic joints: deciding what can commit vs performing it.
+    def _timed_seams(self, pick: Pick) -> tuple[
+            Pick, Callable[[board_mod.Commit], None], Callable[[], None]]:
+        """Timed stand-ins for one settle pass's ``pick`` and ``commit``.
+
+        Returns ``(pick, commit, finish)``.  The stand-ins call the real
+        seams and only read the clock and count work around them;
+        ``finish()`` reports the pass.  ``match`` covers each query (the
+        board's candidate count, then the pick and its match-filter pass),
+        ``commit`` the commits minus cadence-hook time (split out as
+        ``journal``), and ``settle`` the pass's residual: loop bookkeeping
+        and wake passes.  Phases are sent only while the sink overrides
+        ``on_phase``, the work counters only while it overrides
+        ``on_settle``.
         """
         clk = self.prof_clock
-        settle_start = clk()
+        board = self._board
+        commit_pair = self._commit
+        started = clk()
         self._prof_journal_ns = 0
         polls_before = self._prof_polls
-        match_ns = 0
-        commit_ns = 0
-        commits = rounds = queries = candidates_seen = 0
-        pairs_peak = 0
-        self._board_dirty = False
-        board = self._board
-        if self.match_filter is None and board.fast_pick:
-            rng = self.rng
-            pick = board.pick
-            draining = True
-            while draining:
-                rounds += 1
-                while True:
-                    mark = clk()
-                    count = board.candidate_count
-                    commit = pick(rng) if count else None
-                    match_ns += clk() - mark
-                    queries += 1
-                    candidates_seen += count
-                    if count > pairs_peak:
-                        pairs_peak = count
-                    if commit is None:
-                        break
-                    mark = clk()
-                    self._commit(commit)
-                    commit_ns += clk() - mark
-                    commits += 1
-                draining = self._wake()
-        else:
-            board_candidates = board.candidates
-            owner = self.alias_owner
-            changed = True
-            while changed:
-                changed = False
-                rounds += 1
-                while True:
-                    mark = clk()
-                    candidates = board_candidates(owner)
-                    if candidates:
-                        if len(candidates) > pairs_peak:
-                            pairs_peak = len(candidates)
-                        allow = self.match_filter
-                        if allow is not None:
-                            passed = []
-                            for c in candidates:
-                                if allow(c.sender, c.receiver):
-                                    passed.append(c)
-                                elif self.match_deadline is not None:
-                                    self._arm_match_deadline(c)
-                            candidates = passed
-                    match_ns += clk() - mark
-                    queries += 1
-                    candidates_seen += len(candidates)
-                    if not candidates:
-                        break
-                    commit = self.rng.choice(candidates)
-                    mark = clk()
-                    self._commit(commit)
-                    commit_ns += clk() - mark
-                    commits += 1
-                    changed = True
-                if self._wake():
-                    changed = True
-        sink = self._sink
-        journal_ns = self._prof_journal_ns
-        sink.on_phase("match", match_ns)
-        sink.on_phase("commit", commit_ns - journal_ns)
-        if journal_ns:
-            sink.on_phase("journal", journal_ns)
-        residual = clk() - settle_start - match_ns - commit_ns
-        sink.on_phase("settle", residual if residual > 0 else 0)
-        if self._sink_settle:
-            sink.on_settle(self.now, commits, rounds, queries,
-                           candidates_seen, self._prof_polls - polls_before,
-                           pairs_peak, self._prof_timer_ops)
+        match_ns = commit_ns = commits = rounds = queries = seen = peak = 0
+
+        def timed_pick(rng: random.Random) -> board_mod.Commit | None:
+            nonlocal match_ns, queries, seen, peak, rounds
+            mark = clk()
+            count = board.candidate_count
+            picked = pick(rng) if count else None
+            match_ns += clk() - mark
+            queries += 1
+            seen += count
+            if count > peak:
+                peak = count
+            if picked is None:
+                rounds += 1  # every drain ends on an empty pick
+            return picked
+
+        def timed_commit(pair: board_mod.Commit) -> None:
+            nonlocal commit_ns, commits
+            mark = clk()
+            commit_pair(pair)
+            commit_ns += clk() - mark
+            commits += 1
+
+        def finish() -> None:
+            sink = self._sink
+            if self._sink_phase:
+                journal_ns = self._prof_journal_ns
+                sink.on_phase("match", match_ns)
+                sink.on_phase("commit", commit_ns - journal_ns)
+                if journal_ns:
+                    sink.on_phase("journal", journal_ns)
+                residual = clk() - started - match_ns - commit_ns
+                sink.on_phase("settle", residual if residual > 0 else 0)
+            if self._sink_settle:
+                sink.on_settle(self.now, commits, rounds, queries, seen,
+                               self._prof_polls - polls_before, peak,
+                               self._prof_timer_ops)
+
+        return timed_pick, timed_commit, finish
 
     def _wake(self) -> bool:
         """One wake pass: ready every waiter whose condition holds.

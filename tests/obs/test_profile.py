@@ -6,20 +6,29 @@ The contracts under test, in the order the module promises them:
   across runs), and the deterministic tick clock extends that to the
   wall section, flamegraph and Chrome lane;
 - attaching the profiler never perturbs the run — the trace of a
-  profiled run is byte-identical to an unprofiled one;
+  profiled run is byte-identical to an unprofiled one, on the indexed
+  and the full-scan board, with and without a match filter;
+- a sink receives ``on_phase`` / ``on_settle`` exactly when its class
+  overrides them;
 - the exports are well-formed for their consumers (speedscope collapsed
   stacks, Perfetto trace events);
 - the diff explainer names the phase whose share grew.
 """
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
+from repro.faults.soak import run_chaos_broadcast, run_chaos_chatroom
 from repro.obs import (PHASES, Profiler, build_spans, diff_attributions,
                        dump_chrome_trace, profile_scenario, tick_clock)
-from repro.runtime import IndexedBoard, Receive, Scheduler, Send, format_trace
+from repro.runtime import (EventKind, IndexedBoard, OracleBoard, Receive,
+                           Scheduler, Select, Send, format_trace)
 from repro.runtime.instrument import Sink, TeeSink, sink_overrides
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_pingpong(profiler=None, rounds=3):
@@ -122,6 +131,173 @@ def test_capability_flags_only_arm_for_profiling_sinks():
 
 
 # ---------------------------------------------------------------------------
+# The scan path: full-scan board or match filter, profiled and not
+# ---------------------------------------------------------------------------
+
+SCAN_ROUNDS = 3
+
+
+def build_pingpong(scheduler, n):
+    def left(i):
+        for _ in range(SCAN_ROUNDS):
+            yield Send(("R", i), i)
+            yield Receive(("R", i))
+
+    def right(i):
+        for _ in range(SCAN_ROUNDS):
+            yield Receive(("L", i))
+            yield Send(("L", i), i)
+
+    for i in range(n):
+        scheduler.spawn(("L", i), left(i))
+        scheduler.spawn(("R", i), right(i))
+
+
+def build_star(scheduler, n):
+    def hub():
+        for _ in range(SCAN_ROUNDS):
+            for i in range(n):
+                yield Send(("leaf", i), i)
+
+    def leaf(i):
+        for _ in range(SCAN_ROUNDS):
+            yield Receive("hub")
+
+    scheduler.spawn("hub", hub())
+    for i in range(n):
+        scheduler.spawn(("leaf", i), leaf(i))
+
+
+def build_fanin(scheduler, n):
+    def producer(i):
+        yield Send("hub", i, tag="a" if i % 2 else "b")
+
+    def hub():
+        for _ in range(n):
+            yield Select((Receive(tag="a"), Receive(tag="b")))
+
+    scheduler.spawn("hub", hub())
+    for i in range(n):
+        scheduler.spawn(("prod", i), producer(i))
+
+
+def comm_count(events):
+    return sum(event.kind is EventKind.COMM for event in events)
+
+
+@pytest.mark.parametrize("build", [build_pingpong, build_star, build_fanin],
+                         ids=["pingpong", "star", "fanin"])
+def test_full_scan_board_profiled_trace_matches_unprofiled(build):
+    traces = []
+    for profiler in (None, Profiler()):
+        scheduler = Scheduler(seed=5, board=OracleBoard())
+        if profiler is not None:
+            profiler.attach(scheduler)
+        build(scheduler, 12)
+        scheduler.run()
+        traces.append(format_trace(scheduler.tracer))
+    assert traces[1] == traces[0]
+    report = profiler.report()
+    assert report.matcher["board"] == "OracleBoard"
+    assert report.commits == comm_count(scheduler.tracer.snapshot()) > 0
+
+
+class ProfiledJournal:
+    """A :class:`Profiler` riding the chaos runners' ``journal=`` protocol."""
+
+    def __init__(self):
+        self.profiler = Profiler()
+        self.scheduler = None
+
+    def attach(self, scheduler):
+        self.scheduler = scheduler
+        self.profiler.attach(scheduler)
+
+    def finish(self, outcome):
+        pass
+
+
+#: SHA-256 of seeds 0-19's unprofiled traces, concatenated in seed order.
+#: Profiled and unprofiled runs share the filtered draw, so only a pinned
+#: digest catches a change to it; a deliberate one regenerates these.
+CHAOS_TRACES_SHA256 = {
+    "broadcast":
+        "dbea0a91c5882a7a338fdc19ced6f54c20eed14a214938dbaf28f377fdf21ad0",
+    "chatroom":
+        "4c71d64d4d0b7f426fa12264d4e1176e8d2123abc941517d57907cf3b1213e15",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_TRACES_SHA256))
+def test_match_filtered_profiled_trace_matches_unprofiled(name):
+    runner = {"broadcast": run_chaos_broadcast,
+              "chatroom": run_chaos_chatroom}[name]
+    digest = hashlib.sha256()
+    for seed in range(20):
+        plain = runner(seed)
+        journal = ProfiledJournal()
+        profiled = runner(seed, journal=journal)
+        assert journal.scheduler.match_filter is not None
+        assert profiled.trace == plain.trace, seed
+        assert (journal.profiler.report().commits
+                == comm_count(profiled.events)), seed
+        digest.update(plain.trace.encode())
+    assert digest.hexdigest() == CHAOS_TRACES_SHA256[name]
+
+
+class SettleOnly(Sink):
+    """Overrides ``on_settle`` alone.  Its instance-level ``on_phase`` is
+    invisible to the class-level capability check, so it records any
+    phase the kernel sends without the sink asking for it."""
+
+    def __init__(self):
+        self.settles = []
+        self.phases = []
+        self.on_phase = lambda phase, ns: self.phases.append(phase)
+
+    def attach(self, scheduler):
+        scheduler.sink = self
+
+    def on_settle(self, time, commits, *counters):
+        self.settles.append(commits)
+
+
+class PhaseOnly(Sink):
+    """The mirror image: ``on_phase`` overridden, ``on_settle`` caught."""
+
+    def __init__(self):
+        self.settles = []
+        self.phases = []
+        self.on_settle = (lambda time, commits, *counters:
+                          self.settles.append(commits))
+
+    def attach(self, scheduler):
+        scheduler.sink = self
+
+    def on_phase(self, phase, ns):
+        self.phases.append(phase)
+
+
+def test_settle_only_sink_gets_one_call_per_settle():
+    sink = SettleOnly()
+    scheduler = run_pingpong(sink)
+    assert scheduler._sink_settle and not scheduler._sink_phase
+    profiler = Profiler()
+    run_pingpong(profiler)
+    assert len(sink.settles) == profiler.settles == 6
+    assert sum(sink.settles) == profiler.commits == 6
+    assert sink.phases == []
+
+
+def test_phase_only_sink_gets_no_settle_counters():
+    sink = PhaseOnly()
+    scheduler = run_pingpong(sink)
+    assert scheduler._sink_phase and not scheduler._sink_settle
+    assert sink.settles == []
+    assert {"dispatch", "match", "commit", "settle", "run"} <= set(sink.phases)
+
+
+# ---------------------------------------------------------------------------
 # Report contents
 # ---------------------------------------------------------------------------
 
@@ -143,6 +319,19 @@ def test_per_commit_rates_divide_by_commits():
     _, report = profile_scenario("demo-broadcast", seed=0, n=5)
     assert report.per_commit["candidate_queries"] == pytest.approx(
         report.counters["candidate_queries"] / report.commits, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", ["demo-broadcast", "demo-lock",
+                                  "demo-election"])
+def test_default_report_matches_golden_file(name):
+    """Counters, per-commit rates, phase call counts and matcher
+    introspection are pure functions of the seed; a change that moves any
+    of them must be deliberate (regenerate with ``python -m repro profile
+    NAME --seed 3 --n 20 --json FILE``)."""
+    _, report = profile_scenario(name, seed=3, n=20)
+    golden = GOLDEN / f"profile_{name.replace('-', '_')}.json"
+    assert (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+            == golden.read_text())
 
 
 # ---------------------------------------------------------------------------
