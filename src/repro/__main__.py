@@ -15,8 +15,8 @@ Commands:
 * ``demo broadcast``     — run a broadcast and print the delivery table;
 * ``demo lock``          — run the Figure 5 lock-manager workload;
 * ``demo election``      — run a ring leader election;
-* ``chaos <script>``     — soak a script under seeded fault injection
-  (``--recover`` switches to the recovery soak: crashed processes are
+* ``chaos <scenario>``   — soak a scenario under seeded fault injection
+  (``chaos recover`` is the recovery soak: crashed processes are
   restarted with backoff and aborted performances retried; ``--kill9``
   SIGKILLs a journaled subprocess mid-run and — with ``--resume`` —
   proves the resumed run commits the identical rendezvous sequence;
@@ -32,7 +32,12 @@ Commands:
 * ``trace <scenario>``   — run an instrumented scenario and export its
   span tree as Chrome trace-event JSON (plus optional JSONL);
 * ``stats <scenario>``   — run a scenario and print its metrics summary
-  (``stats analysis`` summarizes a static-analysis run over the figures).
+  (``stats analysis`` summarizes a static-analysis run over the figures);
+* ``profile <scenario>`` — attribute a scenario's run time to kernel
+  phases.
+
+Every ``<scenario>`` is an entry of the catalogue in
+:mod:`repro.scenarios`.
 
 Exit codes for the file-checking commands (``check``/``analyze``/
 ``lint``/``format``): 0 clean, 1 findings, 2 usage or parse/semantic
@@ -210,29 +215,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
             print(f"  recipient[{index}] <- {value!r}")
         return 0
     if args.scenario == "lock":
-        from .runtime import Scheduler
-        from .scripts import ONE_READ_ALL_WRITE, ReplicatedLockService
-        scheduler = Scheduler(seed=args.seed)
-        service = ReplicatedLockService(scheduler, k=3,
-                                        strategy=ONE_READ_ALL_WRITE)
-        ops = [("alice", "reader", "x", "lock"),
-               ("bob", "writer", "x", "lock"),
-               ("alice", "reader", "x", "release"),
-               ("bob", "writer", "x", "lock")]
-        service.expect_operations(len(ops))
-        service.spawn_managers()
-
-        def driver():
-            lines = []
-            for owner, role, item, op in ops:
-                status = yield from service.request(role, owner, item, op)
-                lines.append((owner, role, op, item, status))
-            return lines
-
-        scheduler.spawn("driver", driver())
-        result = scheduler.run()
+        from .obs.scenarios import LOCK_DEMO_OPS, run_demo_lock
+        statuses = run_demo_lock(args.seed).result.results["driver"]
         print("lock manager (k=3, one lock to read, k locks to write):")
-        for owner, role, op, item, status in result.results["driver"]:
+        for (owner, role, item, op), status in zip(LOCK_DEMO_OPS, statuses):
             print(f"  {owner:<6} {role:<7} {op:<8} {item} -> {status}")
         return 0
     if args.scenario == "election":
@@ -249,60 +235,63 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Soak or explore a script under deterministic fault injection."""
+    """Soak or explore a scenario under deterministic fault injection."""
     if args.describe_plan:
-        return _chaos_describe_plan(args)
+        return _chaos_mode(args, _chaos_describe_plan, planned=True)
     if args.kill9:
         return _chaos_kill9(args)
     if args.replay_plan:
         return _chaos_replay_plan(args)
     if args.explore:
-        return _chaos_explore(args)
-    if args.recover:
-        from .recovery import recover_soak, verify_recover_determinism
-        if args.script != "broadcast":
-            print("chaos --recover supports only the broadcast script",
-                  file=sys.stderr)
-            return 2
-        options = {}
+        return _chaos_mode(args, _chaos_explore, explorable=True)
+    return _chaos_mode(args, _chaos_soak, planned=True)
+
+
+def _chaos_mode(args: argparse.Namespace, handler, **needs: bool) -> int:
+    """Run ``handler`` if the scenario has what the mode ``needs``;
+    otherwise exit 2 naming the scenarios that do."""
+    from .errors import ChaosInvariantError
+    from .scenarios import lookup
+    try:
+        lookup(args.script, **needs)
+    except ChaosInvariantError as error:
+        print(f"chaos: {error}", file=sys.stderr)
+        return 2
+    return handler(args)
+
+
+def _chaos_soak(args: argparse.Namespace) -> int:
+    """``chaos <scenario>``: the seeded soak, plus ``--verify``."""
+    from .faults import soak, verify_determinism
+    options = {}
+    recovering = args.script == "recover"
+    if recovering:
+        # The recovery soak reports liveness counters (restarts,
+        # retries) that the plain soak report lacks.
+        from .recovery import recover_soak
         if args.max_restarts is not None:
             # A forced (sub-covering) cap makes quarantine reachable;
             # report it instead of crashing mid-soak.
             options.update(max_restarts=args.max_restarts, strict=False)
         report = recover_soak(runs=args.runs, seed=args.seed, **options)
-        for line in report.lines():
-            print(line)
-        if args.trace_out:
-            _write_trace(args.trace_out, report.base_trace, args.seed)
-        if args.verify:
-            same = verify_recover_determinism(seed=args.seed, **options)
-            print(f"  determinism   seed {args.seed} replayed "
-                  f"{'identically' if same else 'DIFFERENTLY'}")
-            if not same:
-                return 1
-        if report.quarantined:
-            # Quarantine leaves a process permanently down: that is a
-            # recovery *failure*, and the soak must not exit clean.
-            print(f"  FAILED        {report.quarantined} quarantined "
-                  f"name(s) never recovered", file=sys.stderr)
-            return 1
-        return 0
-    from .faults import SCRIPTS, soak, verify_determinism
-    if args.script not in SCRIPTS:
-        print(f"unknown chaos script {args.script!r}; try: "
-              f"{', '.join(SCRIPTS)}", file=sys.stderr)
-        return 2
-    report = soak(args.script, runs=args.runs, seed=args.seed)
+    else:
+        report = soak(args.script, runs=args.runs, seed=args.seed)
     for line in report.lines():
         print(line)
     if args.trace_out:
         _write_trace(args.trace_out, report.base_trace, args.seed)
     if args.verify:
-        same = verify_determinism(args.script, seed=args.seed)
+        same = verify_determinism(args.script, seed=args.seed, **options)
         print(f"  determinism   seed {args.seed} replayed "
               f"{'identically' if same else 'DIFFERENTLY'}")
         if not same:
             return 1
+    if recovering and report.quarantined:
+        # Quarantine leaves a process permanently down: that is a
+        # recovery *failure*, and the soak must not exit clean.
+        print(f"  FAILED        {report.quarantined} quarantined "
+              f"name(s) never recovered", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -323,20 +312,9 @@ def _chaos_oracles(args: argparse.Namespace) -> tuple[str, ...] | None:
 
 def _chaos_describe_plan(args: argparse.Namespace) -> int:
     """``chaos --describe-plan``: print the seed's implied fault plan."""
-    from .faults import SCRIPTS, JournalCorruptionPlan
-    if args.recover:
-        from .recovery import recover_plan_for_seed
-        plan = recover_plan_for_seed(args.seed)
-        name = "recover (broadcast)"
-    else:
-        if args.script not in SCRIPTS:
-            print(f"unknown chaos script {args.script!r}; try: "
-                  f"{', '.join(SCRIPTS)}", file=sys.stderr)
-            return 2
-        from .faults import plan_for_seed
-        plan = plan_for_seed(args.script, args.seed)
-        name = args.script
-    print(f"fault plan: {name}, seed {args.seed}")
+    from .faults import JournalCorruptionPlan, plan_for_seed
+    plan = plan_for_seed(args.script, args.seed)
+    print(f"fault plan: {args.script}, seed {args.seed}")
     lines = plan.describe()
     for line in lines:
         print(f"  {line}")
@@ -352,13 +330,8 @@ def _chaos_explore(args: argparse.Namespace) -> int:
     """``chaos --explore``: systematic fault-space search + shrinking."""
     import json
 
-    from .faults import SCRIPTS
     from .faults.explore import explore, record_exploration
     from .obs import MetricsRegistry
-    if args.script not in SCRIPTS:
-        print(f"unknown chaos script {args.script!r}; try: "
-              f"{', '.join(SCRIPTS)}", file=sys.stderr)
-        return 2
     metrics = MetricsRegistry()
     report = explore(args.script, seed=args.seed, budget=args.budget,
                      oracles=_chaos_oracles(args), minimize=args.minimize)
@@ -633,6 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("file")
     fmt.set_defaults(handler=cmd_format)
 
+    from .scenarios import names
+    size_help = "scenario size (recipients, stations, members or clients)"
+
     demo = sub.add_parser("demo", help="run a built-in scenario")
     demo.add_argument("scenario", choices=["broadcast", "lock", "election"])
     demo.add_argument("--n", type=int, default=5)
@@ -641,10 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(handler=cmd_demo)
 
-    chaos = sub.add_parser("chaos", help="chaos-soak a script under "
+    chaos = sub.add_parser("chaos", help="chaos-soak a scenario under "
                                          "seeded fault injection")
     chaos.add_argument("script", nargs="?", default="broadcast",
-                       choices=["broadcast", "lock", "chatroom"])
+                       choices=names(),
+                       help="scenario (soak, --verify and --describe-plan "
+                            "need a fault plan; --explore a fault "
+                            "contract; --kill9 takes any)")
     chaos.add_argument("--runs", type=int, default=100,
                        help="number of seeded runs (default 100)")
     chaos.add_argument("--seed", type=int, default=0,
@@ -683,18 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the fault plan a plan-less run of "
                             "the seed would install, plus the seed's "
                             "journal-corruption recipe, and exit")
-    chaos.add_argument("--recover", action="store_true",
-                       help="recovery mode: restart crashed processes and "
-                            "retry aborted performances (broadcast only; "
-                            "default 25 runs is advisable via --runs)")
     chaos.add_argument("--trace-out", default=None,
-                       help="with --recover: write the base seed's "
-                            "formatted trace to this path (CI artifact)")
+                       help="write the base seed's formatted trace to "
+                            "this path (CI artifact)")
     chaos.add_argument("--verify", action="store_true",
                        help="also replay the base seed twice and compare "
                             "traces")
     chaos.add_argument("--max-restarts", type=int, default=None,
-                       help="with --recover: force the restart intensity "
+                       help="with recover: force the restart intensity "
                             "cap (a cap below the crash plan's coverage "
                             "deterministically exercises quarantine, "
                             "which exits nonzero)")
@@ -722,8 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Hidden: the kill -9 harness's child half (dies by SIGKILL).
     child = sub.add_parser("_kill9-child")
-    child.add_argument("script",
-                       choices=["broadcast", "lock", "chatroom", "recover"])
+    child.add_argument("script", choices=names())
     child.add_argument("--seed", type=int, required=True)
     child.add_argument("--journal", required=True)
     child.add_argument("--kill-after", type=int, required=True,
@@ -731,14 +705,11 @@ def build_parser() -> argparse.ArgumentParser:
     child.add_argument("--options", default=None)
     child.set_defaults(handler=cmd_kill9_child)
 
-    from .obs.scenarios import SCENARIOS
-
     trace = sub.add_parser("trace", help="run a scenario and export its "
                                          "span tree (Chrome trace JSON)")
-    trace.add_argument("scenario", choices=SCENARIOS)
+    trace.add_argument("scenario", choices=names())
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--n", type=int, default=5,
-                       help="scenario size (recipients/stations)")
+    trace.add_argument("--n", type=int, default=5, help=size_help)
     trace.add_argument("--out", default=None,
                        help="Chrome trace output path "
                             "(default trace-<scenario>.json)")
@@ -750,10 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="run a scenario and print its "
                                          "metrics summary")
-    stats.add_argument("scenario", choices=[*SCENARIOS, "analysis"])
+    stats.add_argument("scenario", choices=[*names(), "analysis"])
     stats.add_argument("--seed", type=int, default=0)
-    stats.add_argument("--n", type=int, default=5,
-                       help="scenario size (recipients/stations)")
+    stats.add_argument("--n", type=int, default=5, help=size_help)
     stats.add_argument("--json", action="store_true",
                        help="emit the summary as JSON instead of text")
     stats.set_defaults(handler=cmd_stats)
@@ -761,11 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="profile a scenario's kernel hot path (phase "
                         "attribution, flamegraph, Chrome trace)")
-    profile.add_argument("scenario", nargs="?", choices=SCENARIOS,
+    profile.add_argument("scenario", nargs="?", choices=names(),
                          help="scenario to profile (omit with --diff)")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--n", type=int, default=5,
-                         help="scenario size (recipients/stations)")
+    profile.add_argument("--n", type=int, default=5, help=size_help)
     profile.add_argument("--json", default=None, metavar="PATH",
                          help="write the report as JSON (deterministic "
                               "counters only unless --wall)")

@@ -51,16 +51,16 @@ import os
 import random
 import tempfile
 from collections import Counter
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Hashable, Iterator
 
 from ..errors import ChaosInvariantError, FaultPlanError, ReproError
 from ..obs.metrics import MetricsRegistry
 from ..persist.record import SNAPSHOT_EVERY, JournalRecorder
 from ..persist.resume import resume
 from ..runtime import EventKind, Scheduler, Sink, TeeSink
+from ..scenarios import FaultContract, Scenario, lookup
 from .plan import CORRUPTION_MODES, FaultPlan, JournalCorruptionPlan
 from .reporting import kv_lines
-from .soak import run_chaos_broadcast, run_chaos_chatroom, run_chaos_lock
 
 #: Injection-point kinds, in the order the probe reports them.
 POINT_COMMIT = "commit"
@@ -151,64 +151,6 @@ class InjectionProbe(Sink):
 
 
 # ---------------------------------------------------------------------------
-# Scenario adapters: what the explorer may legally do to each scenario
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class Scenario:
-    """Exploration contract of one chaos scenario.
-
-    ``crash_after`` maps a process to the earliest *strict* crash time:
-    plan timers are installed before any process spawns, so at equal
-    timestamps a crash fires before the victim's own timer — a crash at
-    exactly the seal instant would kill the critical role pre-seal,
-    which is outside the scripted system's contract (an unsealable
-    performance), not a chaos finding.  ``heal_required`` excludes
-    never-healing partitions for scenarios whose roles retry forever;
-    ``transport_faults`` gates latency/drop windows to scenarios whose
-    roles are written to absorb them.
-    """
-
-    name: str
-    runner: Callable[..., Any]
-    processes: tuple[Hashable, ...]
-    critical: frozenset
-    links: tuple[tuple[Hashable, Hashable], ...]
-    crash_after: dict[Hashable, float]
-    heal_required: bool
-    transport_faults: bool
-    horizon: float
-
-
-SCENARIOS: dict[str, Scenario] = {
-    "broadcast": Scenario(
-        name="broadcast", runner=run_chaos_broadcast,
-        processes=("S",) + tuple(("R", i) for i in range(1, 5)),
-        critical=frozenset({"S"}),
-        links=tuple(("hub", ("leaf", i)) for i in range(1, 5)),
-        crash_after={"S": 3.0},  # the enroll window: no pre-seal sender kill
-        heal_required=True, transport_faults=True, horizon=30.0),
-    "lock": Scenario(
-        name="lock", runner=run_chaos_lock,
-        processes=tuple(("client", i) for i in range(1, 5)),
-        critical=frozenset(),
-        # Managers hold the lock tables and must outlive the run; no link
-        # or transport faults either — the lock protocol has no retry
-        # story, which is the scenario's documented contract.
-        links=(), crash_after={}, heal_required=True,
-        transport_faults=False, horizon=12.0),
-    "chatroom": Scenario(
-        name="chatroom", runner=run_chaos_chatroom,
-        processes=("H",) + tuple(("M", i) for i in range(1, 5)),
-        critical=frozenset({"H"}),
-        links=tuple(("hub", ("leaf", i)) for i in range(1, 5)),
-        crash_after={"H": 3.0},  # the join window
-        heal_required=False,  # members depart on timeout; no heal needed
-        transport_faults=True, horizon=40.0),
-}
-
-
-# ---------------------------------------------------------------------------
 # Fault schedules: the unit of exploration
 # ---------------------------------------------------------------------------
 
@@ -247,7 +189,7 @@ class FaultSchedule:
                         if corruption is not None else None))
 
 
-def _candidate_singles(scenario: Scenario,
+def _candidate_singles(contract: FaultContract,
                        points: list[InjectionPoint]
                        ) -> dict[tuple[str, str], list[FaultSchedule]]:
     """Single-fault candidates anchored at the probe's points, grouped
@@ -261,13 +203,13 @@ def _candidate_singles(scenario: Scenario,
         groups.setdefault((family, key), []).append(
             FaultSchedule(family=family, plan=plan))
 
-    for process in scenario.processes:
-        floor = scenario.crash_after.get(process, 0.0)
+    for process in contract.processes:
+        floor = contract.crash_after.get(process, 0.0)
         for t in times:
             if t > floor:
                 add("crash", repr(process), FaultPlan().crash(t, process))
-    spans = (1.0, max(2.5, scenario.horizon / 8.0))
-    for a, b in scenario.links:
+    spans = (1.0, max(2.5, contract.horizon / 8.0))
+    for a, b in contract.links:
         key = repr((a, b))
         for t in times:
             if t <= 0:
@@ -276,9 +218,9 @@ def _candidate_singles(scenario: Scenario,
                 add("partition", key,
                     FaultPlan().partition(t, a, b,
                                           heal_at=round(t + span, 3)))
-            if not scenario.heal_required:
+            if not contract.heal_required:
                 add("partition", key, FaultPlan().partition(t, a, b))
-    if scenario.transport_faults:
+    if contract.transport_faults:
         for t in timer_times:
             add("slow", "window",
                 FaultPlan().slow(t, 4.0, until=round(t + 2.0, 3)))
@@ -287,7 +229,7 @@ def _candidate_singles(scenario: Scenario,
     return groups
 
 
-def _frontier(scenario: Scenario, points: list[InjectionPoint],
+def _frontier(contract: FaultContract, points: list[InjectionPoint],
               rng: random.Random, budget: int,
               include_corruption: bool) -> Iterator[FaultSchedule]:
     """Seeded, stratified, endless candidate stream.
@@ -297,7 +239,7 @@ def _frontier(scenario: Scenario, points: list[InjectionPoint],
     schedules are always reached — then the corruption grid, then
     endless seeded depth-2/3 composites drawn from the singles pool.
     """
-    groups = _candidate_singles(scenario, points)
+    groups = _candidate_singles(contract, points)
     buckets: list[list[FaultSchedule]] = []
     for key in sorted(groups):
         bucket = list(groups[key])
@@ -347,25 +289,10 @@ class RunOutcome:
     runs: int = 0                      # scenario executions this cost
 
 
-def _registry_for(scenario: Scenario) -> dict[str, Callable[..., Any]]:
-    """A resume registry whose runner decodes the journaled fault plan.
-
-    The recorder stores the plan in the journal header's ``options`` as
-    plain JSON; resume passes header options back as keyword arguments,
-    so the wrapper rebuilds the :class:`FaultPlan` before delegating.
-    """
-    def wrapper(seed: int, plan: Any = None, journal: Any = None,
-                **options: Any) -> Any:
-        if plan is not None and not isinstance(plan, FaultPlan):
-            plan = FaultPlan.from_jsonable(plan)
-        return scenario.runner(seed, plan=plan, journal=journal, **options)
-    return {scenario.name: wrapper}
-
-
 def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
-                     *, replay: bool, workdir: str | None,
-                     tag: str) -> RunOutcome:
-    """Run ``schedule`` against ``scenario`` at ``seed``.
+                     *, sizes: dict[str, Any], replay: bool,
+                     workdir: str | None, tag: str) -> RunOutcome:
+    """Run ``schedule`` against ``scenario`` at ``seed`` and ``sizes``.
 
     Plan schedules run the scenario under the plan — journaled when the
     replay oracle is active, followed by a full resume.  Corruption
@@ -373,43 +300,29 @@ def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
     the attack targets the durability layer, not the virtual world.
     """
     outcome = RunOutcome(schedule=schedule)
-    if schedule.corruption is not None:
-        path = os.path.join(workdir, f"{tag}.journal")
-        recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
-                                   options={"plan":
-                                            FaultPlan().to_jsonable()})
-        try:
-            outcome.run = scenario.runner(seed, plan=FaultPlan(),
-                                          journal=recorder)
-        except ReproError as err:
-            recorder.close()
-            outcome.error = err
-            outcome.runs = 1
-            return outcome
-        outcome.runs = 1
-        schedule.corruption.apply(path)
-    else:
-        plan = schedule.plan if schedule.plan is not None else FaultPlan()
-        if not replay:
-            outcome.runs = 1
-            try:
-                outcome.run = scenario.runner(seed, plan=plan)
-            except ReproError as err:
-                outcome.error = err
-            return outcome
-        path = os.path.join(workdir, f"{tag}.journal")
-        recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
-                                   options={"plan": plan.to_jsonable()})
+    plan = schedule.plan if schedule.plan is not None else FaultPlan()
+    if not replay and schedule.corruption is None:
         outcome.runs = 1
         try:
-            outcome.run = scenario.runner(seed, plan=plan, journal=recorder)
+            outcome.run = scenario.run(seed, plan=plan, **sizes)
         except ReproError as err:
-            recorder.close()
             outcome.error = err
-            return outcome
+        return outcome
+    path = os.path.join(workdir, f"{tag}.journal")
+    recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
+                               options={"plan": plan.to_jsonable(), **sizes})
+    outcome.runs = 1
     try:
-        outcome.resume_report = resume(path,
-                                       registry=_registry_for(scenario))
+        outcome.run = scenario.run(seed, plan=plan, journal=recorder,
+                                   **sizes)
+    except ReproError as err:
+        recorder.close()
+        outcome.error = err
+        return outcome
+    if schedule.corruption is not None:
+        schedule.corruption.apply(path)
+    try:
+        outcome.resume_report = resume(path)
     except ReproError as err:
         outcome.resume_error = err
     outcome.runs += 1
@@ -426,7 +339,7 @@ def _owner_of(error: ReproError) -> str:
     return "convergence"
 
 
-def evaluate(scenario: Scenario, outcome: RunOutcome,
+def evaluate(outcome: RunOutcome,
              oracles: tuple[str, ...]) -> list[tuple[str, str]]:
     """Judge one execution; ``(oracle, detail)`` per violated oracle.
 
@@ -442,8 +355,9 @@ def evaluate(scenario: Scenario, outcome: RunOutcome,
         failures.append((owner, str(outcome.error)))
     run = outcome.run
     if ("abort" in oracles and run is not None
-            and run.outcome == "aborted" and scenario.critical
-            and not any(name in scenario.critical for name in run.killed)):
+            and run.outcome == "aborted" and run.contract.critical
+            and not any(name in run.contract.critical
+                        for name in run.killed)):
         failures.append(("abort",
                          f"aborted without a critical-process kill "
                          f"(killed: {run.killed!r})"))
@@ -466,8 +380,9 @@ def evaluate(scenario: Scenario, outcome: RunOutcome,
 # ---------------------------------------------------------------------------
 
 def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
-           oracle: str, oracles: tuple[str, ...], *, replay: bool,
-           workdir: str | None) -> tuple[FaultSchedule, str, int]:
+           oracle: str, oracles: tuple[str, ...], *, sizes: dict[str, Any],
+           replay: bool, workdir: str | None
+           ) -> tuple[FaultSchedule, str, int]:
     """Minimize ``schedule`` while the same oracle keeps failing.
 
     Plan schedules go through repeated ddmin passes (chunk sizes from
@@ -483,10 +398,11 @@ def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
 
     def still_fails(candidate: FaultSchedule) -> bool:
         nonlocal runs, last_detail
-        outcome = execute_schedule(scenario, seed, candidate, replay=replay,
-                                   workdir=workdir, tag=f"shrink-{runs}")
+        outcome = execute_schedule(scenario, seed, candidate, sizes=sizes,
+                                   replay=replay, workdir=workdir,
+                                   tag=f"shrink-{runs}")
         runs += outcome.runs
-        for name, detail in evaluate(scenario, outcome, oracles):
+        for name, detail in evaluate(outcome, oracles):
             if name == oracle:
                 last_detail = detail
                 return True
@@ -541,9 +457,11 @@ class Counterexample:
     schedule: FaultSchedule
     original_events: int
     shrink_runs: int
+    sizes: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def to_jsonable(self) -> dict[str, Any]:
         return {"scenario": self.scenario, "seed": self.seed,
+                "sizes": self.sizes,
                 "oracle": self.oracle, "detail": self.detail,
                 "schedule": self.schedule.to_jsonable(),
                 "original_events": self.original_events,
@@ -638,21 +556,17 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             oracles: tuple[str, ...] | None = None, minimize: bool = True,
             workdir: str | None = None,
             metrics: MetricsRegistry | None = None,
-            **options: Any) -> ExploreReport:
+            **sizes: Any) -> ExploreReport:
     """Systematically explore ``scenario``'s fault space at ``seed``.
 
     Runs the probe, then up to ``budget`` candidate schedules, stopping
     at the first oracle violation (shrunk to a locally minimal
-    counterexample when ``minimize``).  ``options`` forward to the
-    scenario runner (sizing knobs).  Deterministic: same arguments, same
-    report.
+    counterexample when ``minimize``).  ``sizes`` reach the runner on
+    every run — probe, schedules, replays and shrinking — and the probe
+    run's :class:`~repro.scenarios.FaultContract` shapes the frontier.
+    Deterministic: same arguments, same report.
     """
-    try:
-        sc = SCENARIOS[scenario]
-    except KeyError:
-        raise ChaosInvariantError(
-            f"unknown exploration scenario {scenario!r}; choose from "
-            f"{tuple(SCENARIOS)}") from None
+    sc = lookup(scenario, explorable=True)
     oracle_names = tuple(oracles) if oracles else DEFAULT_ORACLES
     for name in oracle_names:
         if name not in DEFAULT_ORACLES:
@@ -663,14 +577,14 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
                            oracles=oracle_names)
 
     probe = InjectionProbe()
-    base = sc.runner(seed, plan=FaultPlan(), journal=probe, **options)
+    base = sc.run(seed, plan=FaultPlan(), journal=probe, **sizes)
     report.runs += 1
     report.base_trace = base.trace
     report.frames = probe.frames
     report.points = Counter(point.kind for point in probe.points)
 
     rng = random.Random(seed)
-    frontier = _frontier(sc, probe.points, rng, budget,
+    frontier = _frontier(base.contract, probe.points, rng, budget,
                          include_corruption=replay)
     cleanup: tempfile.TemporaryDirectory | None = None
     if replay and workdir is None:
@@ -678,13 +592,14 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
         workdir = cleanup.name
     try:
         for index, schedule in enumerate(itertools.islice(frontier, budget)):
-            outcome = execute_schedule(sc, seed, schedule, replay=replay,
-                                       workdir=workdir, tag=f"run-{index}")
+            outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
+                                       replay=replay, workdir=workdir,
+                                       tag=f"run-{index}")
             report.runs += outcome.runs
             report.schedules += 1
             report.families[schedule.family] += 1
             description = "; ".join(schedule.describe())
-            failures = evaluate(sc, outcome, oracle_names)
+            failures = evaluate(outcome, oracle_names)
             if not failures:
                 report.verdicts["pass"] += 1
                 report.schedule_log.append(f"#{index} {description} -> pass")
@@ -699,7 +614,7 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             minimized, shrink_runs = schedule, 0
             if minimize:
                 minimized, shrunk_detail, shrink_runs = shrink(
-                    sc, seed, schedule, oracle, oracle_names,
+                    sc, seed, schedule, oracle, oracle_names, sizes=sizes,
                     replay=replay, workdir=workdir)
                 if shrunk_detail:
                     detail = shrunk_detail
@@ -708,7 +623,7 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             report.counterexample = Counterexample(
                 scenario=scenario, seed=seed, oracle=oracle, detail=detail,
                 schedule=minimized, original_events=original_events,
-                shrink_runs=shrink_runs)
+                shrink_runs=shrink_runs, sizes=sizes)
             break
     finally:
         if cleanup is not None:
@@ -762,18 +677,20 @@ def check_saved_schedule(path: str,
     if not isinstance(data, dict):
         raise ChaosInvariantError(f"{path}: not a counterexample file")
     scenario_name = data.get("scenario")
-    if scenario_name not in SCENARIOS:
-        raise ChaosInvariantError(
-            f"{path}: unknown scenario {scenario_name!r}")
-    sc = SCENARIOS[scenario_name]
+    try:
+        sc = lookup(scenario_name, explorable=True)
+    except ChaosInvariantError as error:
+        raise ChaosInvariantError(f"{path}: {error}") from None
     seed = data.get("seed", 0)
+    sizes = data.get("sizes") or {}
     schedule = FaultSchedule.from_jsonable(data.get("schedule", {}))
     oracle_names = tuple(oracles) if oracles else DEFAULT_ORACLES
     replay = ("replay" in oracle_names
               or schedule.corruption is not None)
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as workdir:
-        outcome = execute_schedule(sc, seed, schedule, replay=replay,
-                                   workdir=workdir, tag="replay")
-        failures = evaluate(sc, outcome, oracle_names)
+        outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
+                                   replay=replay, workdir=workdir,
+                                   tag="replay")
+        failures = evaluate(outcome, oracle_names)
     return ReplayCheck(scenario=scenario_name, seed=seed, schedule=schedule,
                        failures=failures)

@@ -34,15 +34,14 @@ from typing import Any, Generator, Hashable
 from ..core import (Initiation, Mode, Param, ScriptDef, ScriptInstance,
                     SealPolicy, SendTo, Termination, UNFILLED)
 from ..errors import ChaosInvariantError, PerformanceAborted
-from ..net import NetworkTransport, complete, star
-from ..runtime import TIMED_OUT, Delay, Scheduler, format_trace
+from ..net import complete, star
+from ..runtime import TIMED_OUT, Delay, RunResult, Scheduler, format_trace
+from ..scenarios import FaultContract, lookup, world
 from ..scripts.lockmanager import MAJORITY, ReplicatedLockService
 from .plan import FaultPlan
 from .reporting import kv_lines
 
 Body = Generator[Any, Any, Any]
-
-SCRIPTS = ("broadcast", "lock", "chatroom")
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +232,15 @@ def chatroom_plan(rng: random.Random, n: int = 4,
     return plan
 
 
-def plan_for_seed(script: str, seed: int, **options: Any) -> FaultPlan:
+def plan_for_seed(script: str, seed: int, **sizes: Any) -> FaultPlan:
     """The fault plan a plan-less run of ``script`` at ``seed`` installs.
 
     Replays exactly the runner's RNG draw sequence (the generators above
     run first against a fresh ``random.Random(seed)`` in every runner),
     so ``plan_for_seed(s, seed).describe() == run(seed).faults`` — pinned
-    by test.  ``options`` accepts the runner's sizing keywords.
+    by test.  ``sizes`` accepts the plan generator's sizing keywords.
     """
-    rng = random.Random(seed)
-    if script == "broadcast":
-        return broadcast_plan(rng, n=options.get("n", 4),
-                              enroll_window=options.get("enroll_window", 3.0),
-                              horizon=options.get("horizon", 30.0))
-    if script == "lock":
-        return lock_plan(rng, clients=options.get("clients", 4),
-                         horizon=options.get("horizon", 12.0))
-    if script == "chatroom":
-        return chatroom_plan(rng, n=options.get("n", 4),
-                             join_window=options.get("join_window", 3.0),
-                             horizon=options.get("horizon", 40.0))
-    raise ChaosInvariantError(
-        f"unknown chaos script {script!r}; choose from {SCRIPTS}")
+    return lookup(script, planned=True).plan(random.Random(seed), **sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +264,14 @@ class ChaosRun:
     #: Raw trace events, for span/Chrome-trace export of this exact run
     #: (the replay-equivalence property compares these byte-for-byte).
     events: tuple = ()
+    #: What the fault explorer may do to a run of these sizes.
+    contract: FaultContract | None = None
+
+    @property
+    def headline(self) -> str:
+        return (f"chaos run {self.outcome}: {self.performances} "
+                f"performance(s), {len(self.faults)} fault event(s), "
+                f"{len(self.killed)} kill(s), t={self.time:g}")
 
 
 def check_residue(scheduler: Scheduler, seed: int,
@@ -305,16 +299,56 @@ def check_residue(scheduler: Scheduler, seed: int,
                                   category="residue")
 
 
+def run_checked(scheduler: Scheduler, seed: int,
+                instance: ScriptInstance) -> RunResult:
+    """Run to the end, raise on residue, then reap the finished records.
+
+    Long soaks spawn many short-lived processes; their outcomes are
+    snapshotted into the returned result before the reap.
+    """
+    result = scheduler.run()
+    check_residue(scheduler, seed, (instance,))
+    scheduler.reap()
+    return result
+
+
 def _fail(seed: int, message: str) -> None:
     raise ChaosInvariantError(f"seed {seed}: {message}",
                               category="semantics")
+
+
+def _chaos_run(seed: int, result: RunResult, supervisor: Any,
+               instance: ScriptInstance, plan: FaultPlan,
+               contract: FaultContract, journal: Any) -> ChaosRun:
+    """Close the run's hook and package what the run produced."""
+    outcome = "aborted" if supervisor.aborts else "completed"
+    if journal is not None:
+        journal.finish(outcome)
+    return ChaosRun(seed=seed, outcome=outcome, results=result.results,
+                    killed=result.killed, crashes=supervisor.crashes,
+                    aborts=supervisor.aborts, faults=plan.describe(),
+                    performances=instance.performance_count,
+                    time=result.time, trace=format_trace(result.tracer),
+                    events=result.tracer.snapshot(), contract=contract)
+
+
+def _star_contract(hub: str, leaf: str, n: int, seal_window: float,
+                   horizon: float, heal_required: bool) -> FaultContract:
+    """A star run's contract: the critical hub process may crash only
+    after its seal window; every hub-leaf link may be cut."""
+    return FaultContract(
+        processes=(hub,) + tuple((leaf, i) for i in range(1, n + 1)),
+        critical=frozenset({hub}),
+        links=tuple(("hub", ("leaf", i)) for i in range(1, n + 1)),
+        crash_after={hub: seal_window}, heal_required=heal_required,
+        transport_faults=True, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
 # Broadcast under chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_broadcast(seed: int, n: int = 4, payload: Any = "payload",
+def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
                         plan: FaultPlan | None = None,
                         enroll_window: float = 3.0,
                         horizon: float = 30.0,
@@ -328,18 +362,13 @@ def run_chaos_broadcast(seed: int, n: int = 4, payload: Any = "payload",
     chaos finding), recipient crashes at any time, one hub-leaf partition
     window, and optional latency/drop windows.
 
-    ``journal`` is a :class:`~repro.persist.record.FrameSink` (recorder
-    or replay validator); it is attached before any process exists, so
-    the journal covers the run's every nondeterminism-resolving step.
+    ``journal`` is the run's hook (see :mod:`repro.scenarios`): a
+    recorder, replay validator, probe or metrics bundle, attached before
+    any process exists.
     """
-    scheduler = Scheduler(seed=seed)
-    topology = star(n)
     placement: dict[Hashable, Any] = {"S": "hub"}
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
-    transport = NetworkTransport(topology, placement)
-    scheduler.transport = transport
-    if journal is not None:
-        journal.attach(scheduler)
+    scheduler, transport = world(seed, star(n), placement, journal)
 
     script = make_chaos_broadcast(n, enroll_window)
     # Explicit name: the default names draw on a process-global counter,
@@ -379,14 +408,8 @@ def run_chaos_broadcast(seed: int, n: int = 4, payload: Any = "payload",
         stagger = round(rng.uniform(0.0, 0.8 * enroll_window), 3)
         scheduler.spawn(("R", i), recipient_process(i, stagger))
 
-    result = scheduler.run()
-    check_residue(scheduler, seed, (instance,))
-    # Long soaks spawn many short-lived processes; reap the finished
-    # records (their outcomes are snapshotted into later RunResults).
-    scheduler.reap()
-
-    outcome = "aborted" if supervisor.aborts else "completed"
-    if outcome == "aborted":
+    result = run_checked(scheduler, seed, instance)
+    if supervisor.aborts:
         if "S" not in result.killed:
             _fail(seed, "performance aborted but the sender survived")
     else:
@@ -397,21 +420,17 @@ def run_chaos_broadcast(seed: int, n: int = 4, payload: Any = "payload",
             if result.results.get(name) != payload:
                 _fail(seed, f"recipient {i} survived a completed broadcast "
                             f"but holds {result.results.get(name)!r}")
-    if journal is not None:
-        journal.finish(outcome)
-    return ChaosRun(seed=seed, outcome=outcome, results=result.results,
-                    killed=result.killed, crashes=supervisor.crashes,
-                    aborts=supervisor.aborts, faults=plan.describe(),
-                    performances=instance.performance_count,
-                    time=result.time, trace=format_trace(result.tracer),
-                    events=result.tracer.snapshot())
+    contract = _star_contract("S", "R", n, enroll_window, horizon,
+                              heal_required=True)
+    return _chaos_run(seed, result, supervisor, instance, plan, contract,
+                      journal)
 
 
 # ---------------------------------------------------------------------------
 # Lock manager under chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_lock(seed: int, k: int = 3, clients: int = 4,
+def run_chaos_lock(seed: int, *, k: int = 3, clients: int = 4,
                    plan: FaultPlan | None = None,
                    horizon: float = 12.0,
                    journal: Any = None) -> ChaosRun:
@@ -427,20 +446,15 @@ def run_chaos_lock(seed: int, k: int = 3, clients: int = 4,
     held another client degrades to absence and the performance completes.
     Managers never crash: the lock tables must survive the soak.
     """
-    scheduler = Scheduler(seed=seed)
     # One node per participant, complete graph, unit latency: every
     # manager round-trip advances the clock, so performances span virtual
     # time and crash timers can land *inside* one.
-    topology = complete(k + clients)
     placement: dict[Hashable, Any] = {}
     for index in range(1, k + 1):
         placement[("manager-proc", index)] = ("n", index - 1)
     for i in range(1, clients + 1):
         placement[("client", i)] = ("n", k + i - 1)
-    transport = NetworkTransport(topology, placement)
-    scheduler.transport = transport
-    if journal is not None:
-        journal.attach(scheduler)
+    scheduler, _ = world(seed, complete(k + clients), placement, journal)
     service = ReplicatedLockService(scheduler, k=k, strategy=MAJORITY,
                                     instance_name="chaos_lock")
     instance = service.instance
@@ -504,12 +518,7 @@ def run_chaos_lock(seed: int, k: int = 3, clients: int = 4,
 
     plan.install(scheduler)
 
-    result = scheduler.run()
-    check_residue(scheduler, seed, (instance,))
-    # Long soaks spawn many short-lived processes; reap the finished
-    # records (their outcomes are snapshotted into later RunResults).
-    scheduler.reap()
-
+    result = run_checked(scheduler, seed, instance)
     for i in range(1, clients + 1):
         name = ("client", i)
         if name in result.killed:
@@ -521,22 +530,23 @@ def run_chaos_lock(seed: int, k: int = 3, clients: int = 4,
                                                            "aborted"):
             _fail(seed, f"client {i} was granted but never released: "
                         f"{history!r}")
-    outcome = "aborted" if supervisor.aborts else "completed"
-    if journal is not None:
-        journal.finish(outcome)
-    return ChaosRun(seed=seed, outcome=outcome, results=result.results,
-                    killed=result.killed, crashes=supervisor.crashes,
-                    aborts=supervisor.aborts, faults=plan.describe(),
-                    performances=instance.performance_count,
-                    time=result.time, trace=format_trace(result.tracer),
-                    events=result.tracer.snapshot())
+    contract = FaultContract(
+        processes=tuple(("client", i) for i in range(1, clients + 1)),
+        critical=frozenset(),
+        # Managers hold the lock tables and must outlive the run; no link
+        # or transport faults either — the lock protocol has no retry
+        # story, which is the scenario's documented contract.
+        links=(), crash_after={}, heal_required=True,
+        transport_faults=False, horizon=horizon)
+    return _chaos_run(seed, result, supervisor, instance, plan, contract,
+                      journal)
 
 
 # ---------------------------------------------------------------------------
 # Chatroom under churn
 # ---------------------------------------------------------------------------
 
-def run_chaos_chatroom(seed: int, n: int = 4, rounds: int = 4,
+def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
                        plan: FaultPlan | None = None,
                        join_window: float = 3.0,
                        horizon: float = 40.0,
@@ -556,14 +566,9 @@ def run_chaos_chatroom(seed: int, n: int = 4, rounds: int = 4,
     subsequence of the host's numbered messages (strictly increasing
     rounds, each with its round's payload).
     """
-    scheduler = Scheduler(seed=seed)
-    topology = star(n)
     placement: dict[Hashable, Any] = {"H": "hub"}
     placement.update({("M", i): ("leaf", i) for i in range(1, n + 1)})
-    transport = NetworkTransport(topology, placement)
-    scheduler.transport = transport
-    if journal is not None:
-        journal.attach(scheduler)
+    scheduler, transport = world(seed, star(n), placement, journal)
 
     script = make_chatroom(max_members=n, join_window=join_window,
                            rounds=rounds)
@@ -617,14 +622,9 @@ def run_chaos_chatroom(seed: int, n: int = 4, rounds: int = 4,
         stay = rng.randint(1, rounds + 1)
         scheduler.spawn(("M", i), member_process(i, stagger, stay))
 
-    result = scheduler.run()
-    check_residue(scheduler, seed, (instance,))
-    scheduler.reap()
-
-    outcome = "aborted" if supervisor.aborts else "completed"
-    if outcome == "aborted":
-        if "H" not in result.killed:
-            _fail(seed, "performance aborted but the host survived")
+    result = run_checked(scheduler, seed, instance)
+    if supervisor.aborts and "H" not in result.killed:
+        _fail(seed, "performance aborted but the host survived")
     for i in range(1, n + 1):
         name = ("M", i)
         if name in result.killed:
@@ -641,23 +641,16 @@ def run_chaos_chatroom(seed: int, n: int = 4, rounds: int = 4,
                 _fail(seed, f"member {i} received corrupt round {r}: "
                             f"{entry!r}")
             last_round = r
-    if journal is not None:
-        journal.finish(outcome)
-    return ChaosRun(seed=seed, outcome=outcome, results=result.results,
-                    killed=result.killed, crashes=supervisor.crashes,
-                    aborts=supervisor.aborts, faults=plan.describe(),
-                    performances=instance.performance_count,
-                    time=result.time, trace=format_trace(result.tracer),
-                    events=result.tracer.snapshot())
+    # Members depart on timeout, so a partition need never heal.
+    contract = _star_contract("H", "M", n, join_window, horizon,
+                              heal_required=False)
+    return _chaos_run(seed, result, supervisor, instance, plan, contract,
+                      journal)
 
 
 # ---------------------------------------------------------------------------
 # The soak loop
 # ---------------------------------------------------------------------------
-
-_RUNNERS = {"broadcast": run_chaos_broadcast, "lock": run_chaos_lock,
-            "chatroom": run_chaos_chatroom}
-
 
 @dataclasses.dataclass(slots=True)
 class SoakReport:
@@ -695,20 +688,14 @@ def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
          **options: Any) -> SoakReport:
     """Run ``runs`` chaos runs with consecutive seeds; raise on any residue.
 
-    ``options`` are forwarded to the per-run function
-    (:func:`run_chaos_broadcast` / :func:`run_chaos_lock` /
-    :func:`run_chaos_chatroom`).
+    ``script`` names a catalogue entry with a fault plan; ``options`` are
+    forwarded to its runner.
     """
-    try:
-        runner = _RUNNERS[script]
-    except KeyError:
-        raise ChaosInvariantError(
-            f"unknown chaos script {script!r}; choose from {SCRIPTS}"
-        ) from None
+    scenario = lookup(script, planned=True)
     report = SoakReport(script=script, runs=runs, base_seed=seed,
                         outcomes=Counter())
     for offset in range(runs):
-        run = runner(seed + offset, **options)
+        run = scenario.run(seed + offset, **options)
         if offset == 0:
             report.base_trace = run.trace
         report.outcomes[run.outcome] += 1
@@ -722,7 +709,7 @@ def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
 def verify_determinism(script: str = "broadcast", seed: int = 0,
                        **options: Any) -> bool:
     """Run one seed twice; True iff the formatted traces are identical."""
-    runner = _RUNNERS[script]
-    first = runner(seed, **options)
-    second = runner(seed, **options)
+    scenario = lookup(script)
+    first = scenario.run(seed, **options)
+    second = scenario.run(seed, **options)
     return first.trace == second.trace

@@ -14,8 +14,9 @@ Three parts:
   to Chrome trace-event JSON (Perfetto-loadable) and JSONL;
 * :mod:`~repro.obs.metrics` — a counter/gauge/histogram registry plus
   :class:`RuntimeMetrics`, the standard scheduler/transport sink;
-* :mod:`~repro.obs.scenarios` — instrumented demo workloads behind the
-  ``python -m repro trace`` and ``python -m repro stats`` commands.
+* :mod:`~repro.obs.scenarios` — instrumented runs of any catalogue
+  scenario behind the ``python -m repro trace``, ``stats`` and
+  ``profile`` commands.
 """
 
 from .export import (dump_chrome_trace, dump_spans_jsonl, jsonable,
@@ -25,7 +26,7 @@ from .metrics import (BYTE_BUCKETS, DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, RuntimeMetrics)
 from .profile import (PHASES, ProfileReport, Profiler, diff_attributions,
                       profile_scenario, tick_clock)
-from .scenarios import SCENARIOS, ScenarioRun, run_scenario
+from .scenarios import ScenarioRun, run_scenario
 from .spans import Span, build_spans, span_tree_lines
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "ProfileReport",
     "Profiler",
     "RuntimeMetrics",
-    "SCENARIOS",
     "ScenarioRun",
     "Span",
     "build_spans",

@@ -33,9 +33,10 @@ import sys
 from typing import Any
 
 from ..errors import PersistError
+from ..scenarios import lookup
 from .journal import read_journal
 from .record import SNAPSHOT_EVERY, JournalRecorder
-from .resume import ResumeReport, commit_summary, resume, scenario_registry
+from .resume import ResumeReport, commit_summary, resume
 
 #: Child exit code meaning "the run finished before the kill point fired".
 COMPLETED_BEFORE_KILL = 3
@@ -54,17 +55,13 @@ def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
     the kill point (the ``_kill9-child`` CLI verb is a thin shell over
     exactly this).
     """
-    runners = scenario_registry()
-    runner = runners.get(scenario)
-    if runner is None:
-        raise PersistError(f"unknown scenario {scenario!r} "
-                           f"(known: {', '.join(sorted(runners))})")
+    entry = lookup(scenario, error=PersistError)
     recorder = JournalRecorder(
         path, seed=seed, scenario=scenario, options=options,
         snapshot_every=snapshot_every, fsync_every=fsync_every,
         registry=registry, kill_after_frames=kill_after_frames)
     try:
-        return runner(seed, journal=recorder, **(options or {}))
+        return entry.run(seed, journal=recorder, **(options or {}))
     except BaseException:
         # Leave what was recorded on disk (no end frame: reads as a
         # crashed run), but never leak the file handle.

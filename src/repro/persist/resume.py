@@ -28,26 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import PersistError, ResumeMismatch
+from ..scenarios import lookup
 from . import journal as journal_format
 from .journal import JournalDocument, read_journal
 from .record import FORMAT_VERSION, FrameSink
-
-
-def scenario_registry() -> dict[str, Callable[..., Any]]:
-    """The scenarios a journal header may name, resolved lazily.
-
-    Imported on demand so :mod:`repro.persist` stays importable from the
-    fault/recovery layers without a cycle.
-    """
-    from ..faults.soak import (run_chaos_broadcast, run_chaos_chatroom,
-                               run_chaos_lock)
-    from ..recovery.soak import run_recover_broadcast
-    return {"broadcast": run_chaos_broadcast, "lock": run_chaos_lock,
-            "chatroom": run_chaos_chatroom,
-            "recover": run_recover_broadcast}
 
 
 def commit_summary(frames: list[dict[str, Any]]) -> list[tuple[int, str]]:
@@ -162,8 +149,7 @@ def _check_header(doc: JournalDocument, *, expect_seed: int | None,
 
 
 def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
-           expect_scenario: str | None = None,
-           registry: dict[str, Callable[..., Any]] | None = None) -> ResumeReport:
+           expect_scenario: str | None = None) -> ResumeReport:
     """Resume the run recorded at ``path``; validate, then continue.
 
     Raises :class:`~repro.errors.JournalError` for a structurally broken
@@ -176,13 +162,9 @@ def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
     doc = read_journal(path)
     seed, scenario, options, snapshot_every = _check_header(
         doc, expect_seed=expect_seed, expect_scenario=expect_scenario)
-    runners = registry if registry is not None else scenario_registry()
-    runner = runners.get(scenario)
-    if runner is None:
-        raise ResumeMismatch(f"journal names unknown scenario {scenario!r} "
-                             f"(known: {', '.join(sorted(runners))})")
+    entry = lookup(scenario, error=ResumeMismatch)
     validator = ReplayValidator(doc.frames, snapshot_every=snapshot_every)
-    run = runner(seed, journal=validator, **options)
+    run = entry.run(seed, journal=validator, **options)
     if not validator.finished:
         raise PersistError(
             f"scenario {scenario!r} never called journal.finish(); its "
@@ -198,5 +180,5 @@ def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
         torn=doc.torn, complete=doc.complete,
         journal_frames=len(doc.frames), replayed=validator.position,
         fresh=validator.fresh,
-        outcome=str(getattr(run, "outcome", "completed")),
+        outcome=run.outcome,
         committed=commit_summary(validator.frames), run=run)

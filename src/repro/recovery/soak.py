@@ -17,7 +17,7 @@ predicate as a backstop and is proven separately by unit tests.
 
 Everything stays deterministic: the plan, the backoff jitter, and every
 recovery decision derive from the run's seed, so
-:func:`verify_recover_determinism` can demand byte-identical formatted
+``verify_determinism("recover")`` can demand byte-identical formatted
 traces — RECOVERY events included.
 """
 
@@ -29,11 +29,12 @@ from typing import Any, Generator, Hashable
 
 from ..core import SealPolicy
 from ..errors import ChaosInvariantError, PerformanceAborted
-from ..faults.plan import FaultPlan
+from ..faults.plan import CRASH, FaultPlan
 from ..faults.reporting import kv_lines
-from ..faults.soak import check_residue, make_chaos_broadcast
-from ..net import NetworkTransport, star
-from ..runtime import Scheduler, format_trace
+from ..faults.soak import make_chaos_broadcast, run_checked
+from ..net import star
+from ..runtime import format_trace
+from ..scenarios import world
 from .policy import BackoffSchedule, RestartPolicy
 from .retry import PerformanceRetry
 
@@ -42,14 +43,11 @@ Body = Generator[Any, Any, Any]
 
 def recover_plan(rng: random.Random, n: int = 3,
                  enroll_window: float = 2.0,
-                 horizon: float = 40.0) -> tuple[FaultPlan, int]:
+                 horizon: float = 40.0) -> FaultPlan:
     """The seed-derived plan of :func:`run_recover_broadcast`.
 
-    Returns ``(plan, sender_crashes)``: the runner sizes its retry and
-    restart budgets from the sender crash count, so the count travels
-    with the plan.  The sender dies at least once — each crash window is
-    offset past the previous recovery, so every crash can land in a
-    fresh performance.
+    The sender dies at least once — each crash window is offset past the
+    previous recovery, so every crash can land in a fresh performance.
     """
     plan = FaultPlan()
     sender_crashes = 1 + (rng.random() < 0.4)
@@ -72,16 +70,6 @@ def recover_plan(rng: random.Random, n: int = 3,
         start = round(rng.uniform(0.2, horizon / 3), 3)
         plan.drop(start, rng.randint(1, 3),
                   until=round(start + rng.uniform(1.0, 4.0), 3))
-    return plan, sender_crashes
-
-
-def recover_plan_for_seed(seed: int, **options: Any) -> FaultPlan:
-    """The plan ``run_recover_broadcast(seed)`` installs (for
-    ``--describe-plan``); options accept the runner's sizing keywords."""
-    plan, _ = recover_plan(random.Random(seed),
-                           n=options.get("n", 3),
-                           enroll_window=options.get("enroll_window", 2.0),
-                           horizon=options.get("horizon", 40.0))
     return plan
 
 
@@ -100,9 +88,16 @@ class RecoveryRun:
     quarantined: list[Any]       # names escalated by the intensity cap
     killed: list[Any]            # every kill over the whole run
     faults: list[str]            # the installed plan, described
+    performances: int            # performances formed, aborted ones too
     time: float
     trace: str
     outcome: str = "recovered"   # "recovered" | "quarantined" | "incomplete"
+
+    @property
+    def headline(self) -> str:
+        return (f"recovery run {self.outcome}: {self.completed} "
+                f"performance(s) completed of {self.rounds} asked for, "
+                f"{self.restarts} restart(s), t={self.time:g}")
 
 
 def _fail(seed: int, message: str) -> None:
@@ -110,8 +105,9 @@ def _fail(seed: int, message: str) -> None:
                               category="liveness")
 
 
-def run_recover_broadcast(seed: int, n: int = 3, rounds: int = 3,
+def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
                           payload: Any = "payload",
+                          plan: FaultPlan | None = None,
                           enroll_window: float = 2.0,
                           horizon: float = 40.0,
                           journal: Any = None,
@@ -133,28 +129,27 @@ def run_recover_broadcast(seed: int, n: int = 3, rounds: int = 3,
     (the default), a quarantine/exhaustion/shortfall raises
     :class:`~repro.errors.ChaosInvariantError`; with ``strict=False`` the
     run reports it through :attr:`RecoveryRun.outcome` instead.
-    ``journal`` is a persist frame sink (recorder or replay validator);
-    with one attached the policy runs the ``resume_from_journal``
-    strategy, so every recovery decision hits the disk before it acts.
+    ``journal`` is the run's hook (see :mod:`repro.scenarios`); with any
+    hook attached the policy runs the ``resume_from_journal`` strategy,
+    calling ``journal.barrier()`` before every recovery decision acts —
+    so a recorder has each decision on disk first.  Barriers do not
+    touch the run, so the trace is the same either way.
     """
-    scheduler = Scheduler(seed=seed)
-    topology = star(n)
     placement: dict[Hashable, Any] = {"S": "hub"}
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
-    transport = NetworkTransport(topology, placement)
-    scheduler.transport = transport
-    if journal is not None:
-        journal.attach(scheduler)
+    scheduler, transport = world(seed, star(n), placement, journal)
 
     script = make_chaos_broadcast(n, enroll_window)
     instance = script.instance(scheduler, name="recover_broadcast",
                                seal_policy=SealPolicy.MANUAL)
     supervisor = instance.supervise()
 
-    # Seed-derived crash plan, drawn before the budgets so the budgets can
-    # be sized to provably cover it (liveness must not depend on luck).
-    rng = random.Random(seed)
-    plan, sender_crashes = recover_plan(rng, n, enroll_window, horizon)
+    # The budgets are sized from the plan's sender crashes so they
+    # provably cover it (liveness must not depend on luck).
+    if plan is None:
+        plan = recover_plan(random.Random(seed), n, enroll_window, horizon)
+    sender_crashes = sum(1 for event in plan
+                         if event.kind == CRASH and event.target == "S")
 
     retry = PerformanceRetry(instance, max_retries=sender_crashes)
     quarantined: set[Hashable] = set()
@@ -228,10 +223,7 @@ def run_recover_broadcast(seed: int, n: int = 3, rounds: int = 3,
     for i in range(1, n + 1):
         scheduler.spawn(("R", i), recipient_body(i))
 
-    result = scheduler.run()
-    check_residue(scheduler, seed, (instance,))
-    scheduler.reap()
-
+    result = run_checked(scheduler, seed, instance)
     completed = completed_count()
     if quarantined:
         outcome = "quarantined"
@@ -260,7 +252,8 @@ def run_recover_broadcast(seed: int, n: int = 3, rounds: int = 3,
         restarts=policy.restarts, retries=retry.retries,
         recovered=retry.recovered,
         quarantined=sorted(quarantined, key=repr), killed=result.killed,
-        faults=plan.describe(), time=result.time,
+        faults=plan.describe(), performances=instance.performance_count,
+        time=result.time,
         trace=format_trace(result.tracer), outcome=outcome)
 
 
@@ -329,10 +322,3 @@ def recover_soak(runs: int = 25, seed: int = 0,
         if offset == 0:
             report.base_trace = run.trace
     return report
-
-
-def verify_recover_determinism(seed: int = 0, **options: Any) -> bool:
-    """Run one seed twice; True iff the formatted traces are identical."""
-    first = run_recover_broadcast(seed, **options)
-    second = run_recover_broadcast(seed, **options)
-    return first.trace == second.trace

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.core.supervision import Supervisor
-from repro.faults.explore import (DEFAULT_ORACLES, SCENARIOS,
-                                  FaultSchedule, InjectionProbe,
-                                  check_saved_schedule, explore,
-                                  record_exploration)
+from repro.faults.explore import (DEFAULT_ORACLES, FaultSchedule,
+                                  InjectionProbe, check_saved_schedule,
+                                  explore, record_exploration)
 from repro.faults.plan import FaultPlan
 from repro.faults.soak import run_chaos_broadcast
 from repro.obs import MetricsRegistry
+from repro.scenarios import names
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_different_seed_explores_a_different_frontier():
 # All oracles green on the unmodified runtime
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(names(explorable=True)))
 def test_explorer_green_on_unmodified_runtime(scenario):
     report = explore(scenario, seed=0, budget=12)
     assert report.ok

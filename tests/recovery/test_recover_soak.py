@@ -1,7 +1,7 @@
 """Recovery soak: liveness under a sender-killing plan, deterministically."""
 
-from repro.recovery import (recover_soak, run_recover_broadcast,
-                            verify_recover_determinism)
+from repro.faults import verify_determinism
+from repro.recovery import recover_soak, run_recover_broadcast
 
 
 def test_single_seed_recovers_and_traces_recovery_events():
@@ -29,7 +29,7 @@ def test_soak_exercises_abort_and_retry_paths():
 
 
 def test_same_seed_replays_byte_identically():
-    assert verify_recover_determinism(0)
+    assert verify_determinism("recover", 0)
 
 
 def test_regression_seed_138_pre_seal_refill_then_crash():

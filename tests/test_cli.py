@@ -253,7 +253,7 @@ def test_module_entry_point_via_subprocess():
 
 def test_chaos_recover_soak_with_trace_artifact(tmp_path, capsys):
     trace = tmp_path / "recover.trace"
-    assert main(["chaos", "--recover", "--runs", "2", "--verify",
+    assert main(["chaos", "recover", "--runs", "2", "--verify",
                  "--trace-out", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "recovery soak" in out
@@ -264,16 +264,11 @@ def test_chaos_recover_soak_with_trace_artifact(tmp_path, capsys):
     assert "restart" in content
 
 
-def test_chaos_recover_rejects_non_broadcast_scripts(capsys):
-    assert main(["chaos", "lock", "--recover"]) == 2
-    assert "broadcast" in capsys.readouterr().err
-
-
 def test_chaos_recover_quarantine_exits_nonzero(capsys):
     # A restart cap below the crash plan's coverage deterministically
     # quarantines a name; the soak must not exit clean over a process
     # that never came back.
-    assert main(["chaos", "--recover", "--runs", "2",
+    assert main(["chaos", "recover", "--runs", "2",
                  "--max-restarts", "1"]) == 1
     captured = capsys.readouterr()
     assert "quarantined" in captured.out
@@ -350,7 +345,7 @@ def test_chaos_describe_plan(capsys):
 
 
 def test_chaos_describe_plan_recover(capsys):
-    assert main(["chaos", "--recover", "--describe-plan",
+    assert main(["chaos", "recover", "--describe-plan",
                  "--seed", "3"]) == 0
     assert "recover" in capsys.readouterr().out
 
