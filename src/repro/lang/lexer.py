@@ -2,178 +2,98 @@
 
 Keywords are recognised case-insensitively (the figures set them in upper
 case); identifiers are case-sensitive.  Comments are Pascal-style
-``{ ... }`` braces and are allowed to nest one level deep is NOT required —
-they do not nest, as in standard Pascal.
+``{ ... }`` braces; they do not nest, as in standard Pascal.
+
+One compiled pattern, ``_TOKEN``, is matched at each position in turn.
+Its alternatives are a newline with the indentation after it, other
+blanks, a comment, a number, a word, a string literal and the operators,
+longest first; a last one-character alternative catches anything else,
+which is an error.  A word is a run of ``\\w`` characters (those passing
+``str.isalnum()``, and ``_``) whose first character passes
+``str.isalpha()`` or is ``_``; it is a keyword when its ``upper()`` is
+one.  A number is a run of ``str.isdecimal()`` characters, the digits
+``int()`` accepts.  Line and column come from the offset of the last
+newline passed.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
 from .tokens import KEYWORDS, Token, TokenType
 
-_SINGLE = {
-    ";": TokenType.SEMI,
-    ",": TokenType.COMMA,
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    "]": TokenType.RBRACK,
-    "=": TokenType.EQ,
-    "+": TokenType.PLUS,
-    "*": TokenType.STAR,
-    "/": TokenType.SLASH,
-}
+#: Operator and punctuation spellings (every non-alphabetic token value).
+_OPERATORS = {t.value: t for t in TokenType if not t.value.isalpha()}
 
+_TOKEN = re.compile("|".join((
+    r"(?P<newline>\n[ \t\r]*)",
+    r"(?P<blank>[ \t\r]+)",
+    r"(?P<comment>\{[^}]*\})",
+    r"(?P<number>\d+)",
+    r"(?P<word>\w+)",
+    # Possessive: a doubled quote inside a literal is always an escaped
+    # quote.  With a plain ``*`` the engine backtracks over ``''``, takes
+    # its first quote as the close, and an unterminated literal ends early.
+    r"(?P<string>'(?:[^']|'')*+')",
+    "(?P<operator>" + "|".join(
+        re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
+    + ")",
+    r"(?P<other>.)",
+)), re.DOTALL)
 
-class Lexer:
-    """Tokenises a script source string."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "{":
-                start_line, start_col = self.line, self.column
-                self._advance()
-                while self.pos < len(self.source) and self._peek() != "}":
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated comment",
-                                   start_line, start_col)
-                self._advance()  # closing brace
-            else:
-                return
-
-    # -- tokenisation -----------------------------------------------------
-
-    def tokens(self) -> list[Token]:
-        """Tokenise the whole source, ending with an EOF token."""
-        result: list[Token] = []
-        while True:
-            token = self._next_token()
-            result.append(token)
-            if token.type is TokenType.EOF:
-                return result
-
-    def _make(self, type_: TokenType, value: str, line: int,
-              column: int) -> Token:
-        return Token(type_, value, line, column)
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return self._make(TokenType.EOF, "", line, column)
-        ch = self._peek()
-
-        if ch.isalpha() or ch == "_":
-            return self._identifier(line, column)
-        if ch.isdigit():
-            return self._number(line, column)
-        if ch == "'":
-            return self._string(line, column)
-
-        # Multi-character operators first.
-        two = self._peek() + self._peek(1)
-        if two == ":=":
-            self._advance(); self._advance()
-            return self._make(TokenType.ASSIGN, ":=", line, column)
-        if two == "->":
-            self._advance(); self._advance()
-            return self._make(TokenType.ARROW, "->", line, column)
-        if two == "..":
-            self._advance(); self._advance()
-            return self._make(TokenType.DOTDOT, "..", line, column)
-        if two == "[]":
-            self._advance(); self._advance()
-            return self._make(TokenType.BOX, "[]", line, column)
-        if two == "<>":
-            self._advance(); self._advance()
-            return self._make(TokenType.NE, "<>", line, column)
-        if two == "<=":
-            self._advance(); self._advance()
-            return self._make(TokenType.LE, "<=", line, column)
-        if two == ">=":
-            self._advance(); self._advance()
-            return self._make(TokenType.GE, ">=", line, column)
-
-        if ch == ":":
-            self._advance()
-            return self._make(TokenType.COLON, ":", line, column)
-        if ch == ".":
-            self._advance()
-            return self._make(TokenType.DOT, ".", line, column)
-        if ch == "[":
-            self._advance()
-            return self._make(TokenType.LBRACK, "[", line, column)
-        if ch == "<":
-            self._advance()
-            return self._make(TokenType.LT, "<", line, column)
-        if ch == ">":
-            self._advance()
-            return self._make(TokenType.GT, ">", line, column)
-        if ch == "-":
-            self._advance()
-            return self._make(TokenType.MINUS, "-", line, column)
-        if ch in _SINGLE:
-            self._advance()
-            return self._make(_SINGLE[ch], ch, line, column)
-
-        raise LexError(f"unexpected character {ch!r}", line, column)
-
-    def _identifier(self, line: int, column: int) -> Token:
-        chars = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        word = "".join(chars)
-        if word.upper() in KEYWORDS:
-            return self._make(TokenType.KEYWORD, word.upper(), line, column)
-        return self._make(TokenType.IDENT, word, line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        chars = []
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        return self._make(TokenType.NUMBER, "".join(chars), line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == "'":
-                if self._peek() == "'":   # doubled quote escapes a quote
-                    chars.append(self._advance())
-                    continue
-                break
-            chars.append(ch)
-        return self._make(TokenType.STRING, "".join(chars), line, column)
+# Module constants: on Python 3.11 each ``TokenType.X`` lookup goes
+# through ``EnumType.__getattr__``, once per token here.
+_IDENT = TokenType.IDENT
+_KEYWORD = TokenType.KEYWORD
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: tokenise ``source``."""
-    return Lexer(source).tokens()
+    """Tokenise ``source``; the list ends with an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0            # offset of the first character of ``line``
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "blank":
+            continue
+        start = match.start()
+        if kind == "newline":
+            line += 1
+            line_start = start + 1
+            continue
+        text = match.group()
+        column = start - line_start + 1
+        if kind == "word":
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                raise LexError(f"unexpected character {first!r}", line,
+                               column)
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(Token(_KEYWORD, upper, line, column))
+            else:
+                append(Token(_IDENT, text, line, column))
+        elif kind == "operator":
+            append(Token(_OPERATORS[text], text, line, column))
+        elif kind == "number":
+            append(Token(_NUMBER, text, line, column))
+        elif kind == "other":
+            if text == "{":
+                raise LexError("unterminated comment", line, column)
+            if text == "'":
+                raise LexError("unterminated string literal", line, column)
+            raise LexError(f"unexpected character {text!r}", line, column)
+        else:                 # a comment or a string: either may span lines
+            if kind == "string":
+                append(Token(_STRING, text[1:-1].replace("''", "'"), line,
+                             column))
+            newline = text.rfind("\n")
+            if newline >= 0:
+                line += text.count("\n")
+                line_start = start + newline + 1
+    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -46,65 +46,111 @@ from .tokens import Token, TokenType
 
 _STMT_TERMINATORS = ("END", "OD", "ELSE", "FI")
 
+# Token types as module constants: on Python 3.11 each ``TokenType.X``
+# goes through ``EnumType.__getattr__`` (about 150 ns), and parsing
+# Figure 5 makes thousands of such lookups.
+_ARROW = TokenType.ARROW
+_ASSIGN = TokenType.ASSIGN
+_BOX = TokenType.BOX
+_COLON = TokenType.COLON
+_COMMA = TokenType.COMMA
+_DOT = TokenType.DOT
+_DOTDOT = TokenType.DOTDOT
+_EOF = TokenType.EOF
+_EQ = TokenType.EQ
+_GE = TokenType.GE
+_GT = TokenType.GT
+_IDENT = TokenType.IDENT
+_LBRACK = TokenType.LBRACK
+_LE = TokenType.LE
+_LPAREN = TokenType.LPAREN
+_LT = TokenType.LT
+_MINUS = TokenType.MINUS
+_NE = TokenType.NE
+_NUMBER = TokenType.NUMBER
+_PLUS = TokenType.PLUS
+_RBRACK = TokenType.RBRACK
+_RPAREN = TokenType.RPAREN
+_SEMI = TokenType.SEMI
+_SLASH = TokenType.SLASH
+_STAR = TokenType.STAR
+_STRING = TokenType.STRING
+_KEYWORD = TokenType.KEYWORD
+
+#: The comparison operator each token type spells (``IN`` is a keyword).
+_COMPARISONS = {_EQ: "=", _NE: "<>", _LT: "<", _LE: "<=", _GT: ">", _GE: ">="}
+
 
 class Parser:
     """Parses one script program."""
 
     def __init__(self, source: str):
-        self._tokens = tokenize(source)
+        tokens = tokenize(source)
+        # A second EOF lets a one-token lookahead read past the end, and
+        # nothing advances past the first one.
+        tokens.append(tokens[-1])
+        self._tokens = tokens
         self._pos = 0
 
     # -- token plumbing ------------------------------------------------------
+    # Keyword tokens carry their upper-case spelling, so a keyword test is
+    # a type test and one string comparison.  Every method that consumes a
+    # token has checked its type first, so it is never the EOF.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.type is not TokenType.EOF:
-            self._pos += 1
+        self._pos += 1
         return token
 
     def _check(self, type_: TokenType) -> bool:
-        return self._peek().type is type_
+        return self._tokens[self._pos].type is type_
 
     def _check_keyword(self, word: str) -> bool:
-        return self._peek().is_keyword(word)
+        token = self._tokens[self._pos]
+        return token.type is _KEYWORD and token.value == word
 
     def _match(self, type_: TokenType) -> Token | None:
-        if self._check(type_):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.type is type_:
+            self._pos += 1
+            return token
         return None
 
     def _match_keyword(self, word: str) -> Token | None:
-        if self._check_keyword(word):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.type is _KEYWORD and token.value == word:
+            self._pos += 1
+            return token
         return None
 
     def _expect(self, type_: TokenType, what: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.type is not type_:
             raise ParseError(f"expected {what}, found {token.value!r}",
                              token.line, token.column)
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_keyword(self, word: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(word):
+        token = self._tokens[self._pos]
+        if token.type is not _KEYWORD or token.value != word:
             raise ParseError(f"expected {word}, found {token.value!r}",
                              token.line, token.column)
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_ident(self, what: str = "identifier") -> Token:
-        return self._expect(TokenType.IDENT, what)
+        return self._expect(_IDENT, what)
 
     # -- program --------------------------------------------------------------
 
     def parse(self) -> ast.ScriptProgram:
         start = self._expect_keyword("SCRIPT")
         name = self._expect_ident("script name").value
-        self._expect(TokenType.SEMI, "';'")
+        self._expect(_SEMI, "';'")
 
         initiation = "DELAYED"
         termination = "DELAYED"
@@ -113,22 +159,22 @@ class Parser:
 
         while True:
             if self._match_keyword("INITIATION"):
-                self._expect(TokenType.COLON, "':'")
+                self._expect(_COLON, "':'")
                 initiation = self._policy_word()
-                self._expect(TokenType.SEMI, "';'")
+                self._expect(_SEMI, "';'")
             elif self._match_keyword("TERMINATION"):
-                self._expect(TokenType.COLON, "':'")
+                self._expect(_COLON, "':'")
                 termination = self._policy_word()
-                self._expect(TokenType.SEMI, "';'")
+                self._expect(_SEMI, "';'")
             elif self._match_keyword("CONST"):
                 const_name = self._expect_ident("constant name").value
-                self._expect(TokenType.EQ, "'='")
+                self._expect(_EQ, "'='")
                 constants.append((const_name, self._expression()))
-                self._expect(TokenType.SEMI, "';'")
+                self._expect(_SEMI, "';'")
             elif self._match_keyword("CRITICAL"):
-                self._expect(TokenType.COLON, "':'")
+                self._expect(_COLON, "':'")
                 critical.append(tuple(self._critical_items()))
-                self._expect(TokenType.SEMI, "';'")
+                self._expect(_SEMI, "';'")
             else:
                 break
 
@@ -143,9 +189,9 @@ class Parser:
             raise ParseError(
                 f"END {end_name} does not match SCRIPT {name}",
                 token.line, token.column)
-        self._match(TokenType.SEMI)
+        self._match(_SEMI)
         token = self._peek()
-        if token.type is not TokenType.EOF:
+        if token.type is not _EOF:
             raise ParseError(f"unexpected trailing input {token.value!r}",
                              token.line, token.column)
         return ast.ScriptProgram(
@@ -164,16 +210,16 @@ class Parser:
 
     def _critical_items(self) -> list[ast.CriticalItem]:
         items = [self._critical_item()]
-        while self._match(TokenType.COMMA):
+        while self._match(_COMMA):
             items.append(self._critical_item())
         return items
 
     def _critical_item(self) -> ast.CriticalItem:
         name_token = self._expect_ident("role name")
         index: ast.Expr | None = None
-        if self._match(TokenType.LBRACK):
+        if self._match(_LBRACK):
             index = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
         return ast.CriticalItem(name_token.value, index, name_token.line)
 
     # -- role declarations -------------------------------------------------------
@@ -185,22 +231,22 @@ class Parser:
         index_var: str | None = None
         index_low: ast.Expr | None = None
         index_high: ast.Expr | None = None
-        if self._match(TokenType.LBRACK):
+        if self._match(_LBRACK):
             index_var = self._expect_ident("index variable").value
-            self._expect(TokenType.COLON, "':'")
+            self._expect(_COLON, "':'")
             index_low = self._expression()
-            self._expect(TokenType.DOTDOT, "'..'")
+            self._expect(_DOTDOT, "'..'")
             index_high = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
 
         params: list[ast.ParamNode] = []
-        if self._match(TokenType.LPAREN):
-            if not self._check(TokenType.RPAREN):
+        if self._match(_LPAREN):
+            if not self._check(_RPAREN):
                 params.extend(self._param_group())
-                while self._match(TokenType.SEMI):
+                while self._match(_SEMI):
                     params.extend(self._param_group())
-            self._expect(TokenType.RPAREN, "')'")
-        self._expect(TokenType.SEMI, "';'")
+            self._expect(_RPAREN, "')'")
+        self._expect(_SEMI, "';'")
 
         variables: list[ast.VarDeclNode] = []
         if self._check_keyword("VAR"):
@@ -208,14 +254,14 @@ class Parser:
 
         body = self._block()
         # Optional trailing role name: "END sender;"
-        if self._check(TokenType.IDENT):
+        if self._check(_IDENT):
             end_name = self._advance().value
             if end_name != name:
                 token = self._peek()
                 raise ParseError(
                     f"END {end_name} does not match ROLE {name}",
                     token.line, token.column)
-        self._match(TokenType.SEMI)
+        self._match(_SEMI)
         return ast.RoleDeclNode(
             name=name, index_var=index_var, index_low=index_low,
             index_high=index_high, params=tuple(params),
@@ -224,9 +270,9 @@ class Parser:
     def _param_group(self) -> list[ast.ParamNode]:
         is_var = self._match_keyword("VAR") is not None
         names = [self._expect_ident("parameter name")]
-        while self._match(TokenType.COMMA):
+        while self._match(_COMMA):
             names.append(self._expect_ident("parameter name"))
-        self._expect(TokenType.COLON, "':'")
+        self._expect(_COLON, "':'")
         type_node = self._type()
         return [ast.ParamNode(t.value, is_var, type_node, t.line)
                 for t in names]
@@ -234,39 +280,39 @@ class Parser:
     def _var_decls(self) -> list[ast.VarDeclNode]:
         self._expect_keyword("VAR")
         declarations: list[ast.VarDeclNode] = []
-        while self._check(TokenType.IDENT):
+        while self._check(_IDENT):
             names = [self._advance()]
-            while self._match(TokenType.COMMA):
+            while self._match(_COMMA):
                 names.append(self._expect_ident("variable name"))
-            self._expect(TokenType.COLON, "':'")
+            self._expect(_COLON, "':'")
             type_node = self._type()
-            self._expect(TokenType.SEMI, "';'")
+            self._expect(_SEMI, "';'")
             declarations.extend(
                 ast.VarDeclNode(t.value, type_node, t.line) for t in names)
         return declarations
 
     def _type(self) -> ast.TypeNode:
         if self._match_keyword("ARRAY"):
-            self._expect(TokenType.LBRACK, "'['")
+            self._expect(_LBRACK, "'['")
             low = self._expression()
-            self._expect(TokenType.DOTDOT, "'..'")
+            self._expect(_DOTDOT, "'..'")
             high = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
             self._expect_keyword("OF")
             return ast.ArrayType(low, high, self._type())
         if self._match_keyword("SET"):
             self._expect_keyword("OF")
-            self._expect(TokenType.LBRACK, "'['")
+            self._expect(_LBRACK, "'['")
             low = self._expression()
-            self._expect(TokenType.DOTDOT, "'..'")
+            self._expect(_DOTDOT, "'..'")
             high = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
             return ast.SetType(low, high)
-        if self._match(TokenType.LPAREN):
+        if self._match(_LPAREN):
             members = [self._expect_ident("enum member").value]
-            while self._match(TokenType.COMMA):
+            while self._match(_COMMA):
                 members.append(self._expect_ident("enum member").value)
-            self._expect(TokenType.RPAREN, "')'")
+            self._expect(_RPAREN, "')'")
             return ast.EnumType(tuple(members))
         return ast.SimpleType(self._expect_ident("type name").value)
 
@@ -281,16 +327,13 @@ class Parser:
     def _statements(self) -> list[ast.Stmt]:
         statements: list[ast.Stmt] = []
         while True:
-            token = self._peek()
-            if token.type is TokenType.EOF:
+            token = self._tokens[self._pos]
+            if token.type is _EOF or token.type is _BOX:
                 return statements
-            if token.type is TokenType.KEYWORD and \
-                    token.value in _STMT_TERMINATORS:
-                return statements
-            if token.type is TokenType.BOX:
+            if token.type is _KEYWORD and token.value in _STMT_TERMINATORS:
                 return statements
             statements.append(self._statement())
-            if not self._match(TokenType.SEMI):
+            if not self._match(_SEMI):
                 return statements
 
     def _body(self) -> list[ast.Stmt]:
@@ -300,19 +343,21 @@ class Parser:
         return [self._statement()]
 
     def _statement(self) -> ast.Stmt:
-        token = self._peek()
-        if token.is_keyword("SEND"):
-            return self._send()
-        if token.is_keyword("RECEIVE"):
-            return self._receive()
-        if token.is_keyword("IF"):
-            return self._if()
-        if token.is_keyword("DO"):
-            return self._do()
-        if token.is_keyword("SKIP"):
-            self._advance()
-            return ast.SkipStmt(token.line)
-        if token.type is TokenType.IDENT:
+        token = self._tokens[self._pos]
+        if token.type is _KEYWORD:
+            word = token.value
+            if word == "SEND":
+                return self._send()
+            if word == "RECEIVE":
+                return self._receive()
+            if word == "IF":
+                return self._if()
+            if word == "DO":
+                return self._do()
+            if word == "SKIP":
+                self._pos += 1
+                return ast.SkipStmt(token.line)
+        elif token.type is _IDENT:
             return self._assign()
         raise ParseError(f"unexpected token {token.value!r} at start of "
                          f"statement", token.line, token.column)
@@ -346,16 +391,16 @@ class Parser:
     def _do(self) -> ast.GuardedDo:
         start = self._expect_keyword("DO")
         replicator: tuple[str, ast.Expr, ast.Expr] | None = None
-        if self._match(TokenType.LBRACK):
+        if self._match(_LBRACK):
             var = self._expect_ident("replicator variable").value
-            self._expect(TokenType.EQ, "'='")
+            self._expect(_EQ, "'='")
             low = self._expression()
-            self._expect(TokenType.DOTDOT, "'..'")
+            self._expect(_DOTDOT, "'..'")
             high = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
             replicator = (var, low, high)
         arms = [self._guard_arm()]
-        while self._match(TokenType.BOX):
+        while self._match(_BOX):
             arms.append(self._guard_arm())
         self._expect_keyword("OD")
         return ast.GuardedDo(replicator, tuple(arms), start.line)
@@ -367,51 +412,51 @@ class Parser:
         with a boolean condition followed by ``;`` and a communication, or
         be purely boolean.
         """
-        token = self._peek()
+        token = self._tokens[self._pos]
         condition: ast.Expr | None = None
         comm: ast.SendStmt | ast.ReceiveStmt | None = None
 
-        if token.is_keyword("SEND"):
+        if self._check_keyword("SEND"):
             comm = self._send()
-        elif token.is_keyword("RECEIVE"):
+        elif self._check_keyword("RECEIVE"):
             comm = self._receive()
         else:
             condition = self._expression()
-            if self._match(TokenType.SEMI):
-                nxt = self._peek()
-                if nxt.is_keyword("SEND"):
+            if self._match(_SEMI):
+                nxt = self._tokens[self._pos]
+                if self._check_keyword("SEND"):
                     comm = self._send()
-                elif nxt.is_keyword("RECEIVE"):
+                elif self._check_keyword("RECEIVE"):
                     comm = self._receive()
                 else:
                     raise ParseError(
                         f"expected SEND or RECEIVE after guard condition, "
                         f"found {nxt.value!r}", nxt.line, nxt.column)
-        self._expect(TokenType.ARROW, "'->'")
+        self._expect(_ARROW, "'->'")
         body = self._statements()
         return ast.GuardArm(condition, comm, tuple(body), token.line)
 
     def _assign(self) -> ast.Assign:
         target = self._designator()
-        token = self._expect(TokenType.ASSIGN, "':='")
+        token = self._expect(_ASSIGN, "':='")
         value = self._expression()
         return ast.Assign(target, value, token.line)
 
     def _designator(self) -> ast.Designator:
         name_token = self._expect_ident("designator")
         node: ast.Designator = ast.Name(name_token.value, name_token.line)
-        if self._match(TokenType.LBRACK):
+        if self._match(_LBRACK):
             index = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
             node = ast.Index(node, index, name_token.line)
         return node
 
     def _role_ref(self) -> ast.RoleRef:
         name_token = self._expect_ident("role name")
         index: ast.Expr | None = None
-        if self._match(TokenType.LBRACK):
+        if self._match(_LBRACK):
             index = self._expression()
-            self._expect(TokenType.RBRACK, "']'")
+            self._expect(_RBRACK, "']'")
         return ast.RoleRef(name_token.value, index, name_token.line)
 
     # -- expressions ---------------------------------------------------------------
@@ -441,30 +486,18 @@ class Parser:
 
     def _comparison(self) -> ast.Expr:
         left = self._additive()
-        token = self._peek()
-        op = None
-        if token.type is TokenType.EQ:
-            op = "="
-        elif token.type is TokenType.NE:
-            op = "<>"
-        elif token.type is TokenType.LT:
-            op = "<"
-        elif token.type is TokenType.LE:
-            op = "<="
-        elif token.type is TokenType.GT:
-            op = ">"
-        elif token.type is TokenType.GE:
-            op = ">="
-        elif token.is_keyword("IN"):
-            op = "IN"
+        token = self._tokens[self._pos]
+        op = _COMPARISONS.get(token.type)
         if op is None:
-            return left
-        self._advance()
+            if token.type is not _KEYWORD or token.value != "IN":
+                return left
+            op = "IN"
+        self._pos += 1
         return ast.Binary(op, left, self._additive(), token.line)
 
     def _additive(self) -> ast.Expr:
         left = self._multiplicative()
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
+        while self._tokens[self._pos].type in (_PLUS, _MINUS):
             token = self._advance()
             left = ast.Binary(token.value, left, self._multiplicative(),
                               token.line)
@@ -472,28 +505,28 @@ class Parser:
 
     def _multiplicative(self) -> ast.Expr:
         left = self._unary()
-        while self._peek().type in (TokenType.STAR, TokenType.SLASH):
+        while self._tokens[self._pos].type in (_STAR, _SLASH):
             token = self._advance()
             left = ast.Binary(token.value, left, self._unary(), token.line)
         return left
 
     def _unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.type is TokenType.MINUS:
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.type is _MINUS:
+            self._pos += 1
             return ast.Unary("-", self._unary(), token.line)
         return self._postfix()
 
     def _postfix(self) -> ast.Expr:
         node = self._primary()
         while True:
-            if self._match(TokenType.LBRACK):
+            if self._match(_LBRACK):
                 index = self._expression()
-                self._expect(TokenType.RBRACK, "']'")
+                self._expect(_RBRACK, "']'")
                 node = ast.Index(node, index)
-            elif (self._check(TokenType.DOT)
-                  and self._peek(1).type is TokenType.IDENT
-                  and self._peek(1).value == "terminated"):
+            elif (self._check(_DOT)
+                  and (name := self._peek(1)).type is _IDENT
+                  and name.value == "terminated"):
                 self._advance()  # '.'
                 self._advance()  # 'terminated'
                 node = self._as_terminated(node)
@@ -513,45 +546,43 @@ class Parser:
                          token.line, token.column)
 
     def _primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            return ast.Num(int(token.value), token.line)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Str(token.value, token.line)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return ast.Bool(True, token.line)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return ast.Bool(False, token.line)
-        if token.type is TokenType.LPAREN:
-            self._advance()
-            inner = self._expression()
-            self._expect(TokenType.RPAREN, "')'")
-            return inner
-        if token.type is TokenType.LBRACK:
-            self._advance()
-            elements: list[ast.Expr] = []
-            if not self._check(TokenType.RBRACK):
-                elements.append(self._expression())
-                while self._match(TokenType.COMMA):
-                    elements.append(self._expression())
-            self._expect(TokenType.RBRACK, "']'")
-            return ast.SetLit(tuple(elements), token.line)
-        if token.type is TokenType.IDENT:
-            self._advance()
-            if self._check(TokenType.LPAREN):
-                self._advance()
+        token = self._tokens[self._pos]
+        kind = token.type
+        if kind is _IDENT:
+            self._pos += 1
+            if self._check(_LPAREN):
+                self._pos += 1
                 args: list[ast.Expr] = []
-                if not self._check(TokenType.RPAREN):
+                if not self._check(_RPAREN):
                     args.append(self._expression())
-                    while self._match(TokenType.COMMA):
+                    while self._match(_COMMA):
                         args.append(self._expression())
-                self._expect(TokenType.RPAREN, "')'")
+                self._expect(_RPAREN, "')'")
                 return ast.Call(token.value, tuple(args), token.line)
             return ast.Name(token.value, token.line)
+        if kind is _NUMBER:
+            self._pos += 1
+            return ast.Num(int(token.value), token.line)
+        if kind is _STRING:
+            self._pos += 1
+            return ast.Str(token.value, token.line)
+        if kind is _KEYWORD and token.value in ("TRUE", "FALSE"):
+            self._pos += 1
+            return ast.Bool(token.value == "TRUE", token.line)
+        if kind is _LPAREN:
+            self._pos += 1
+            inner = self._expression()
+            self._expect(_RPAREN, "')'")
+            return inner
+        if kind is _LBRACK:
+            self._pos += 1
+            elements: list[ast.Expr] = []
+            if not self._check(_RBRACK):
+                elements.append(self._expression())
+                while self._match(_COMMA):
+                    elements.append(self._expression())
+            self._expect(_RBRACK, "']'")
+            return ast.SetLit(tuple(elements), token.line)
         raise ParseError(f"unexpected token {token.value!r} in expression",
                          token.line, token.column)
 

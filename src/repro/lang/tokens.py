@@ -62,18 +62,20 @@ KEYWORDS = frozenset({
 })
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class Token:
-    """One lexical token with its source position."""
+    """One lexical token with its source position.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which more than triples the cost of the one
+    construction per token.  A keyword's ``value`` is its upper-case
+    spelling, so a parser compares it with ``==``.
+    """
 
     type: TokenType
     value: str
     line: int
     column: int
-
-    def is_keyword(self, word: str) -> bool:
-        """True if this token is the given keyword (case-insensitive)."""
-        return self.type is TokenType.KEYWORD and self.value == word.upper()
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.type.name}({self.value!r})@{self.line}:{self.column}"

@@ -159,8 +159,10 @@ class IndexedBoard(RendezvousBoard):
         # reuses the same alias/name keys over and over, and allocating a
         # fresh container per round both costs time and — because dicts
         # and sets are GC-tracked — drags extra cyclic-GC passes into the
-        # hot path.  :meth:`compact` (called from ``Scheduler.reap``)
-        # prunes the empties when the caller wants memory back.
+        # hot path.  The exception is a released alias, whose empty
+        # buckets :meth:`on_alias_released` drops.  :meth:`compact`
+        # (called from ``Scheduler.reap``) prunes the rest when the caller
+        # wants memory back.
 
     # ------------------------------------------------------------------
     # Wiring and introspection
@@ -226,8 +228,9 @@ class IndexedBoard(RendezvousBoard):
         """Structure snapshot: base census plus index bucket shape.
 
         Bucket counts include the empties deliberately retained by the
-        event handlers (see ``__init__``), so the report also shows how
-        much bucket memory steady-state churn is holding onto.
+        event handlers for live aliases and process names (see
+        ``__init__``), so the report also shows how much bucket memory
+        steady-state churn is holding onto.
         """
         info = super().introspect()
         send_depths = [len(bucket) for bucket in self._sends_to.values()]
@@ -596,13 +599,20 @@ class IndexedBoard(RendezvousBoard):
         owned-alias set shrank, which the stamp sum cannot express);
         everyone else's stamps are untouched, so e.g. a fan-in hub keeps
         hitting its cache across producer deaths.
+
+        The alias's buckets go too when they are empty: every performance
+        claims fresh role aliases, so keeping them would grow the index
+        with the performances run.
         """
         self._dirty_events += 1
         entry = self._suspended.get(process.name)
         if entry is not None:
             entry.cache_gen = -1
-        for key in list(self._pairs_by_alias.get(alias, ())):
+        for key in self._pairs_by_alias.pop(alias, ()):
             self._drop_pair(key)
+        for registry in (self._sends_to, self._recvs_from):
+            if alias in registry and not registry[alias]:
+                del registry[alias]
 
     # ------------------------------------------------------------------
     # Queries

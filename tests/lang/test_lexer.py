@@ -1,9 +1,11 @@
 """Tests for the script-language lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexError
-from repro.lang import tokenize
+from repro.lang import analyze, parse_script, tokenize
 from repro.lang.tokens import TokenType
 
 
@@ -99,3 +101,31 @@ def test_range_vs_dot():
                              TokenType.NUMBER]
     assert types("r.terminated") == [TokenType.IDENT, TokenType.DOT,
                                      TokenType.IDENT]
+
+
+def test_superscript_digit_is_a_lex_error():
+    # str.isdigit() accepts '²' but int() does not: numbers are decimal runs.
+    with pytest.raises(LexError) as excinfo:
+        parse_script("SCRIPT s; CONST k = ²; END s;")
+    assert str(excinfo.value) == ("unexpected character '²' "
+                                  "at line 1, column 21")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 21)
+
+
+def test_non_ascii_decimal_digits_are_numbers():
+    assert values("٣ 1٣") == ["٣", "1٣"]
+    program = parse_script("SCRIPT s; CONST k = ٣ + 1; "
+                           "ROLE a (); BEGIN SKIP END a; END s;")
+    assert analyze(program).constants["k"] == 4
+
+
+@given(text=st.text(max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_every_number_token_is_an_int(text):
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return
+    for token in tokens:
+        if token.type is TokenType.NUMBER:
+            int(token.value)

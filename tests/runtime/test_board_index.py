@@ -189,3 +189,31 @@ def test_oracle_reports_no_index():
     board = OracleBoard()
     assert board.index_size == 0
     assert board.dirty_events == 0
+
+
+@pytest.mark.parametrize("name", ["demo-broadcast", "demo-lock",
+                                  "demo-election"])
+def test_released_aliases_leave_no_buckets(name):
+    """Every performance claims fresh role aliases and releases them when
+    its roles end; their emptied buckets must not outlive them."""
+    from repro.obs.scenarios import run_scenario
+
+    info = run_scenario(name, seed=3, n=20).scheduler.board.introspect()
+    assert (info["send_buckets"], info["recv_buckets"],
+            info["alias_buckets"]) == (0, 0, 0)
+
+
+def test_release_keeps_a_bucket_that_still_holds_offers():
+    fx = Fixture()
+    s, r = proc("s"), proc("r")
+    fx.add_process(s), fx.add_process(r)
+    fx.post(s, [Send("r", 1)])
+    fx.post(r, [Receive()])
+    assert fx.indexed.candidate_count == 1
+    fx.release("r", r)
+    assert fx.indexed.candidate_count == 0
+    info = fx.indexed.introspect()
+    assert (info["send_buckets"], info["alias_buckets"]) == (1, 0)
+    fx.claim("r", r)
+    assert fx.indexed.candidate_count == 1
+    fx.assert_agree()
