@@ -16,10 +16,11 @@ Commands:
 * ``demo lock``          — run the Figure 5 lock-manager workload;
 * ``demo election``      — run a ring leader election;
 * ``chaos <scenario>``   — soak a scenario under seeded fault injection
-  (``chaos recover`` is the recovery soak: crashed processes are
-  restarted with backoff and aborted performances retried; ``--kill9``
-  SIGKILLs a journaled subprocess mid-run and — with ``--resume`` —
-  proves the resumed run commits the identical rendezvous sequence;
+  (in ``chaos recover`` crashed processes are restarted with backoff
+  and aborted performances retried, and the report adds their counters;
+  ``--kill9`` SIGKILLs a journaled subprocess mid-run and — with
+  ``--resume`` — proves the resumed run commits the identical rendezvous
+  sequence;
   ``--explore`` switches to systematic fault-space exploration: fault
   schedules anchored at a probe run's injection points are generated
   under ``--budget``, each run is judged by the ``--oracle`` set, and
@@ -216,7 +217,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         return 0
     if args.scenario == "lock":
         from .obs.scenarios import LOCK_DEMO_OPS, run_demo_lock
-        statuses = run_demo_lock(args.seed).result.results["driver"]
+        statuses = run_demo_lock(args.seed).results["driver"]
         print("lock manager (k=3, one lock to read, k locks to write):")
         for (owner, role, item, op), status in zip(LOCK_DEMO_OPS, statuses):
             print(f"  {owner:<6} {role:<7} {op:<8} {item} -> {status}")
@@ -236,6 +237,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Soak or explore a scenario under deterministic fault injection."""
+    if args.max_restarts is not None and args.script != "recover":
+        print(f"chaos: --max-restarts applies only to recover, not "
+              f"{args.script!r}", file=sys.stderr)
+        return 2
     if args.describe_plan:
         return _chaos_mode(args, _chaos_describe_plan, planned=True)
     if args.kill9:
@@ -263,19 +268,11 @@ def _chaos_mode(args: argparse.Namespace, handler, **needs: bool) -> int:
 def _chaos_soak(args: argparse.Namespace) -> int:
     """``chaos <scenario>``: the seeded soak, plus ``--verify``."""
     from .faults import soak, verify_determinism
-    options = {}
-    recovering = args.script == "recover"
-    if recovering:
-        # The recovery soak reports liveness counters (restarts,
-        # retries) that the plain soak report lacks.
-        from .recovery import recover_soak
-        if args.max_restarts is not None:
-            # A forced (sub-covering) cap makes quarantine reachable;
-            # report it instead of crashing mid-soak.
-            options.update(max_restarts=args.max_restarts, strict=False)
-        report = recover_soak(runs=args.runs, seed=args.seed, **options)
-    else:
-        report = soak(args.script, runs=args.runs, seed=args.seed)
+    # A forced (sub-covering) restart cap makes quarantine reachable; the
+    # runner then reports it instead of crashing mid-soak.
+    options = ({} if args.max_restarts is None
+               else {"max_restarts": args.max_restarts})
+    report = soak(args.script, runs=args.runs, seed=args.seed, **options)
     for line in report.lines():
         print(line)
     if args.trace_out:
@@ -286,11 +283,11 @@ def _chaos_soak(args: argparse.Namespace) -> int:
               f"{'identically' if same else 'DIFFERENTLY'}")
         if not same:
             return 1
-    if recovering and report.quarantined:
+    if report.counters["quarantined"]:
         # Quarantine leaves a process permanently down: that is a
         # recovery *failure*, and the soak must not exit clean.
-        print(f"  FAILED        {report.quarantined} quarantined "
-              f"name(s) never recovered", file=sys.stderr)
+        print(f"  FAILED        {report.counters['quarantined']} "
+              f"quarantined name(s) never recovered", file=sys.stderr)
         return 1
     return 0
 

@@ -20,18 +20,15 @@ from .explore import (DEFAULT_ORACLES, Counterexample, ExploreReport,
 from .plan import (BITFLIP, CORRUPTION_MODES, CRASH, DROP, GARBAGE, HEAL,
                    KINDS, PARTITION, SLOW, TRUNCATE, FaultEvent, FaultPlan,
                    JournalCorruptionPlan)
-from .reporting import kv_lines
-from .soak import (ChaosRun, SoakReport, broadcast_plan, chatroom_plan,
-                   check_residue, lock_plan, make_chatroom,
-                   make_chaos_broadcast, plan_for_seed, run_chaos_broadcast,
-                   run_chaos_chatroom, run_chaos_lock, soak,
-                   verify_determinism)
+from .soak import (SoakReport, broadcast_plan, chatroom_plan, lock_plan,
+                   make_chatroom, make_chaos_broadcast, plan_for_seed,
+                   run_chaos_broadcast, run_chaos_chatroom, run_chaos_lock,
+                   soak, verify_determinism)
 
 __all__ = [
     "BITFLIP",
     "CORRUPTION_MODES",
     "CRASH",
-    "ChaosRun",
     "Counterexample",
     "DEFAULT_ORACLES",
     "DROP",
@@ -51,10 +48,8 @@ __all__ = [
     "SoakReport",
     "broadcast_plan",
     "chatroom_plan",
-    "check_residue",
     "check_saved_schedule",
     "explore",
-    "kv_lines",
     "lock_plan",
     "make_chaos_broadcast",
     "make_chatroom",

@@ -22,7 +22,7 @@ fault space *systematically*:
    singles, seeded depth-2/3 composites keep the frontier endless.
 
 3. **Check.**  Every run is judged by a pluggable oracle set: ``residue``
-   (the kernel must end empty — :func:`~repro.faults.soak.check_residue`),
+   (the kernel must end empty — :func:`~repro.scenarios.check_residue`),
    ``abort`` (critical-crash abort semantics), ``convergence`` (the run
    must terminate without kernel errors), and ``replay`` (a journaled run
    must resume byte-identically through
@@ -57,10 +57,10 @@ from ..errors import ChaosInvariantError, FaultPlanError, ReproError
 from ..obs.metrics import MetricsRegistry
 from ..persist.record import SNAPSHOT_EVERY, JournalRecorder
 from ..persist.resume import resume
+from ..reporting import kv_lines
 from ..runtime import EventKind, Scheduler, Sink, TeeSink
-from ..scenarios import FaultContract, Scenario, lookup
+from ..scenarios import FaultContract, Run, Scenario, lookup
 from .plan import CORRUPTION_MODES, FaultPlan, JournalCorruptionPlan
-from .reporting import kv_lines
 
 #: Injection-point kinds, in the order the probe reports them.
 POINT_COMMIT = "commit"
@@ -282,7 +282,7 @@ class RunOutcome:
     """Everything one schedule execution produced, for the oracles."""
 
     schedule: FaultSchedule
-    run: Any = None                    # the scenario's ChaosRun, if it ran
+    run: Run | None = None             # the scenario's run, if it ran
     error: ReproError | None = None    # error raised by the faulted run
     resume_report: Any = None          # ResumeReport from the replay leg
     resume_error: ReproError | None = None

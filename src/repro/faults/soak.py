@@ -35,11 +35,11 @@ from ..core import (Initiation, Mode, Param, ScriptDef, ScriptInstance,
                     SealPolicy, SendTo, Termination, UNFILLED)
 from ..errors import ChaosInvariantError, PerformanceAborted
 from ..net import complete, star
-from ..runtime import TIMED_OUT, Delay, RunResult, Scheduler, format_trace
-from ..scenarios import FaultContract, lookup, world
+from ..reporting import kv_lines
+from ..runtime import TIMED_OUT, Delay, RunResult
+from ..scenarios import FaultContract, Run, finish, lookup, run_checked, world
 from ..scripts.lockmanager import MAJORITY, ReplicatedLockService
 from .plan import FaultPlan
-from .reporting import kv_lines
 
 Body = Generator[Any, Any, Any]
 
@@ -244,73 +244,8 @@ def plan_for_seed(script: str, seed: int, **sizes: Any) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Per-run record and residue checking
+# Packaging a run
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(slots=True)
-class ChaosRun:
-    """Outcome of one chaos run (one seed)."""
-
-    seed: int
-    outcome: str                 # "completed" | "aborted"
-    results: dict[Any, Any]
-    killed: list[Any]
-    crashes: int                 # supervised role crashes observed
-    aborts: int                  # performances aborted
-    faults: list[str]            # the installed plan, described
-    performances: int
-    time: float
-    trace: str
-    #: Raw trace events, for span/Chrome-trace export of this exact run
-    #: (the replay-equivalence property compares these byte-for-byte).
-    events: tuple = ()
-    #: What the fault explorer may do to a run of these sizes.
-    contract: FaultContract | None = None
-
-    @property
-    def headline(self) -> str:
-        return (f"chaos run {self.outcome}: {self.performances} "
-                f"performance(s), {len(self.faults)} fault event(s), "
-                f"{len(self.killed)} kill(s), t={self.time:g}")
-
-
-def check_residue(scheduler: Scheduler, seed: int,
-                  instances: tuple[ScriptInstance, ...] = ()) -> None:
-    """Raise :class:`ChaosInvariantError` if a finished run left residue."""
-    problems: list[str] = []
-    if scheduler.board_size:
-        problems.append(f"{scheduler.board_size} offer group(s) on the board")
-    if scheduler.waiter_count:
-        problems.append(f"{scheduler.waiter_count} stranded waiter(s)")
-    if scheduler.pending_timer_count:
-        problems.append(f"{scheduler.pending_timer_count} armed timer(s)")
-    if scheduler.alias_owner:
-        problems.append(f"alias registry retains "
-                        f"{sorted(scheduler.alias_owner, key=repr)!r}")
-    for instance in instances:
-        if instance.pool:
-            problems.append(f"{instance.name}: {len(instance.pool)} pooled "
-                            f"request(s) never resolved")
-        for performance in instance.performances:
-            if not performance.ended:
-                problems.append(f"{performance.id} never ended")
-    if problems:
-        raise ChaosInvariantError(f"seed {seed}: " + "; ".join(problems),
-                                  category="residue")
-
-
-def run_checked(scheduler: Scheduler, seed: int,
-                instance: ScriptInstance) -> RunResult:
-    """Run to the end, raise on residue, then reap the finished records.
-
-    Long soaks spawn many short-lived processes; their outcomes are
-    snapshotted into the returned result before the reap.
-    """
-    result = scheduler.run()
-    check_residue(scheduler, seed, (instance,))
-    scheduler.reap()
-    return result
-
 
 def _fail(seed: int, message: str) -> None:
     raise ChaosInvariantError(f"seed {seed}: {message}",
@@ -319,17 +254,18 @@ def _fail(seed: int, message: str) -> None:
 
 def _chaos_run(seed: int, result: RunResult, supervisor: Any,
                instance: ScriptInstance, plan: FaultPlan,
-               contract: FaultContract, journal: Any) -> ChaosRun:
-    """Close the run's hook and package what the run produced."""
+               contract: FaultContract, journal: Any) -> Run:
+    """:func:`~repro.scenarios.finish` for the chaos entries: the outcome
+    follows the supervisor, and the headline is shared."""
     outcome = "aborted" if supervisor.aborts else "completed"
-    if journal is not None:
-        journal.finish(outcome)
-    return ChaosRun(seed=seed, outcome=outcome, results=result.results,
-                    killed=result.killed, crashes=supervisor.crashes,
-                    aborts=supervisor.aborts, faults=plan.describe(),
-                    performances=instance.performance_count,
-                    time=result.time, trace=format_trace(result.tracer),
-                    events=result.tracer.snapshot(), contract=contract)
+    performances, faults = instance.performance_count, plan.describe()
+    return finish(seed, result, journal, outcome,
+                  f"chaos run {outcome}: {performances} performance(s), "
+                  f"{len(faults)} fault event(s), {len(result.killed)} "
+                  f"kill(s), t={result.time:g}",
+                  performances=performances, crashes=supervisor.crashes,
+                  aborts=supervisor.aborts, faults=faults,
+                  contract=contract)
 
 
 def _star_contract(hub: str, leaf: str, n: int, seal_window: float,
@@ -352,7 +288,7 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
                         plan: FaultPlan | None = None,
                         enroll_window: float = 3.0,
                         horizon: float = 30.0,
-                        journal: Any = None) -> ChaosRun:
+                        journal: Any = None) -> Run:
     """One chaos broadcast: star network, seeded faults, full invariants.
 
     The sender sits on the hub, recipient *i* on leaf *i*.  Without an
@@ -433,7 +369,7 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
 def run_chaos_lock(seed: int, *, k: int = 3, clients: int = 4,
                    plan: FaultPlan | None = None,
                    horizon: float = 12.0,
-                   journal: Any = None) -> ChaosRun:
+                   journal: Any = None) -> Run:
     """One chaos lock-manager workload: client crashes mid-protocol.
 
     Each client starts at a staggered virtual time, takes a majority lock
@@ -550,7 +486,7 @@ def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
                        plan: FaultPlan | None = None,
                        join_window: float = 3.0,
                        horizon: float = 40.0,
-                       journal: Any = None) -> ChaosRun:
+                       journal: Any = None) -> Run:
     """One chaos chatroom: open membership, departures, seeded churn.
 
     The host sits on the hub of a star, member *i* on leaf *i*.  Members
@@ -664,6 +600,8 @@ class SoakReport:
     aborts: int = 0
     performances: int = 0
     faults: int = 0
+    #: Each :attr:`~repro.scenarios.Run.counters` name, summed over runs.
+    counters: Counter = dataclasses.field(default_factory=Counter)
     #: Formatted trace of the base-seed run, for ``--trace-out``.
     base_trace: str = ""
 
@@ -680,6 +618,7 @@ class SoakReport:
                 ("role crashes",
                  f"{self.crashes} (aborted performances: {self.aborts})"),
                 ("fault events", self.faults),
+                *self.counters.items(),
                 ("residue", "none (checked after every run)"),
             ])
 
@@ -689,7 +628,7 @@ def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
     """Run ``runs`` chaos runs with consecutive seeds; raise on any residue.
 
     ``script`` names a catalogue entry with a fault plan; ``options`` are
-    forwarded to its runner.
+    forwarded to its runner.  Each run's ``counters`` are summed by name.
     """
     scenario = lookup(script, planned=True)
     report = SoakReport(script=script, runs=runs, base_seed=seed,
@@ -703,6 +642,7 @@ def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
         report.aborts += run.aborts
         report.performances += run.performances
         report.faults += len(run.faults)
+        report.counters.update(run.counters)
     return report
 
 

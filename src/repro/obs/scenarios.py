@@ -16,8 +16,8 @@ import dataclasses
 from typing import Any, Generator, Hashable
 
 from ..net import complete, ring, star
-from ..runtime import RunResult, Scheduler, format_trace
-from ..scenarios import lookup, world
+from ..runtime import Scheduler
+from ..scenarios import Run, finish, lookup, run_checked, world
 from .metrics import RuntimeMetrics
 
 Body = Generator[Any, Any, Any]
@@ -31,19 +31,6 @@ LOCK_DEMO_OPS = (("alice", "reader", "x", "lock"),
 
 
 @dataclasses.dataclass(slots=True)
-class DemoRun:
-    """What a demo workload produced."""
-
-    result: RunResult
-    headline: str
-    outcome: str = "completed"
-
-    @property
-    def trace(self) -> str:
-        return format_trace(self.result.tracer)
-
-
-@dataclasses.dataclass(slots=True)
 class ScenarioRun:
     """One instrumented scenario execution."""
 
@@ -51,7 +38,7 @@ class ScenarioRun:
     seed: int
     scheduler: Scheduler
     metrics: RuntimeMetrics
-    run: Any                     # the runner's own result
+    run: Run
 
     @property
     def headline(self) -> str:
@@ -99,7 +86,7 @@ def run_scenario(name: str, seed: int = 0, n: int = 5,
 
 
 def run_demo_broadcast(seed: int, *, n: int = 5,
-                       journal: Any = None) -> DemoRun:
+                       journal: Any = None) -> Run:
     """Star broadcast, two performances, unit-latency star network."""
     from ..scripts import make_broadcast
     from ..scripts.broadcast import data_param_name, sender_role_name
@@ -126,13 +113,15 @@ def run_demo_broadcast(seed: int, *, n: int = 5,
     scheduler.spawn("T", transmitter())
     for i in range(1, n + 1):
         scheduler.spawn(("R", i), recipient(i))
-    result = _finish(scheduler, journal)
-    return DemoRun(result, f"star broadcast to {n} recipients, {rounds} "
-                           f"performances, {transport.stats.messages} "
-                           f"messages, t={result.time:g}")
+    result = run_checked(scheduler, seed, instance)
+    return finish(seed, result, journal, "completed",
+                  f"star broadcast to {n} recipients, {rounds} "
+                  f"performances, {transport.stats.messages} messages, "
+                  f"t={result.time:g}",
+                  performances=instance.performance_count)
 
 
-def run_demo_lock(seed: int, *, journal: Any = None) -> DemoRun:
+def run_demo_lock(seed: int, *, journal: Any = None) -> Run:
     """The Figure 5 lock-manager workload on a complete unit-latency net."""
     from ..scripts import ONE_READ_ALL_WRITE, ReplicatedLockService
 
@@ -156,14 +145,16 @@ def run_demo_lock(seed: int, *, journal: Any = None) -> DemoRun:
         return statuses
 
     scheduler.spawn("driver", driver())
-    result = _finish(scheduler, journal)
+    result = run_checked(scheduler, seed, service.instance)
     statuses = ", ".join(result.results["driver"])
-    return DemoRun(result, f"lock manager (k={k}): {len(LOCK_DEMO_OPS)} "
-                           f"operations -> {statuses}; t={result.time:g}")
+    return finish(seed, result, journal, "completed",
+                  f"lock manager (k={k}): {len(LOCK_DEMO_OPS)} operations "
+                  f"-> {statuses}; t={result.time:g}",
+                  performances=service.instance.performance_count)
 
 
 def run_demo_election(seed: int, *, n: int = 5,
-                      journal: Any = None) -> DemoRun:
+                      journal: Any = None) -> Run:
     """Ring leader election over a unit-latency ring network."""
     from ..scripts import make_ring_election
 
@@ -183,14 +174,9 @@ def run_demo_election(seed: int, *, n: int = 5,
 
     for i in range(1, n + 1):
         scheduler.spawn(("S", i), station(i))
-    result = _finish(scheduler, journal)
+    result = run_checked(scheduler, seed, instance)
     leaders = {result.results[("S", i)] for i in range(1, n + 1)}
-    return DemoRun(result, f"ring election over ids {ids}: leader(s) "
-                           f"{sorted(leaders)}, t={result.time:g}")
-
-
-def _finish(scheduler: Scheduler, journal: Any) -> RunResult:
-    result = scheduler.run()
-    if journal is not None:
-        journal.finish("completed")
-    return result
+    return finish(seed, result, journal, "completed",
+                  f"ring election over ids {ids}: leader(s) "
+                  f"{sorted(leaders)}, t={result.time:g}",
+                  performances=instance.performance_count)

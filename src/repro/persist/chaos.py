@@ -33,7 +33,7 @@ import sys
 from typing import Any
 
 from ..errors import PersistError
-from ..scenarios import lookup
+from ..scenarios import Run, lookup
 from .journal import read_journal
 from .record import SNAPSHOT_EVERY, JournalRecorder
 from .resume import ResumeReport, commit_summary, resume
@@ -47,10 +47,10 @@ def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
                snapshot_every: int = SNAPSHOT_EVERY,
                fsync_every: int | None = None,
                registry: Any = None,
-               kill_after_frames: int | None = None) -> Any:
+               kill_after_frames: int | None = None) -> Run:
     """Run ``scenario`` at ``seed`` with a journal recorder attached.
 
-    Returns the scenario's own run object.  With ``kill_after_frames``
+    Returns what the run produced.  With ``kill_after_frames``
     set, this call does not return: the recorder SIGKILLs the process at
     the kill point (the ``_kill9-child`` CLI verb is a thin shell over
     exactly this).

@@ -31,7 +31,7 @@ import os
 from typing import Any
 
 from ..errors import PersistError, ResumeMismatch
-from ..scenarios import lookup
+from ..scenarios import Run, lookup
 from . import journal as journal_format
 from .journal import JournalDocument, read_journal
 from .record import FORMAT_VERSION, FrameSink
@@ -104,7 +104,7 @@ class ResumeReport:
     fresh: int                   # frames produced past the journal's end
     outcome: str                 # resumed run's outcome
     committed: list[tuple[int, str]]  # full committed-rendezvous sequence
-    run: Any                     # the scenario's own run/report object
+    run: Run                     # what the resumed run produced
 
     def lines(self) -> list[str]:
         """Human-readable summary for the CLI."""

@@ -19,9 +19,9 @@ faults:
     distinguishable and replayable.
 
 :mod:`~repro.recovery.soak`
-    A recovery-mode chaos soak (``python -m repro chaos recover``)
-    asserting *liveness under recovery*: K performances complete despite
-    a crash plan that, unsupervised, would abort the run.
+    The ``recover`` scenario (soaked by ``python -m repro chaos
+    recover``), asserting *liveness under recovery*: K performances
+    complete despite a crash plan that, unsupervised, would abort the run.
 
 Everything is seed-deterministic: backoff jitter draws from a dedicated
 seeded RNG, all delays are virtual time, and every recovery action is
@@ -31,16 +31,12 @@ yields a byte-identical formatted trace, recovery included.
 
 from .policy import BackoffSchedule, RestartPolicy
 from .retry import PerformanceRetry
-from .soak import (RecoverReport, RecoveryRun, recover_plan, recover_soak,
-                   run_recover_broadcast)
+from .soak import recover_plan, run_recover_broadcast
 
 __all__ = [
     "BackoffSchedule",
     "RestartPolicy",
     "PerformanceRetry",
-    "RecoveryRun",
-    "RecoverReport",
     "recover_plan",
     "run_recover_broadcast",
-    "recover_soak",
 ]

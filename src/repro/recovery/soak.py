@@ -1,8 +1,8 @@
-"""Recovery-mode chaos soak: liveness under restarts and retries.
+"""The ``recover`` scenario: liveness under restarts and retries.
 
-The plain chaos soak (:mod:`repro.faults.soak`) proves *safety* under
+The plain chaos entries (:mod:`repro.faults.soak`) prove *safety* under
 faults: whatever happens, no residue, and aborted runs abort for the right
-reason.  This soak proves the complementary *liveness under recovery*
+reason.  This entry proves the complementary *liveness under recovery*
 property: with a :class:`~repro.recovery.policy.RestartPolicy` respawning
 crashed participants and a :class:`~repro.recovery.retry.PerformanceRetry`
 budgeting re-runs, a workload that asks for K completed performances gets
@@ -15,26 +15,25 @@ always suffices and the liveness assertion is unconditional.  Escalation
 (quarantine, retry exhaustion) is still wired into the workload's stop
 predicate as a backstop and is proven separately by unit tests.
 
-Everything stays deterministic: the plan, the backoff jitter, and every
-recovery decision derive from the run's seed, so
+Its soak is ``soak("recover")``, which sums each run's liveness counters
+(completed performances, restarts, retries, recoveries, quarantined
+names).  Everything stays deterministic: the plan, the backoff jitter,
+and every recovery decision derive from the run's seed, so
 ``verify_determinism("recover")`` can demand byte-identical formatted
 traces — RECOVERY events included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Any, Generator, Hashable
 
 from ..core import SealPolicy
 from ..errors import ChaosInvariantError, PerformanceAborted
 from ..faults.plan import CRASH, FaultPlan
-from ..faults.reporting import kv_lines
-from ..faults.soak import make_chaos_broadcast, run_checked
+from ..faults.soak import make_chaos_broadcast
 from ..net import star
-from ..runtime import format_trace
-from ..scenarios import world
+from ..scenarios import Run, finish, run_checked, world
 from .policy import BackoffSchedule, RestartPolicy
 from .retry import PerformanceRetry
 
@@ -73,33 +72,6 @@ def recover_plan(rng: random.Random, n: int = 3,
     return plan
 
 
-@dataclasses.dataclass(slots=True)
-class RecoveryRun:
-    """Outcome of one recovery run (one seed)."""
-
-    seed: int
-    rounds: int                  # performances the workload asked for
-    completed: int               # performances that ended un-aborted
-    aborts: int                  # performances aborted (then retried)
-    crashes: int                 # supervised role crashes observed
-    restarts: int                # processes respawned by the policy
-    retries: int                 # retry budget units consumed
-    recovered: int               # performances completed after a retry
-    quarantined: list[Any]       # names escalated by the intensity cap
-    killed: list[Any]            # every kill over the whole run
-    faults: list[str]            # the installed plan, described
-    performances: int            # performances formed, aborted ones too
-    time: float
-    trace: str
-    outcome: str = "recovered"   # "recovered" | "quarantined" | "incomplete"
-
-    @property
-    def headline(self) -> str:
-        return (f"recovery run {self.outcome}: {self.completed} "
-                f"performance(s) completed of {self.rounds} asked for, "
-                f"{self.restarts} restart(s), t={self.time:g}")
-
-
 def _fail(seed: int, message: str) -> None:
     raise ChaosInvariantError(f"seed {seed}: {message}",
                               category="liveness")
@@ -111,8 +83,7 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
                           enroll_window: float = 2.0,
                           horizon: float = 40.0,
                           journal: Any = None,
-                          max_restarts: int | None = None,
-                          strict: bool = True) -> RecoveryRun:
+                          max_restarts: int | None = None) -> Run:
     """K rounds of the chaos broadcast, recovered through a crash plan.
 
     The sender (critical) and every recipient loop re-enrolling until
@@ -125,10 +96,12 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
 
     ``max_restarts`` overrides the plan-covering restart cap (a cap
     *below* the plan's crash count deterministically forces quarantine —
-    how the CLI and tests exercise the escalation path).  With ``strict``
-    (the default), a quarantine/exhaustion/shortfall raises
-    :class:`~repro.errors.ChaosInvariantError`; with ``strict=False`` the
-    run reports it through :attr:`RecoveryRun.outcome` instead.
+    how the CLI and tests exercise the escalation path).  With the
+    covering cap, a quarantine/exhaustion/shortfall raises
+    :class:`~repro.errors.ChaosInvariantError`; with an overriding cap
+    the run reports it through its outcome and ``quarantined`` counter
+    instead.  The run's ``counters`` are ``completed``, ``restarts``,
+    ``retries``, ``recovered`` and ``quarantined`` (names left down).
     ``journal`` is the run's hook (see :mod:`repro.scenarios`); with any
     hook attached the policy runs the ``resume_from_journal`` strategy,
     calling ``journal.barrier()`` before every recovery decision acts —
@@ -231,9 +204,18 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
         outcome = "incomplete"
     else:
         outcome = "recovered"
-    if journal is not None:
-        journal.finish(outcome)
-    if strict:
+    run = finish(
+        seed, result, journal, outcome,
+        f"recovery run {outcome}: {completed} performance(s) completed of "
+        f"{rounds} asked for, {policy.restarts} restart(s), "
+        f"t={result.time:g}",
+        performances=instance.performance_count,
+        crashes=supervisor.crashes, aborts=supervisor.aborts,
+        faults=plan.describe(),
+        counters={"completed": completed, "restarts": policy.restarts,
+                  "retries": retry.retries, "recovered": retry.recovered,
+                  "quarantined": len(quarantined)})
+    if max_restarts is None:
         if completed < rounds and not quarantined:
             _fail(seed, f"only {completed}/{rounds} performances completed "
                         f"under recovery")
@@ -246,79 +228,4 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
                         "crash plan")
         if supervisor.aborts and not retry.retries:
             _fail(seed, "performance aborted but no retry was granted")
-    return RecoveryRun(
-        seed=seed, rounds=rounds, completed=completed,
-        aborts=supervisor.aborts, crashes=supervisor.crashes,
-        restarts=policy.restarts, retries=retry.retries,
-        recovered=retry.recovered,
-        quarantined=sorted(quarantined, key=repr), killed=result.killed,
-        faults=plan.describe(), performances=instance.performance_count,
-        time=result.time,
-        trace=format_trace(result.tracer), outcome=outcome)
-
-
-# ---------------------------------------------------------------------------
-# The soak loop
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(slots=True)
-class RecoverReport:
-    """Aggregate of a recovery soak (one seed per run, seeds consecutive)."""
-
-    runs: int
-    base_seed: int
-    rounds: int
-    completed: int = 0
-    aborts: int = 0
-    crashes: int = 0
-    restarts: int = 0
-    retries: int = 0
-    recovered: int = 0
-    faults: int = 0
-    quarantined: int = 0         # names quarantined (non-strict runs only)
-    base_trace: str = ""         # first seed's trace (CI artifact)
-
-    def lines(self) -> list[str]:
-        """Human-readable summary for the CLI."""
-        rows: list[tuple[str, Any]] = [
-            ("performances",
-             f"{self.completed} completed (target {self.runs * self.rounds})"),
-            ("role crashes",
-             f"{self.crashes} (aborted performances: {self.aborts})"),
-            ("restarts", self.restarts),
-            ("retries",
-             f"{self.retries} granted, {self.recovered} performances "
-             f"recovered"),
-            ("fault events", self.faults),
-            ("residue", "none (checked after every run)"),
-        ]
-        if self.quarantined:
-            rows.append(("quarantined",
-                         f"{self.quarantined} name(s) left down "
-                         f"(no recovery)"))
-        return kv_lines(
-            f"recovery soak: broadcast, {self.runs} runs "
-            f"(seeds {self.base_seed}..{self.base_seed + self.runs - 1}), "
-            f"{self.rounds} rounds each", rows)
-
-
-def recover_soak(runs: int = 25, seed: int = 0,
-                 **options: Any) -> RecoverReport:
-    """Run ``runs`` recovery runs with consecutive seeds; raise on any
-    liveness or residue violation.  ``options`` forward to
-    :func:`run_recover_broadcast`."""
-    rounds = options.get("rounds", 3)
-    report = RecoverReport(runs=runs, base_seed=seed, rounds=rounds)
-    for offset in range(runs):
-        run = run_recover_broadcast(seed + offset, **options)
-        report.completed += run.completed
-        report.aborts += run.aborts
-        report.crashes += run.crashes
-        report.restarts += run.restarts
-        report.retries += run.retries
-        report.recovered += run.recovered
-        report.faults += len(run.faults)
-        report.quarantined += len(run.quarantined)
-        if offset == 0:
-            report.base_trace = run.trace
-    return report
+    return run

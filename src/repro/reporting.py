@@ -1,12 +1,9 @@
 """Shared CLI report formatting: one layout for every repro report.
 
 Every report-style CLI command renders as a one-line header followed by
-aligned ``label  value`` rows.  The layout started life in the chaos
-subsystem (:mod:`repro.faults.reporting`), was reused by the recovery and
-exploration reports, and — with the parameterized verifier — is now also
-the layout of ``repro analyze`` / ``repro verify`` summaries, so it lives
-at the package top level.  :mod:`repro.faults.reporting` re-exports it
-for compatibility.
+aligned ``label  value`` rows: the chaos soak, exploration and
+``--replay-plan`` reports, and the ``repro analyze`` / ``repro verify``
+summaries.
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ network.  Every tool that takes a scenario name — ``trace``, ``stats``,
 ``resume`` — resolves it here, so a new entry reaches all of them at once.
 
 Each runner has one signature, ``run(seed, *, journal=None, **sizes)``
-(plus ``plan=`` where the entry has a fault plan), builds its world with
-:func:`world`, and calls ``journal.finish(outcome)`` once the run is over.
-``journal`` is the one instrumentation hook: any object with
-``attach(scheduler)``, ``finish(outcome)`` and ``barrier()``.  The journal
-recorder and replay validator, the explorer's injection probe and the
-metrics/profiler bundle of :func:`~repro.obs.scenarios.run_scenario` all
-ride it.
+(plus ``plan=`` where the entry has a fault plan), and one run path: it
+builds its world with :func:`world`, runs it with :func:`run_checked`,
+and returns the :class:`Run` that :func:`finish` builds.  ``journal`` is
+the one instrumentation hook: any object with ``attach(scheduler)``,
+``finish(outcome)`` and ``barrier()``.  The journal recorder and replay
+validator, the explorer's injection probe and the metrics/profiler bundle
+of :func:`~repro.obs.scenarios.run_scenario` all ride it.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Hashable
 
+from .core import ScriptInstance
 from .errors import ChaosInvariantError
 from .net import NetworkTransport, Topology
-from .runtime import Scheduler
+from .runtime import RunResult, Scheduler, TraceEvent, format_trace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,7 +69,7 @@ class Scenario:
     plan: Callable[..., Any] | None = None
     explorable: bool = False
 
-    def run(self, seed: int, **options: Any) -> Any:
+    def run(self, seed: int, **options: Any) -> Run:
         """Run at ``seed``; a ``plan`` given as JSON (journal headers,
         counterexample files) is decoded here, for every tool."""
         if isinstance(options.get("plan"), (dict, list)):
@@ -94,6 +95,88 @@ def world(seed: int, topology: Topology, placement: dict[Hashable, Any],
     if journal is not None:
         journal.attach(scheduler)
     return scheduler, transport
+
+
+@dataclasses.dataclass(slots=True)
+class Run:
+    """What one run of any catalogue entry produced.
+
+    ``events`` is the run's whole trace, so any entry's run can be
+    checked against the paper's properties or exported as spans.
+    ``performances`` counts every performance formed, aborted ones too;
+    ``crashes`` and ``aborts`` are the supervisor's counts.  ``faults``
+    describes the installed plan, and ``contract`` is what the fault
+    explorer may do at these sizes (explorable entries only).
+    ``counters`` holds the numbers only some entries have, such as
+    ``recover``'s restarts; a soak sums them per name.
+    """
+
+    seed: int
+    outcome: str
+    headline: str
+    events: tuple[TraceEvent, ...]
+    results: dict[Any, Any]
+    killed: list[Any]
+    time: float
+    performances: int
+    crashes: int = 0
+    aborts: int = 0
+    faults: list[str] = dataclasses.field(default_factory=list)
+    contract: FaultContract | None = None
+    counters: dict[str, int] = dataclasses.field(default_factory=dict)
+
+    @property
+    def trace(self) -> str:
+        """The formatted trace, rendered on demand."""
+        return format_trace(self.events)
+
+
+def check_residue(scheduler: Scheduler, seed: int,
+                  instance: ScriptInstance) -> None:
+    """Raise :class:`ChaosInvariantError` if a finished run left residue."""
+    problems: list[str] = []
+    if scheduler.board_size:
+        problems.append(f"{scheduler.board_size} offer group(s) on the board")
+    if scheduler.waiter_count:
+        problems.append(f"{scheduler.waiter_count} stranded waiter(s)")
+    if scheduler.pending_timer_count:
+        problems.append(f"{scheduler.pending_timer_count} armed timer(s)")
+    if scheduler.alias_owner:
+        problems.append(f"alias registry retains "
+                        f"{sorted(scheduler.alias_owner, key=repr)!r}")
+    if instance.pool:
+        problems.append(f"{instance.name}: {len(instance.pool)} pooled "
+                        f"request(s) never resolved")
+    for performance in instance.performances:
+        if not performance.ended:
+            problems.append(f"{performance.id} never ended")
+    if problems:
+        raise ChaosInvariantError(f"seed {seed}: " + "; ".join(problems),
+                                  category="residue")
+
+
+def run_checked(scheduler: Scheduler, seed: int,
+                instance: ScriptInstance) -> RunResult:
+    """Run to the end and raise on residue.  The result holds every
+    process's outcome; callers drop the scheduler with it."""
+    result = scheduler.run()
+    check_residue(scheduler, seed, instance)
+    return result
+
+
+def finish(seed: int, result: RunResult, journal: Any, outcome: str,
+           headline: str, **fields: Any) -> Run:
+    """Close the run's hook and package what the run produced.
+
+    ``fields`` are the :class:`Run` fields the result does not hold:
+    ``performances``, and any of ``crashes``, ``aborts``, ``faults``,
+    ``contract`` and ``counters``.
+    """
+    if journal is not None:
+        journal.finish(outcome)
+    return Run(seed=seed, outcome=outcome, headline=headline,
+               events=result.tracer.snapshot(), results=result.results,
+               killed=result.killed, time=result.time, **fields)
 
 
 def catalogue() -> dict[str, Scenario]:

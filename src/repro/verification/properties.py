@@ -8,36 +8,46 @@ The properties are exactly those the paper asserts in Section II:
   terminate before performance *k+1* starts;
 * **performance well-formedness**: a role starts after the performance
   starts and after its enrollment is accepted, ends exactly once, and the
-  performance ends only after every filled role ended;
+  performance ends exactly once, only after every filled role ended;
 * **broadcast delivery**: within one performance, every recipient role
   receives the transmitted value (Figures 3, 4, 6, 8, 12);
 * **communication scoping**: role-addressed rendezvous never cross
   performance boundaries.
+
+The properties hold under supervision's faults too (DESIGN.md §7): a
+``role_crash`` closes its role, so refilling it takes a fresh accepted
+enrollment, and a ``performance_abort`` ends its performance and closes
+the roles its interrupted survivors never end.
+
+Every checker takes a live tracer or a recorded event sequence, such as
+a run's ``events``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.performance import RoleAddress
 from ..errors import VerificationError
-from ..runtime.tracing import EventKind, TraceEvent, Tracer
+from ..runtime.tracing import EventKind, TraceEvent
+from .metrics import TraceSource, _events
 
-Events = Iterable[TraceEvent]
 
 
-def _script_events(events: Events, instance: str | None) -> list[TraceEvent]:
+def _script_events(source: TraceSource,
+                   instance: str | None) -> list[TraceEvent]:
     wanted = {EventKind.ENROLL_REQUEST, EventKind.ENROLL_ACCEPT,
               EventKind.PERFORMANCE_START, EventKind.ROLE_START,
-              EventKind.ROLE_END, EventKind.PERFORMANCE_END}
-    selected = [e for e in events if e.kind in wanted]
+              EventKind.ROLE_END, EventKind.ROLE_CRASH,
+              EventKind.PERFORMANCE_END, EventKind.PERFORMANCE_ABORT}
+    selected = [e for e in _events(source) if e.kind in wanted]
     if instance is not None:
         selected = [e for e in selected if e.get("instance") == instance]
     return selected
 
 
-def performances_in(events: Events, instance: str | None = None
+def performances_in(events: TraceSource, instance: str | None = None
                     ) -> list[str]:
     """Performance ids appearing in the trace, in start order."""
     return [e.get("performance")
@@ -45,13 +55,14 @@ def performances_in(events: Events, instance: str | None = None
             if e.kind is EventKind.PERFORMANCE_START]
 
 
-def check_successive_activations(tracer: Tracer,
+def check_successive_activations(tracer: TraceSource,
                                  instance: str | None = None) -> int:
     """All roles of performance *k* end before performance *k+1* starts.
 
-    Returns the number of performances checked.
+    A role's crash ends it, and an abort ends every role of its
+    performance.  Returns the number of performances checked.
     """
-    events = _script_events(tracer.events, instance)
+    events = _script_events(tracer, instance)
     open_roles: dict[str, set[Any]] = defaultdict(set)
     current: str | None = None
     checked = 0
@@ -68,18 +79,25 @@ def check_successive_activations(tracer: Tracer,
             checked += 1
         elif event.kind is EventKind.ROLE_START:
             open_roles[performance].add(event.get("role"))
-        elif event.kind is EventKind.ROLE_END:
+        elif event.kind in (EventKind.ROLE_END, EventKind.ROLE_CRASH):
             open_roles[performance].discard(event.get("role"))
+        elif event.kind is EventKind.PERFORMANCE_ABORT:
+            open_roles[performance].clear()
     return checked
 
 
-def check_performances_well_formed(tracer: Tracer,
+def check_performances_well_formed(tracer: TraceSource,
                                    instance: str | None = None) -> int:
-    """Role lifecycles nest correctly within their performance."""
-    events = _script_events(tracer.events, instance)
+    """Role lifecycles nest correctly within their performance.
+
+    A crashed role is closed: a refill must be accepted afresh before it
+    starts again.  An aborted performance ends with its survivors still
+    open, since the abort interrupts them.
+    """
+    events = _script_events(tracer, instance)
     started: set[str] = set()
     ended: set[str] = set()
-    accepted: dict[tuple[str, Any], int] = {}
+    accepted: set[tuple[str, Any]] = set()
     role_started: set[tuple[str, Any]] = set()
     role_ended: set[tuple[str, Any]] = set()
 
@@ -92,7 +110,7 @@ def check_performances_well_formed(tracer: Tracer,
                     "well-formed", f"{performance} started twice")
             started.add(performance)
         elif event.kind is EventKind.ENROLL_ACCEPT:
-            accepted[key] = event.seq
+            accepted.add(key)
         elif event.kind is EventKind.ROLE_START:
             if performance not in started:
                 raise VerificationError(
@@ -117,14 +135,18 @@ def check_performances_well_formed(tracer: Tracer,
                     f"role {event.get('role')!r} ended without starting "
                     f"in {performance}")
             role_ended.add(key)
-        elif event.kind is EventKind.PERFORMANCE_END:
+        elif event.kind is EventKind.ROLE_CRASH:
+            accepted.discard(key)
+            role_started.discard(key)
+        elif event.kind in (EventKind.PERFORMANCE_END,
+                            EventKind.PERFORMANCE_ABORT):
             if performance in ended:
                 raise VerificationError(
                     "well-formed", f"{performance} ended twice")
             ended.add(performance)
             open_roles = {k for k in role_started - role_ended
                           if k[0] == performance}
-            if open_roles:
+            if open_roles and event.kind is EventKind.PERFORMANCE_END:
                 raise VerificationError(
                     "well-formed",
                     f"{performance} ended with roles still active: "
@@ -132,18 +154,22 @@ def check_performances_well_formed(tracer: Tracer,
     return len(started)
 
 
-def comm_events_of_performance(tracer: Tracer,
+def _comm_events(source: TraceSource) -> list[TraceEvent]:
+    return [e for e in _events(source) if e.kind is EventKind.COMM]
+
+
+def comm_events_of_performance(tracer: TraceSource,
                                performance_id: str) -> list[TraceEvent]:
     """COMM events whose rendezvous is addressed within ``performance_id``."""
     selected = []
-    for event in tracer.of_kind(EventKind.COMM):
+    for event in _comm_events(tracer):
         to = event.get("to")
         if isinstance(to, RoleAddress) and to.performance_id == performance_id:
             selected.append(event)
     return selected
 
 
-def check_broadcast_delivery(tracer: Tracer, performance_id: str,
+def check_broadcast_delivery(tracer: TraceSource, performance_id: str,
                              value: Any, recipient_family: str = "recipient",
                              count: int | None = None) -> int:
     """Every recipient of the performance received exactly ``value``.
@@ -174,14 +200,14 @@ def check_broadcast_delivery(tracer: Tracer, performance_id: str,
     return len(delivered)
 
 
-def check_no_cross_performance_comm(tracer: Tracer) -> int:
+def check_no_cross_performance_comm(tracer: TraceSource) -> int:
     """Role-addressed rendezvous stay within one performance.
 
     The sender's presented alias and the target must agree on the
     performance id.  Returns the number of role-addressed COMM events.
     """
     checked = 0
-    for event in tracer.of_kind(EventKind.COMM):
+    for event in _comm_events(tracer):
         to = event.get("to")
         sender_alias = event.get("sender_alias")
         if not isinstance(to, RoleAddress):
@@ -196,11 +222,13 @@ def check_no_cross_performance_comm(tracer: Tracer) -> int:
     return checked
 
 
-def check_all(tracer: Tracer, instance: str | None = None) -> dict[str, int]:
+def check_all(tracer: TraceSource,
+              instance: str | None = None) -> dict[str, int]:
     """Run every generic checker; return {property: items checked}."""
+    events = _events(tracer)
     return {
         "successive-activations":
-            check_successive_activations(tracer, instance),
-        "well-formed": check_performances_well_formed(tracer, instance),
-        "performance-scoping": check_no_cross_performance_comm(tracer),
+            check_successive_activations(events, instance),
+        "well-formed": check_performances_well_formed(events, instance),
+        "performance-scoping": check_no_cross_performance_comm(events),
     }

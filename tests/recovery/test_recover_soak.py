@@ -1,28 +1,31 @@
 """Recovery soak: liveness under a sender-killing plan, deterministically."""
 
-from repro.faults import verify_determinism
-from repro.recovery import recover_soak, run_recover_broadcast
+from repro.faults import soak, verify_determinism
+from repro.recovery import run_recover_broadcast
+
+ROUNDS = 3                             # run_recover_broadcast's default
 
 
 def test_single_seed_recovers_and_traces_recovery_events():
     run = run_recover_broadcast(0)
-    assert run.completed >= run.rounds
-    assert run.restarts >= 1           # the plan always crashes the sender
+    assert run.counters["completed"] >= ROUNDS
+    assert run.counters["restarts"] >= 1   # the plan always crashes the sender
     assert run.killed                  # the kills stay visible post-reap
     assert "recovery" in run.trace     # RECOVERY events render in the trace
-    assert not run.quarantined
+    assert not run.counters["quarantined"]
 
 
 def test_soak_exercises_abort_and_retry_paths():
     # Over a small consecutive-seed sweep, at least one plan must land a
     # post-seal sender crash (abort -> retry -> recovered); otherwise the
     # soak silently stops testing the retry machinery.
-    report = recover_soak(runs=10, seed=0)
-    assert report.completed >= report.runs * report.rounds
-    assert report.restarts >= report.runs   # every plan kills the sender
+    report = soak("recover", runs=10, seed=0)
+    assert report.counters["completed"] >= report.runs * ROUNDS
+    # Every plan kills the sender.
+    assert report.counters["restarts"] >= report.runs
     assert report.aborts > 0
-    assert report.retries > 0
-    assert report.recovered > 0
+    assert report.counters["retries"] > 0
+    assert report.counters["recovered"] > 0
     assert report.base_trace            # first seed's trace kept for CI
     lines = report.lines()
     assert any("restarts" in line for line in lines)
@@ -38,5 +41,5 @@ def test_regression_seed_138_pre_seal_refill_then_crash():
     # entry for the refilled sender used to poison the absent-fallback
     # dead set and wedge the run; see ScriptInstance._assign.
     run = run_recover_broadcast(138)
-    assert run.completed >= run.rounds
-    assert not run.quarantined
+    assert run.counters["completed"] >= ROUNDS
+    assert not run.counters["quarantined"]

@@ -256,7 +256,7 @@ def test_chaos_recover_soak_with_trace_artifact(tmp_path, capsys):
     assert main(["chaos", "recover", "--runs", "2", "--verify",
                  "--trace-out", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "recovery soak" in out
+    assert "chaos soak: recover" in out
     assert "restarts" in out
     assert "replayed identically" in out
     content = trace.read_text()
@@ -273,6 +273,12 @@ def test_chaos_recover_quarantine_exits_nonzero(capsys):
     captured = capsys.readouterr()
     assert "quarantined" in captured.out
     assert "never recovered" in captured.err
+
+
+def test_chaos_max_restarts_is_refused_outside_recover(capsys):
+    assert main(["chaos", "broadcast", "--runs", "1",
+                 "--max-restarts", "1"]) == 2
+    assert "recover" in capsys.readouterr().err
 
 
 def test_replay_verb_validates_and_summarizes(tmp_path, capsys):

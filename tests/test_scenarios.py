@@ -19,6 +19,7 @@ from repro.obs import Profiler, run_scenario
 from repro.persist import kill9_resume, record_run, resume
 from repro.runtime import format_trace
 from repro.scenarios import lookup, names
+from repro.verification import check_all
 
 PLANNED = names(planned=True)
 EXPLORABLE = names(explorable=True)
@@ -31,8 +32,16 @@ def test_catalogue_partitions():
 
 
 # ---------------------------------------------------------------------------
-# Every entry: trace, stats, profile, record/replay, kill -9
+# Every entry: the paper's properties, trace, stats, profile, record/replay,
+# kill -9
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", names())
+def test_every_run_keeps_the_papers_properties(name):
+    scenario = lookup(name)
+    for seed in range(5):
+        check_all(scenario.run(seed, **scenario.sized(3)).events)
+
 
 @pytest.mark.parametrize("name", names())
 def test_trace_stats_and_profile_cli(name, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the trace-invariant checkers."""
 
+import re
+
 import pytest
 
 from repro.errors import VerificationError
@@ -161,3 +163,75 @@ def test_checkers_scope_to_instance():
 def test_all_strategies_satisfy_generic_invariants(strategy):
     tracer, instance = broadcast_trace(strategy=strategy, n=6)
     check_all(tracer, instance.name)
+
+
+# ---------------------------------------------------------------------------
+# Faults: crashes close roles, aborts end performances
+# ---------------------------------------------------------------------------
+
+def forged(*events):
+    """A tracer of instance ``i`` holding ``(kind, process, performance,
+    role)`` events, one per time step."""
+    tracer = Tracer()
+    for time, (kind, process, performance, role) in enumerate(events):
+        tracer.emit(time, kind, process, instance="i",
+                    performance=f"i/{performance}", role=role)
+    return tracer
+
+
+START, ACCEPT = EventKind.PERFORMANCE_START, EventKind.ENROLL_ACCEPT
+ROLE_START, ROLE_END = EventKind.ROLE_START, EventKind.ROLE_END
+CRASH, END = EventKind.ROLE_CRASH, EventKind.PERFORMANCE_END
+ABORT = EventKind.PERFORMANCE_ABORT
+
+
+def test_crashed_role_is_closed_and_refilled_by_a_fresh_accept():
+    tracer = forged((START, None, "p1", None),
+                    (ACCEPT, "A", "p1", "r"), (ROLE_START, "A", "p1", "r"),
+                    (CRASH, "A", "p1", "r"),
+                    (ACCEPT, "B", "p1", "r"), (ROLE_START, "B", "p1", "r"),
+                    (ROLE_END, "B", "p1", "r"), (END, None, "p1", None),
+                    (START, None, "p2", None))
+    report = check_all(tracer, "i")
+    assert report["successive-activations"] == 2
+    assert report["well-formed"] == 2
+
+
+def test_refill_of_a_crashed_role_needs_a_fresh_accept():
+    tracer = forged((START, None, "p1", None),
+                    (ACCEPT, "A", "p1", "r"), (ROLE_START, "A", "p1", "r"),
+                    (CRASH, "A", "p1", "r"), (ROLE_START, "B", "p1", "r"))
+    with pytest.raises(VerificationError,
+                       match="without an accepted enrollment"):
+        check_performances_well_formed(tracer, "i")
+
+
+def test_abort_ends_its_performance_and_closes_its_roles():
+    # The abort interrupts survivor B, whose role never ends.
+    tracer = forged((START, None, "p1", None),
+                    (ACCEPT, "A", "p1", "r"), (ROLE_START, "A", "p1", "r"),
+                    (ACCEPT, "B", "p1", "s"), (ROLE_START, "B", "p1", "s"),
+                    (CRASH, "A", "p1", "r"), (ABORT, None, "p1", None),
+                    (START, None, "p2", None))
+    report = check_all(tracer, "i")
+    assert report["successive-activations"] == 2
+    assert report["well-formed"] == 2
+
+
+@pytest.mark.parametrize("first, second", [(END, ABORT), (ABORT, END),
+                                           (ABORT, ABORT)])
+def test_performance_that_ends_twice_is_rejected(first, second):
+    tracer = forged((START, None, "p1", None), (first, None, "p1", None),
+                    (second, None, "p1", None))
+    with pytest.raises(VerificationError, match="ended twice"):
+        check_performances_well_formed(tracer, "i")
+
+
+def test_role_that_neither_ends_nor_crashes_blocks_the_next_performance():
+    tracer = forged((START, None, "p1", None),
+                    (ACCEPT, "A", "p1", "r"), (ROLE_START, "A", "p1", "r"),
+                    (ACCEPT, "B", "p1", "s"), (ROLE_START, "B", "p1", "s"),
+                    (CRASH, "B", "p1", "s"), (START, None, "p2", None))
+    with pytest.raises(VerificationError,
+                       match=re.escape("""roles ["'r'"] of i/p1""")):
+        check_successive_activations(tracer, "i")
