@@ -16,8 +16,8 @@ Quickstart::
 
 from .errors import (AdaError, CSPError, DeadlockError, EnrollmentError,
                      MonitorError, PerformanceError, ProcessFailure,
-                     ReproError, RoleBindingError, ScriptDefinitionError,
-                     ScriptError, UnfilledRoleError, VerificationError)
+                     ReproError, ScriptDefinitionError, ScriptError,
+                     UnfilledRoleError, VerificationError)
 from .runtime import (Choice, Delay, EventKind, Receive, Scheduler, Select,
                       SelectResult, Send, Tracer, WaitUntil, run_processes)
 
@@ -36,7 +36,6 @@ __all__ = [
     "ProcessFailure",
     "Receive",
     "ReproError",
-    "RoleBindingError",
     "Scheduler",
     "ScriptDefinitionError",
     "ScriptError",

@@ -9,8 +9,6 @@ Commands:
   graph, guaranteed-deadlock detection, critical-set feasibility; stable
   ``SCRnnn`` diagnostic codes, ``--json`` for deterministic JSON,
   ``--strict`` to fail on warnings, ``--figures`` for the paper corpus;
-* ``lint <file>``        — legacy communication lint (subsumed by
-  ``analyze``; kept for compatibility);
 * ``format <file>``      — pretty-print a script file (round-trippable);
 * ``demo broadcast``     — run a broadcast and print the delivery table;
 * ``demo lock``          — run the Figure 5 lock-manager workload;
@@ -41,8 +39,7 @@ Every ``<scenario>`` is an entry of the catalogue in
 :mod:`repro.scenarios`.
 
 Exit codes for the file-checking commands (``check``/``analyze``/
-``lint``/``format``): 0 clean, 1 findings, 2 usage or parse/semantic
-error.
+``format``): 0 clean, 1 findings, 2 usage or parse/semantic error.
 
 The CLI is a thin shell over the library; every command is available
 programmatically (see the modules referenced in each handler).
@@ -54,18 +51,8 @@ import argparse
 import sys
 
 from .errors import ScriptLangError
-from .lang import (analyze, format_program, lint_communications,
-                   parse_script)
-from .lang import figures as figure_sources
-
-FIGURES = {
-    "fig3": ("Figure 3: synchronized star broadcast",
-             figure_sources.FIGURE3_STAR_BROADCAST),
-    "fig4": ("Figure 4: pipeline broadcast",
-             figure_sources.FIGURE4_PIPELINE_BROADCAST),
-    "fig5": ("Figure 5: database lock manager",
-             figure_sources.FIGURE5_DATABASE),
-}
+from .lang import analyze, format_program, parse_script
+from .lang.figures import FIGURES
 
 
 def cmd_figures(_args: argparse.Namespace) -> int:
@@ -110,35 +97,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"{args.file}: SCRIPT {program.name} OK "
           f"({program.initiation.lower()}/{program.termination.lower()}; "
           f"roles: {', '.join(roles)})")
-    return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the (legacy) communication lint over a script file.
-
-    Subsumed by ``analyze``: the historic warning strings come from the
-    full analyzer's SCR001/SCR002 findings.  ``--json`` emits the full
-    structured report instead; ``--strict`` fails on *any* analyzer
-    finding rather than only the legacy warnings.
-    """
-    try:
-        program = _load_program(args.file)
-        analyze(program)
-    except ScriptLangError as error:
-        print(f"{args.file}: {error}", file=sys.stderr)
-        return 2
-    from .analysis import analyze_program, dump_report_json
-    report = analyze_program(program, label=args.file)
-    warnings = lint_communications(program)
-    if args.json:
-        print(dump_report_json([report]))
-    else:
-        for warning in warnings:
-            print(f"{args.file}: {warning}")
-        if not warnings:
-            print(f"{args.file}: no communication warnings")
-    if warnings or (args.strict and report.findings):
-        return 1
     return 0
 
 
@@ -551,16 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="parse + check a script file")
     check.add_argument("file")
     check.set_defaults(handler=cmd_check)
-
-    lint = sub.add_parser("lint", help="legacy communication lint "
-                                       "(subsumed by analyze)")
-    lint.add_argument("file")
-    lint.add_argument("--strict", action="store_true",
-                      help="fail on any analyzer finding, not only the "
-                           "legacy warnings")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the full structured report as JSON")
-    lint.set_defaults(handler=cmd_lint)
 
     analyze_cmd = sub.add_parser(
         "analyze", help="full static analysis of script files")

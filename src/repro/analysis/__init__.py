@@ -3,11 +3,11 @@
 "We believe scripts will simplify the specification of communication
 subsystems and make the verification of such systems more practical" —
 this package is that verification story: an index-aware communication
-graph over unrolled role families, per-instance control-flow graphs and
-guaranteed communication prefixes, a synchronous wait-for analysis that
-detects *guaranteed* rendezvous deadlocks, critical-set feasibility
-checks, and a structured-diagnostics layer with stable ``SCRnnn`` codes
-and deterministic JSON output.
+graph over unrolled role families, per-instance guaranteed communication
+prefixes, a synchronous wait-for analysis that detects *guaranteed*
+rendezvous deadlocks, critical-set feasibility checks, and a
+structured-diagnostics layer with stable ``SCRnnn`` codes and
+deterministic JSON output.
 
 Typical use::
 
@@ -25,21 +25,18 @@ DESIGN.md §11).
 """
 
 from .analyzer import (analyze_corpus, analyze_program, analyze_source,
-                       figure_corpus, legacy_lint_warnings)
-from .cfg import CFG, CFGNode, Prefix, PrefixOp, build_cfg, guaranteed_prefix
-from .deadlock import analyze_deadlocks, collect_prefixes
+                       figure_corpus)
+from .deadlock import (Prefix, PrefixOp, analyze_deadlocks, collect_prefixes,
+                       guaranteed_prefix)
 from .diagnostics import (CATALOG, Finding, Report, Severity,
                           counts_by_code, dump_report_json,
                           report_document, summary_lines)
-from .graph import (CommSite, Instance, all_instances, collect_sites,
-                    instance_label, role_instances, static_eval,
-                    terminated_partners)
+from .graph import (CommSite, Instance, collect_sites, instance_label,
+                    role_instances, static_eval, terminated_partners)
 from .metrics_bridge import record_analysis
 
 __all__ = [
     "CATALOG",
-    "CFG",
-    "CFGNode",
     "CommSite",
     "Finding",
     "Instance",
@@ -47,12 +44,10 @@ __all__ = [
     "PrefixOp",
     "Report",
     "Severity",
-    "all_instances",
     "analyze_corpus",
     "analyze_deadlocks",
     "analyze_program",
     "analyze_source",
-    "build_cfg",
     "collect_prefixes",
     "collect_sites",
     "counts_by_code",
@@ -60,7 +55,6 @@ __all__ = [
     "figure_corpus",
     "guaranteed_prefix",
     "instance_label",
-    "legacy_lint_warnings",
     "record_analysis",
     "report_document",
     "role_instances",

@@ -21,7 +21,8 @@ or above a floor:
   family[j]> -> c := c + 1 OD``) is recognized and compiled to a single
   :class:`ISyncEach` instruction whose exit is *positional* ("every
   member is past its rendezvous site"), which is exact when the member
-  site passes exactly once (:func:`repro.analysis.cfg.passes_exactly_once`).
+  site passes exactly once (:func:`passes_once` over the member's
+  :class:`Code`).
 
 Families are classified before abstraction: ``symmetric`` families (no
 relative ``i +- c`` partners) get the counter abstraction; ``ring``
@@ -37,8 +38,7 @@ import dataclasses
 
 from ..lang import ast_nodes as ast
 from ..lang.analysis import ProgramInfo, analyze
-from .cfg import build_cfg, node_for_stmt, passes_exactly_once
-from .graph import Affine, affine_compare, static_eval
+from .graph import Affine, affine_compare, replicator_bindings, static_int
 
 # ---------------------------------------------------------------------------
 # Abstract values
@@ -276,24 +276,8 @@ class Foreach:
 
 
 def _expr_names(expr: ast.Expr | None, into: set[str]) -> None:
-    if expr is None:
-        return
-    if isinstance(expr, ast.Name):
-        into.add(expr.ident)
-    elif isinstance(expr, ast.Unary):
-        _expr_names(expr.operand, into)
-    elif isinstance(expr, ast.Binary):
-        _expr_names(expr.left, into)
-        _expr_names(expr.right, into)
-    elif isinstance(expr, ast.Index):
-        _expr_names(expr.base, into)
-        _expr_names(expr.index, into)
-    elif isinstance(expr, (ast.SetLit, ast.Call)):
-        parts = expr.elements if isinstance(expr, ast.SetLit) else expr.args
-        for part in parts:
-            _expr_names(part, into)
-    elif isinstance(expr, ast.Terminated):
-        _expr_names(expr.role.index, into)
+    into.update(node.ident for node in ast.subexpressions(expr)
+                if isinstance(node, ast.Name))
 
 
 def _same_expr(a: ast.Expr, b: ast.Expr) -> bool:
@@ -358,13 +342,11 @@ def match_foreach(init: ast.Stmt, loop: ast.Stmt,
             and isinstance(step.value.right, ast.Num)
             and step.value.right.value == 1):
         return None
-    ref = arm.comm.target if isinstance(arm.comm, ast.SendStmt) \
-        else arm.comm.source
+    ref = arm.comm.partner
     if ref.name != family.name or not isinstance(ref.index, ast.Name) \
             or ref.index.ident != var:
         return None
-    kind = "send" if isinstance(arm.comm, ast.SendStmt) else "recv"
-    return Foreach(counter=counter, family=family.name, kind=kind,
+    return Foreach(counter=counter, family=family.name, kind=arm.comm.kind,
                    comm=arm.comm)
 
 
@@ -405,14 +387,6 @@ class _Compiler:
         self.instrs.append(instr)
         return len(self.instrs) - 1
 
-    def _const_int(self, expr: ast.Expr,
-                   binding: dict[str, int]) -> int | None:
-        from .graph import static_eval
-        value = static_eval(expr, self.constants, binding)
-        if isinstance(value, bool) or not isinstance(value, int):
-            return None
-        return value
-
     def _stmts(self, stmts: tuple[ast.Stmt, ...]) -> None:
         index = 0
         while index < len(stmts):
@@ -439,7 +413,7 @@ class _Compiler:
                 # The count runs 0..high, so it must equal the family
                 # size: the low bound has to be 1 or the concrete loop
                 # would demand more rendezvous than there are members.
-                if self._const_int(family.index_low, {}) != 1:
+                if static_int(family.index_low, self.constants, {}) != 1:
                     raise Unsupported(
                         f"counted foreach over {family.name!r}: family "
                         f"low bound must be 1")
@@ -479,8 +453,8 @@ class _Compiler:
         bindings: list[tuple[tuple[str, int], ...]] = [()]
         if stmt.replicator is not None:
             var, low_expr, high_expr = stmt.replicator
-            low = self._const_int(low_expr, {})
-            high = self._const_int(high_expr, {})
+            low = static_int(low_expr, self.constants, {})
+            high = static_int(high_expr, self.constants, {})
             if low is None or high is None:
                 raise Unsupported(
                     f"line {stmt.line}: replicated DO bounds do not fold "
@@ -983,8 +957,7 @@ class _FamilyClassifier:
                 self._walk_expr(part, ivar, repl)
 
     def _comm(self, stmt, ivar: str | None, repl: dict[str, int]) -> None:
-        ref = stmt.target if isinstance(stmt, ast.SendStmt) else stmt.source
-        self._classify_ref(ref, ivar, repl, stmt.line)
+        self._classify_ref(stmt.partner, ivar, repl, stmt.line)
         if isinstance(stmt, ast.SendStmt):
             self._walk_expr(stmt.value, ivar, repl)
         else:
@@ -1014,14 +987,9 @@ class _FamilyClassifier:
                         self._walk(arm.body, ivar, bindings, foreach)
 
     def _repl_bindings(self, stmt: ast.GuardedDo, repl: dict[str, int]):
-        if stmt.replicator is None:
-            return [repl]
-        var, low_expr, high_expr = stmt.replicator
-        low = static_eval(low_expr, self.constants, repl)
-        high = static_eval(high_expr, self.constants, repl)
-        if isinstance(low, int) and isinstance(high, int) \
-                and not isinstance(low, bool) and not isinstance(high, bool):
-            return [{**repl, var: value} for value in range(low, high + 1)]
+        unrolled = replicator_bindings(stmt, self.constants, repl)
+        if unrolled is not None:
+            return unrolled
         raise Unsupported(
             f"line {stmt.line}: replicated DO bounds do not fold and the "
             f"loop is not a counted foreach over family "
@@ -1063,8 +1031,8 @@ def detect_model(program: ast.ScriptProgram,
                 f"size parameter {param!r}")
         others = {name: value for name, value in info.constants.items()
                   if name != param}
-        low = static_eval(role.index_low, others, {})
-        if isinstance(low, bool) or not isinstance(low, int):
+        low = static_int(role.index_low, others, {})
+        if low is None:
             raise Unsupported(
                 f"family {role.name!r}: low bound does not fold to a "
                 f"constant")
@@ -1138,10 +1106,6 @@ class System:
     syncs: dict[tuple[str, int], SyncSite]  # (owner role, pc) -> site
     shapes: dict[str, FamilyShape]
     floor: int
-
-    def member_index(self) -> dict[tuple, int]:
-        return {(member.role, member.key): position
-                for position, member in enumerate(self.members)}
 
     def resolve_ref(self, ref: ast.RoleRef, env: dict,
                     member: Member):
@@ -1225,10 +1189,9 @@ def _default_value(type_node: ast.TypeNode, constants: dict[str, int]):
     if isinstance(type_node, ast.SetType):
         return frozenset()
     if isinstance(type_node, ast.ArrayType):
-        low = static_eval(type_node.low, constants, {})
-        high = static_eval(type_node.high, constants, {})
-        if isinstance(low, bool) or not isinstance(low, int) \
-                or isinstance(high, bool) or not isinstance(high, int):
+        low = static_int(type_node.low, constants, {})
+        high = static_int(type_node.high, constants, {})
+        if low is None or high is None:
             raise Unsupported(
                 "array bounds mention the size parameter; parametric "
                 "arrays are outside the abstraction")
@@ -1344,14 +1307,8 @@ def _find_sync_sites(system: System) -> None:
                     for arm in other.arms:
                         if arm.comm is None:
                             continue
-                        ref = arm.comm.target \
-                            if isinstance(arm.comm, ast.SendStmt) \
-                            else arm.comm.source
-                        matches = (isinstance(arm.comm, ast.SendStmt)
-                                   if want is ISend
-                                   else isinstance(arm.comm,
-                                                   ast.ReceiveStmt))
-                        if matches and ref.name == owner_role:
+                        if arm.comm.kind != instr.kind \
+                                and arm.comm.partner.name == owner_role:
                             raise Unsupported(
                                 f"family {instr.family!r}: rendezvous "
                                 f"site toward {owner_role!r} sits inside "
@@ -1390,12 +1347,8 @@ def _find_sync_sites(system: System) -> None:
                     for arm in other.arms:
                         if arm.comm is None:
                             continue
-                        ref = arm.comm.target \
-                            if isinstance(arm.comm, ast.SendStmt) \
-                            else arm.comm.source
-                        same_kind = (isinstance(arm.comm, ast.SendStmt)
-                                     == (instr.kind == "send"))
-                        if same_kind and ref.name == instr.family:
+                        if arm.comm.kind == instr.kind \
+                                and arm.comm.partner.name == instr.family:
                             raise Unsupported(
                                 f"{owner_role!r} has a DO-arm "
                                 f"{instr.kind} site toward family "

@@ -9,9 +9,8 @@ Check inventory (codes in :mod:`repro.analysis.diagnostics`):
 * index checks (SCR003 out-of-bounds, SCR004 self-targeting) and the
   index-aware unmatched-communication check (SCR001/SCR002) over the
   unrolled communication graph of :mod:`repro.analysis.graph`;
-* guaranteed-deadlock analysis (SCR005/SCR006/SCR007) over the
-  per-instance prefixes of :mod:`repro.analysis.cfg` via
-  :mod:`repro.analysis.deadlock`;
+* guaranteed-deadlock analysis (SCR005/SCR006/SCR007) over per-instance
+  guaranteed prefixes in :mod:`repro.analysis.deadlock`;
 * critical-set feasibility (SCR008/SCR009) via
   :mod:`repro.analysis.critical`.
 """
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 from ..lang import ast_nodes as ast
 from ..lang.analysis import ProgramInfo, analyze
+from ..lang.figures import FIGURES
 from ..lang.parser import parse_script
 from .critical import analyze_critical
 from .deadlock import analyze_deadlocks
@@ -175,10 +175,7 @@ def analyze_source(source: str, label: str = "<script>", *,
 
 def figure_corpus() -> list[tuple[str, str]]:
     """The shipped paper figures as (label, source) pairs."""
-    from ..lang import figures
-    return [("fig3", figures.FIGURE3_STAR_BROADCAST),
-            ("fig4", figures.FIGURE4_PIPELINE_BROADCAST),
-            ("fig5", figures.FIGURE5_DATABASE)]
+    return [(key, source) for key, (_title, source) in FIGURES.items()]
 
 
 def analyze_corpus(extra: list[tuple[str, str]] | None = None, *,
@@ -189,38 +186,3 @@ def analyze_corpus(extra: list[tuple[str, str]] | None = None, *,
         reports.append(analyze_source(source, label=label,
                                       parameterized=parameterized))
     return reports
-
-
-def legacy_lint_warnings(program: ast.ScriptProgram) -> list[str]:
-    """The old ``lint_communications`` strings from the new analyzer.
-
-    Unmatched-communication findings (SCR001/SCR002) are deduplicated to
-    role-name granularity and rendered in the historical message format —
-    all sends first, then all receives, each sorted by line.
-    """
-    report = analyze_program(program)
-    seen: set[tuple] = set()
-    warnings: list[str] = []
-    for finding in sorted(report.by_code("SCR001"),
-                          key=lambda f: (f.line, f.role)):
-        sender = finding.role.split("[")[0]
-        key = (finding.line, sender, finding.partner)
-        if key in seen:
-            continue
-        seen.add(key)
-        warnings.append(
-            f"line {finding.line}: role {sender!r} sends to "
-            f"{finding.partner!r}, but {finding.partner!r} never receives "
-            f"from {sender!r} (send can never rendezvous)")
-    for finding in sorted(report.by_code("SCR002"),
-                          key=lambda f: (f.line, f.role)):
-        receiver = finding.role.split("[")[0]
-        key = (finding.line, receiver, finding.partner)
-        if key in seen:
-            continue
-        seen.add(key)
-        warnings.append(
-            f"line {finding.line}: role {receiver!r} receives from "
-            f"{finding.partner!r}, but {finding.partner!r} never sends to "
-            f"{receiver!r} (receive can never rendezvous)")
-    return warnings

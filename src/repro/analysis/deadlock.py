@@ -1,12 +1,25 @@
 """Synchronous wait-for analysis: guaranteed deadlocks and blocks.
 
-Built on the guaranteed prefixes of :mod:`repro.analysis.cfg`: every
-operation in a prefix *must* be attempted, in order, by its instance, so
-an abstract, synchronous execution of the prefixes is faithful to every
-engine schedule.  The matcher repeatedly commits complementary current
-operations (A's ``send -> B`` against B's ``recv <- A``); commits only
-ever enable more commits and each instance has a single current
-operation, so the fixpoint is confluent — order does not matter.
+:func:`guaranteed_prefix` extracts, for one concrete role *instance*, the
+sequence of communications that **must** happen, in order, before anything
+data-dependent can occur.  The walk folds IF conditions that are static for
+the instance (the family index variable is a known constant, so Figure 4's
+``IF i = 1`` resolves per recipient) and stops — marking the prefix
+*incomplete* — at the first genuinely dynamic point: an unfoldable IF
+condition, any guarded DO, or a communication whose partner index cannot
+be resolved.  A communication whose resolved target is outside the
+partner family's bounds is a rendezvous with an *absent* role: under the
+default DISTINGUISHED unfilled-role policy the engine returns the
+distinguished value and the role carries on, so the walk records no
+operation and continues — mirroring the runtime exactly.
+
+Every operation in a prefix *must* be attempted, in order, by its
+instance, so an abstract, synchronous execution of the prefixes is
+faithful to every engine schedule.  The matcher repeatedly commits
+complementary current operations (A's ``send -> B`` against B's
+``recv <- A``); commits only ever enable more commits and each instance
+has a single current operation, so the fixpoint is confluent — order does
+not matter.
 
 When no more pairs can commit, instances still holding operations are
 *stuck*.  A stuck instance may still progress if its partner's behavior is
@@ -16,16 +29,121 @@ wait-for graph leaves a set of instances that are **guaranteed** blocked
 in every run.  Among those, wait-for cycles are reported as rendezvous
 deadlocks (SCR005); chains into a terminated or blocked partner as
 guaranteed blocks (SCR006); and code following a guaranteed block as
-unreachable (SCR007).
+unreachable (SCR007).  DESIGN.md §11 gives the soundness argument.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..lang import ast_nodes as ast
 from ..lang.analysis import ProgramInfo
-from .cfg import Prefix, PrefixOp, guaranteed_prefix
 from .diagnostics import Report
-from .graph import Instance, instance_label, role_instances
+from .graph import (Instance, instance_label, role_instances, static_eval,
+                    static_int)
+
+# ---------------------------------------------------------------------------
+# Guaranteed communication prefixes
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(slots=True)
+class PrefixOp:
+    """One unconditional communication in an instance's guaranteed prefix.
+
+    ``next_line`` is the source line of the statement that follows this
+    operation in the guaranteed walk (used to report code made unreachable
+    by a guaranteed block), or ``None`` when nothing follows.
+    """
+
+    kind: str                  # "send" | "recv"
+    partner: Instance
+    line: int
+    next_line: int | None = None
+
+
+@dataclasses.dataclass(slots=True)
+class Prefix:
+    """An instance's guaranteed communication prefix.
+
+    ``complete`` is True when the walk reached the end of the body — the
+    instance performs exactly ``ops`` and terminates.  False means the
+    instance reached a dynamic point and may do *anything* afterwards
+    (including further communication), so nothing may be concluded about
+    its behavior beyond ``ops``.
+    """
+
+    instance: Instance
+    ops: list[PrefixOp]
+    complete: bool
+
+
+class _PrefixWalker:
+    def __init__(self, info: ProgramInfo, instance: Instance,
+                 bindings: dict[str, int]):
+        self.info = info
+        self.instance = instance
+        self.bindings = bindings
+        self.ops: list[PrefixOp] = []
+
+    def _note_follower(self, line: int) -> None:
+        if self.ops and self.ops[-1].next_line is None:
+            self.ops[-1].next_line = line
+
+    def walk(self, stmts: tuple[ast.Stmt, ...]) -> bool:
+        """Walk ``stmts``; returns False when a dynamic point cut us off."""
+        for stmt in stmts:
+            self._note_follower(stmt.line)
+            if isinstance(stmt, (ast.Assign, ast.SkipStmt)):
+                continue
+            if isinstance(stmt, (ast.SendStmt, ast.ReceiveStmt)):
+                if not self._comm(stmt):
+                    return False
+                continue
+            if isinstance(stmt, ast.IfStmt):
+                condition = static_eval(stmt.condition, self.info.constants,
+                                        self.bindings)
+                if condition is None:
+                    return False
+                branch = stmt.then_body if condition else stmt.else_body
+                if branch is not None and not self.walk(branch):
+                    return False
+                continue
+            if isinstance(stmt, ast.GuardedDo):
+                return False
+        return True
+
+    def _comm(self, stmt: ast.SendStmt | ast.ReceiveStmt) -> bool:
+        ref = stmt.partner
+        index: int | None = None
+        if ref.index is not None:
+            index = static_int(ref.index, self.info.constants, self.bindings)
+            if index is None:
+                return False           # dynamic partner: give up
+        bounds = self.info.family_bounds.get(ref.name)
+        if bounds is not None and index is not None:
+            low, high = bounds
+            if not low <= index <= high:
+                # Absent partner: the engine yields the distinguished
+                # UNFILLED value and execution continues (SCR003 is
+                # reported separately by the graph pass).
+                return True
+        self.ops.append(PrefixOp(kind=stmt.kind, partner=(ref.name, index),
+                                 line=stmt.line))
+        return True
+
+
+def guaranteed_prefix(role: ast.RoleDeclNode, instance: Instance,
+                      bindings: dict[str, int], info: ProgramInfo) -> Prefix:
+    """The guaranteed communication prefix of one role instance."""
+    walker = _PrefixWalker(info, instance, bindings)
+    complete = walker.walk(role.body)
+    return Prefix(instance=instance, ops=walker.ops, complete=complete)
+
+
+# ---------------------------------------------------------------------------
+# Wait-for analysis
+# ---------------------------------------------------------------------------
 
 
 def collect_prefixes(program: ast.ScriptProgram, info: ProgramInfo

@@ -1,14 +1,14 @@
 """Index-aware communication graph: unroll role families, resolve targets.
 
-The old lint matched sends and receives by role *name* only.  This module
-unrolls every bounded role family into its concrete instances (using the
-:class:`~repro.lang.analysis.ProgramInfo` family bounds) and statically
-evaluates communication-target indices where possible — the family index
-variable and replicator variables with compile-time bounds are known
-constants per instance, so ``recipient[i - 1]`` inside ``recipient[3]``
-resolves to ``recipient[2]``.  The result is a set of :class:`CommSite`
-records precise enough to flag out-of-bounds indices, self-targeting
-communications, and per-instance (not per-name) unmatched rendezvous.
+This module unrolls every bounded role family into its concrete instances
+(using the :class:`~repro.lang.analysis.ProgramInfo` family bounds) and
+statically evaluates communication-target indices where possible — the
+family index variable and replicator variables with compile-time bounds
+are known constants per instance, so ``recipient[i - 1]`` inside
+``recipient[3]`` resolves to ``recipient[2]``.  The result is a set of
+:class:`CommSite` records precise enough to flag out-of-bounds indices,
+self-targeting communications, and per-instance (not per-name) unmatched
+rendezvous.
 
 An index expression that does not fold to a constant yields ``None``
 ("unknown"); unknown indices are treated as *possibly matching anything*,
@@ -18,7 +18,6 @@ which keeps every check conservative.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
 
 from ..lang import ast_nodes as ast
 from ..lang.analysis import ProgramInfo
@@ -96,6 +95,33 @@ def static_eval(expr: ast.Expr, constants: dict[str, int],
     return None
 
 
+def static_int(expr: ast.Expr, constants: dict[str, int],
+               bindings: dict[str, int]) -> int | None:
+    """Fold ``expr`` to an int, or ``None`` (booleans do not count)."""
+    value = static_eval(expr, constants, bindings)
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
+def replicator_bindings(stmt: ast.GuardedDo, constants: dict[str, int],
+                        bindings: dict[str, int]
+                        ) -> list[dict[str, int]] | None:
+    """``bindings`` extended once per value of the DO's replicator.
+
+    A DO without a replicator yields ``bindings`` itself; ``None`` means
+    the replicator's bounds do not fold, and the caller decides.
+    """
+    if stmt.replicator is None:
+        return [bindings]
+    var, low_expr, high_expr = stmt.replicator
+    low = static_int(low_expr, constants, bindings)
+    high = static_int(high_expr, constants, bindings)
+    if low is None or high is None:
+        return None
+    return [{**bindings, var: value} for value in range(low, high + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Affine symbolic evaluation over the family-size parameter
 # ---------------------------------------------------------------------------
@@ -130,70 +156,9 @@ class Affine:
     def scale(self, k: int) -> "Affine":
         return Affine(self.coeff * k, self.offset * k)
 
-    @property
-    def constant(self) -> int | None:
-        """The concrete value when ``N`` does not occur, else ``None``."""
-        return self.offset if self.coeff == 0 else None
-
     def at(self, n: int) -> int:
         """The concrete value at ``N = n``."""
         return self.coeff * n + self.offset
-
-def as_affine(value: int | Affine | None) -> Affine | None:
-    """Lift a concrete int (or pass an :class:`Affine` through)."""
-    if value is None:
-        return None
-    if isinstance(value, Affine):
-        return value
-    return Affine(0, value)
-
-
-def affine_eval(expr: ast.Expr, constants: dict[str, int],
-                bindings: dict[str, "int | Affine"],
-                param: str | None = None) -> Affine | None:
-    """Fold ``expr`` into an affine form over the size parameter.
-
-    ``param`` names the symbolic size constant (its declared value in
-    ``constants`` is ignored); ``bindings`` may carry :class:`Affine`
-    values for symbolic instance indices.  Returns ``None`` when the
-    expression does not fold to an affine integer form (booleans,
-    multiplication of two symbolic forms, unknown names...).
-    """
-    if isinstance(expr, ast.Num):
-        return Affine(0, expr.value)
-    if isinstance(expr, ast.Name):
-        if expr.ident == param:
-            return Affine(1, 0)
-        if expr.ident in bindings:
-            return as_affine(bindings[expr.ident])  # type: ignore[arg-type]
-        if expr.ident in constants:
-            return Affine(0, constants[expr.ident])
-        return None
-    if isinstance(expr, ast.Unary) and expr.op == "-":
-        operand = affine_eval(expr.operand, constants, bindings, param)
-        return None if operand is None else -operand
-    if isinstance(expr, ast.Binary) and expr.op in ("+", "-", "*", "/"):
-        left = affine_eval(expr.left, constants, bindings, param)
-        right = affine_eval(expr.right, constants, bindings, param)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            if left.coeff == 0:
-                return right.scale(left.offset)
-            if right.coeff == 0:
-                return left.scale(right.offset)
-            return None
-        divisor = right.constant
-        if divisor in (None, 0):
-            return None
-        if left.coeff % divisor or left.offset % divisor:
-            return None
-        return Affine(left.coeff // divisor, left.offset // divisor)
-    return None
 
 
 def affine_compare(op: str, left: Affine, right: Affine,
@@ -255,13 +220,6 @@ def role_instances(role: ast.RoleDeclNode, info: ProgramInfo
             for i in range(low, high + 1)]
 
 
-def all_instances(program: ast.ScriptProgram, info: ProgramInfo
-                  ) -> list[Instance]:
-    """Every role instance of ``program``, in declaration order."""
-    return [instance for role in program.roles
-            for instance, _bindings in role_instances(role, info)]
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class CommSite:
     """One (possibly guarded) communication of one role instance.
@@ -305,20 +263,14 @@ class _SiteCollector:
 
     def _comm(self, stmt: ast.SendStmt | ast.ReceiveStmt,
               bindings: dict[str, int], guarded: bool) -> None:
-        if isinstance(stmt, ast.SendStmt):
-            kind, ref = "send", stmt.target
-        else:
-            kind, ref = "recv", stmt.source
+        ref = stmt.partner
         index: int | None = None
         resolved = True
         if ref.index is not None:
-            value = static_eval(ref.index, self.info.constants, bindings)
-            if isinstance(value, bool) or not isinstance(value, int):
-                resolved = False
-            else:
-                index = value
+            index = static_int(ref.index, self.info.constants, bindings)
+            resolved = index is not None
         self.sites.append(CommSite(
-            owner=self.owner, kind=kind, partner_role=ref.name,
+            owner=self.owner, kind=stmt.kind, partner_role=ref.name,
             partner_index=index, resolved=resolved, line=stmt.line,
             guarded=guarded))
 
@@ -340,26 +292,15 @@ class _SiteCollector:
                     if stmt.else_body is not None:
                         self._walk(stmt.else_body, bindings, guarded=True)
             elif isinstance(stmt, ast.GuardedDo):
-                for arm_bindings in self._arm_bindings(stmt, bindings):
+                arms = replicator_bindings(stmt, self.info.constants,
+                                           bindings)
+                if arms is None:      # dynamic bounds: var stays unknown
+                    arms = [bindings]
+                for arm_bindings in arms:
                     for arm in stmt.arms:
                         if arm.comm is not None:
                             self._comm(arm.comm, arm_bindings, guarded=True)
                         self._walk(arm.body, arm_bindings, guarded=True)
-
-    def _arm_bindings(self, stmt: ast.GuardedDo, bindings: dict[str, int]
-                      ) -> Iterator[dict[str, int]]:
-        if stmt.replicator is None:
-            yield bindings
-            return
-        var, low_expr, high_expr = stmt.replicator
-        low = static_eval(low_expr, self.info.constants, bindings)
-        high = static_eval(high_expr, self.info.constants, bindings)
-        if isinstance(low, int) and isinstance(high, int) \
-                and not isinstance(low, bool) and not isinstance(high, bool):
-            for value in range(low, high + 1):
-                yield {**bindings, var: value}
-        else:
-            yield bindings  # dynamic bounds: var stays unknown
 
 
 def collect_sites(program: ast.ScriptProgram, info: ProgramInfo
@@ -383,23 +324,8 @@ def terminated_partners(program: ast.ScriptProgram) -> dict[str, set[str]]:
     """
 
     def walk_expr(expr: ast.Expr, into: set[str]) -> None:
-        if isinstance(expr, ast.Terminated):
-            into.add(expr.role.name)
-            if expr.role.index is not None:
-                walk_expr(expr.role.index, into)
-        elif isinstance(expr, (ast.Binary,)):
-            walk_expr(expr.left, into)
-            walk_expr(expr.right, into)
-        elif isinstance(expr, ast.Unary):
-            walk_expr(expr.operand, into)
-        elif isinstance(expr, ast.Index):
-            walk_expr(expr.base, into)
-            walk_expr(expr.index, into)
-        elif isinstance(expr, (ast.SetLit, ast.Call)):
-            parts = expr.elements if isinstance(expr, ast.SetLit) \
-                else expr.args
-            for part in parts:
-                walk_expr(part, into)
+        into.update(node.role.name for node in ast.subexpressions(expr)
+                    if isinstance(node, ast.Terminated))
 
     def walk_stmts(stmts: tuple[ast.Stmt, ...], into: set[str]) -> None:
         for stmt in stmts:
@@ -414,8 +340,7 @@ def terminated_partners(program: ast.ScriptProgram) -> dict[str, set[str]]:
                     walk_stmts(stmt.else_body, into)
             elif isinstance(stmt, ast.GuardedDo):
                 for arm in stmt.arms:
-                    if arm.condition is not None:
-                        walk_expr(arm.condition, into)
+                    walk_expr(arm.condition, into)
                     if arm.comm is not None:
                         walk_stmts((arm.comm,), into)
                     walk_stmts(arm.body, into)

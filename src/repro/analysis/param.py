@@ -399,9 +399,7 @@ class _Explorer:
                 if cond is True:
                     exit_possible = False
                 continue
-            ref = arm.comm.target if isinstance(arm.comm, ast.SendStmt) \
-                else arm.comm.source
-            spec = self.system.resolve_ref(ref, arm_env, member)
+            spec = self.system.resolve_ref(arm.comm.partner, arm_env, member)
             if spec[0] == "absent":
                 continue           # dropped branch: counts toward exit
             if cond is True:
@@ -410,8 +408,7 @@ class _Explorer:
                 continue           # live branch that can never fire
             endpoints.append(_Endpoint(
                 owner=("m", position),
-                kind="send" if isinstance(arm.comm, ast.SendStmt)
-                else "recv",
+                kind=arm.comm.kind,
                 spec=spec, env=arm_env,
                 value=arm.comm.value
                 if isinstance(arm.comm, ast.SendStmt) else None,
@@ -553,9 +550,7 @@ class _Explorer:
                 if cond is True:
                     exit_possible = False
                 continue
-            ref = arm.comm.target if isinstance(arm.comm, ast.SendStmt) \
-                else arm.comm.source
-            spec = self._counter_resolve(ref, counter, family)
+            spec = self._counter_resolve(arm.comm.partner, counter, family)
             if spec[0] == "absent":
                 continue
             if cond is True:
@@ -564,8 +559,7 @@ class _Explorer:
                 continue
             endpoints.append(_Endpoint(
                 owner=("c", family, loc),
-                kind="send" if isinstance(arm.comm, ast.SendStmt)
-                else "recv",
+                kind=arm.comm.kind,
                 spec=spec, env=arm_env,
                 value=arm.comm.value
                 if isinstance(arm.comm, ast.SendStmt) else None,
@@ -655,11 +649,6 @@ class Exploration:
     terminal_count: int
     deadlocks: list[Config]        # discovery (BFS) order
     livelocks: list[Config]
-
-    @property
-    def guaranteed(self) -> bool:
-        """True when no schedule terminates: the deadlock is certain."""
-        return self.terminal_count == 0 and bool(self.deadlocks)
 
     def blocked(self, config: Config) -> list[tuple[str, int]]:
         """(label, line) for every non-halted process of ``config``."""

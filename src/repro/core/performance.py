@@ -69,11 +69,6 @@ class Performance:
 
     # -- queries ------------------------------------------------------------
 
-    def process_for(self, role_id: RoleId) -> Hashable | None:
-        """The process enrolled in ``role_id``, or ``None``."""
-        request = self.filled.get(role_id)
-        return request.process if request is not None else None
-
     def binding(self) -> dict[RoleId, Hashable]:
         """The full process-to-role binding."""
         return {role: req.process for role, req in self.filled.items()}

@@ -111,10 +111,6 @@ class EnrollmentError(ScriptError):
     """An enrollment request is invalid or cannot be honoured."""
 
 
-class RoleBindingError(ScriptError):
-    """Partner-naming constraints of co-enrolled processes are inconsistent."""
-
-
 class UnfilledRoleError(ScriptError):
     """A role communicated with an unfilled role outside the critical set.
 

@@ -58,7 +58,8 @@ from ..obs.metrics import MetricsRegistry
 from ..persist.record import SNAPSHOT_EVERY, JournalRecorder
 from ..persist.resume import resume
 from ..reporting import kv_lines
-from ..runtime import EventKind, Scheduler, Sink, TeeSink
+from ..runtime import EventKind, Scheduler, Sink
+from ..runtime.instrument import stack_sink
 from ..scenarios import FaultContract, Run, Scenario, lookup
 from .plan import CORRUPTION_MODES, FaultPlan, JournalCorruptionPlan
 
@@ -114,8 +115,7 @@ class InjectionProbe(Sink):
         if self.scheduler is not None:
             raise FaultPlanError("this injection probe is already attached")
         self.scheduler = scheduler
-        scheduler.sink = self if not scheduler.sink \
-            else TeeSink(scheduler.sink, self)
+        scheduler.sink = stack_sink(scheduler.sink, self)
         scheduler.tracer.add_listener(self.on_event)
         return self
 

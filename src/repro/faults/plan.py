@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Hashable, Iterable, Iterator, Sequence, TYPE_CHECKING
+from typing import Any, Hashable, Iterable, Iterator, TYPE_CHECKING
 
 from ..errors import FaultPlanError
 from ..runtime import EventKind
@@ -203,52 +203,6 @@ class FaultPlan:
                     f"drop window end {until} must be after start {time}")
             self.add(FaultEvent(until, DROP, value=0))
         return self
-
-    # -- generation --------------------------------------------------------
-
-    @classmethod
-    def random(cls, seed: int, processes: Sequence[Hashable] = (),
-               links: Sequence[tuple[Hashable, Hashable]] = (),
-               horizon: float = 10.0, crashes: int = 1, partitions: int = 0,
-               slow_windows: int = 0, drop_windows: int = 0,
-               not_before: float = 0.0) -> "FaultPlan":
-        """Generate a reproducible plan from ``seed``.
-
-        ``crashes`` victims are drawn (without replacement) from
-        ``processes``; ``partitions`` cut-and-heal windows from ``links``.
-        All times land in ``[not_before, horizon)``.  The same arguments
-        and seed always yield the identical plan.
-        """
-        if horizon <= not_before:
-            raise FaultPlanError(
-                f"horizon {horizon} must be after not_before {not_before}")
-        rng = random.Random(seed)
-        plan = cls()
-
-        def moment() -> float:
-            return round(rng.uniform(not_before, horizon), 3)
-
-        victims = list(processes)
-        rng.shuffle(victims)
-        for victim in victims[:crashes]:
-            plan.crash(moment(), victim)
-        for _ in range(partitions):
-            if not links:
-                break
-            a, b = links[rng.randrange(len(links))]
-            start = moment()
-            span = max((horizon - start) * rng.random(), 0.001)
-            plan.partition(start, a, b, heal_at=round(start + span, 3))
-        for _ in range(slow_windows):
-            start = moment()
-            span = max((horizon - start) * rng.random(), 0.001)
-            plan.slow(start, round(rng.uniform(2.0, 8.0), 3),
-                      until=round(start + span, 3))
-        for _ in range(drop_windows):
-            start = moment()
-            span = max((horizon - start) * rng.random(), 0.001)
-            plan.drop(start, rng.randint(1, 3), until=round(start + span, 3))
-        return plan
 
     # -- installation ------------------------------------------------------
 

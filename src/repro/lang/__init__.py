@@ -14,8 +14,6 @@ from .analysis import ProgramInfo, analyze
 from .ast_nodes import ScriptProgram
 from .interp import compile_program
 from .lexer import tokenize
-from .lint import (CommEdge, communication_edges,
-                   lint_communications)
 from .parser import parse_script
 from .printer import format_expr, format_program, format_role
 
@@ -30,15 +28,12 @@ def compile_script(source: str) -> ScriptDef:
 __all__ = [
     "ProgramInfo",
     "ScriptProgram",
-    "CommEdge",
     "analyze",
-    "communication_edges",
     "compile_program",
     "compile_script",
     "format_expr",
     "format_program",
     "format_role",
-    "lint_communications",
     "parse_script",
     "tokenize",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -150,6 +150,31 @@ Expr = Union[Num, Bool, Str, Name, Index, Binary, Unary, SetLit, Call,
 Designator = Union[Name, Index]
 
 
+def subexpressions(expr: Expr | None) -> Iterator[Expr]:
+    """``expr`` and every expression nested in it, in pre-order.
+
+    A ``Terminated`` query's role index counts as nested; ``None`` (an
+    absent index or guard) yields nothing.
+    """
+    if expr is None:
+        return
+    yield expr
+    if isinstance(expr, Unary):
+        yield from subexpressions(expr.operand)
+    elif isinstance(expr, Binary):
+        yield from subexpressions(expr.left)
+        yield from subexpressions(expr.right)
+    elif isinstance(expr, Index):
+        yield from subexpressions(expr.base)
+        yield from subexpressions(expr.index)
+    elif isinstance(expr, (SetLit, Call)):
+        parts = expr.elements if isinstance(expr, SetLit) else expr.args
+        for part in parts:
+            yield from subexpressions(part)
+    elif isinstance(expr, Terminated):
+        yield from subexpressions(expr.role.index)
+
+
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
@@ -172,6 +197,13 @@ class SendStmt:
     target: RoleRef
     line: int = 0
 
+    kind = "send"
+
+    @property
+    def partner(self) -> RoleRef:
+        """The role this statement communicates with."""
+        return self.target
+
 
 @dataclasses.dataclass(frozen=True)
 class ReceiveStmt:
@@ -180,6 +212,13 @@ class ReceiveStmt:
     target: Designator
     source: RoleRef
     line: int = 0
+
+    kind = "recv"
+
+    @property
+    def partner(self) -> RoleRef:
+        """The role this statement communicates with."""
+        return self.source
 
 
 @dataclasses.dataclass(frozen=True)

@@ -193,3 +193,12 @@ SCRIPT lock;
   END writer;
 END lock;
 """
+
+#: The one figure table: key -> (title, source).  The CLI's ``figures`` and
+#: ``show`` and :func:`repro.analysis.figure_corpus` all read it.
+FIGURES = {
+    "fig3": ("Figure 3: synchronized star broadcast",
+             FIGURE3_STAR_BROADCAST),
+    "fig4": ("Figure 4: pipeline broadcast", FIGURE4_PIPELINE_BROADCAST),
+    "fig5": ("Figure 5: database lock manager", FIGURE5_DATABASE),
+}

@@ -73,11 +73,6 @@ class Topology:
         self._disabled.discard(self._require_link(a, b))
         self._distance_cache.clear()
 
-    @property
-    def disabled_links(self) -> set[frozenset]:
-        """Currently disabled links, as frozensets of endpoints."""
-        return set(self._disabled)
-
     def connected(self, a: Node, b: Node) -> bool:
         """Is there a live path between ``a`` and ``b``?"""
         if a == b:

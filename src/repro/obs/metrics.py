@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Hashable, Iterable, Mapping
 
-from ..runtime.instrument import Sink
+from ..runtime.instrument import Sink, stack_sink
 from ..runtime.scheduler import Scheduler
 from ..runtime.tracing import EventKind, TraceEvent
 
@@ -251,11 +251,15 @@ class RuntimeMetrics(Sink):
 
     def attach(self, scheduler: Scheduler,
                transport: Any = None) -> "RuntimeMetrics":
-        """Install on ``scheduler`` (and optionally its transport)."""
-        scheduler.sink = self
+        """Install on ``scheduler`` (and optionally its transport).
+
+        Stacks on any sink already installed, so a journal recorder
+        attached first keeps recording.
+        """
+        scheduler.sink = stack_sink(scheduler.sink, self)
         scheduler.tracer.add_listener(self.on_event)
         if transport is not None:
-            transport.sink = self
+            transport.sink = stack_sink(transport.sink, self)
         return self
 
     def replay(self, events: Iterable[TraceEvent]) -> "RuntimeMetrics":

@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Callable, Hashable
 
-from ..runtime.instrument import Sink, TeeSink
+from ..runtime.instrument import Sink, stack_sink
 from ..runtime.scheduler import Scheduler
 
 #: Phase names in canonical report order.  "run" is the attribution
@@ -99,8 +99,7 @@ class Profiler(Sink):
 
     def attach(self, scheduler: Scheduler) -> "Profiler":
         """Install on ``scheduler``, stacking on its existing sink."""
-        existing = scheduler.sink
-        scheduler.sink = TeeSink(existing, self) if existing else self
+        scheduler.sink = stack_sink(scheduler.sink, self)
         if self.clock is not None:
             scheduler.prof_clock = self.clock
         self._scheduler = scheduler

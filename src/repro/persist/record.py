@@ -38,7 +38,7 @@ from typing import Any, Hashable
 
 from ..errors import PersistError
 from ..obs.export import jsonable
-from ..runtime.instrument import Sink, TeeSink
+from ..runtime.instrument import Sink, stack_sink
 from ..runtime.scheduler import Scheduler
 from ..runtime.tracing import TraceEvent
 from . import journal as journal_format
@@ -131,10 +131,7 @@ class FrameSink(Sink):
         if self.scheduler is not None:
             raise PersistError("this frame sink is already attached")
         self.scheduler = scheduler
-        # A tee over the null sink would re-dispatch every callback
-        # through a one-element loop; install directly when alone.
-        scheduler.sink = self if not scheduler.sink \
-            else TeeSink(scheduler.sink, self)
+        scheduler.sink = stack_sink(scheduler.sink, self)
         scheduler.tracer.add_listener(self.event_listener())
         # Snapshot cadence rides the kernel's commit-cadence slot rather
         # than Sink.on_commit: two integer ops per commit instead of a
@@ -236,11 +233,6 @@ class JournalRecorder(FrameSink):
     @property
     def path(self) -> str:
         return self.writer.path
-
-    @property
-    def frames_noted(self) -> int:
-        """Frames noted so far (header included, pending included)."""
-        return self.writer.frames_written + len(self._pending)
 
     # -- hot path ----------------------------------------------------------
     # The public callbacks are overridden (not just the _note_* hooks) to
@@ -359,16 +351,3 @@ def _sigkill_self() -> None:  # pragma: no cover - exercised via subprocess
     """Die like a crash: no atexit, no flushing beyond what already ran."""
     import signal
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclasses.dataclass(slots=True)
-class RecordReport:
-    """Summary of a completed recording run (for CLI/report plumbing)."""
-
-    path: str
-    seed: int
-    scenario: str
-    frames: int
-    bytes: int
-    fsyncs: int
-    outcome: str

@@ -165,6 +165,18 @@ class TeeSink(Sink):
                            waiters_polled, index_pairs, timer_ops)
 
 
+def stack_sink(existing: Sink, sink: Sink) -> Sink:
+    """``sink`` installed on top of ``existing``, which keeps reporting.
+
+    Every attacher goes through this rule, so attaching one consumer
+    never silently detaches another (a journal recorder under a metrics
+    sink keeps every decision frame).  Alone, ``sink`` is installed
+    directly: a tee over the null sink would re-dispatch every callback
+    through a one-element loop.
+    """
+    return TeeSink(existing, sink) if existing else sink
+
+
 def sink_overrides(sink: Sink, name: str) -> bool:
     """Does ``sink`` actually implement callback ``name``?
 

@@ -1,6 +1,6 @@
-"""Control-flow graphs and guaranteed communication prefixes."""
+"""Guaranteed communication prefixes."""
 
-from repro.analysis import build_cfg, guaranteed_prefix
+from repro.analysis import guaranteed_prefix
 from repro.lang import analyze, parse_script
 from repro.lang.figures import FIGURE4_PIPELINE_BROADCAST
 
@@ -12,150 +12,6 @@ def role_named(program, name):
 def compiled(source):
     program = parse_script(source)
     return program, analyze(program)
-
-
-def test_linear_body_chains_entry_to_exit():
-    program, _ = compiled("""SCRIPT s;
-      INITIATION: IMMEDIATE;
-      TERMINATION: IMMEDIATE;
-      ROLE a (x : item);
-      BEGIN
-        SEND x TO b;
-        SEND x TO b
-      END a;
-      ROLE b (VAR y : item);
-      BEGIN
-        RECEIVE y FROM a;
-        RECEIVE y FROM a
-      END b;
-    END s;
-    """)
-    cfg = build_cfg(role_named(program, "a").body)
-    assert cfg.kinds() == {"entry": 1, "exit": 1, "send": 2}
-    # entry -> send -> send -> exit
-    assert cfg.entry.succs == [2]
-    assert cfg.nodes[2].succs == [3]
-    assert cfg.nodes[3].succs == [cfg.exit.id]
-
-
-def test_if_without_else_falls_through_condition():
-    program, _ = compiled("""SCRIPT s;
-      INITIATION: IMMEDIATE;
-      TERMINATION: IMMEDIATE;
-      ROLE a (x : item; flag : boolean);
-      BEGIN
-        IF flag THEN
-          SEND x TO b;
-        SKIP
-      END a;
-      ROLE b (VAR y : item);
-      BEGIN
-        IF a.terminated THEN
-          SKIP
-        ELSE
-          RECEIVE y FROM a
-      END b;
-    END s;
-    """)
-    cfg = build_cfg(role_named(program, "a").body)
-    kinds = {node.id: node.kind for node in cfg.nodes}
-    if_id = next(i for i, k in kinds.items() if k == "if")
-    skip_id = next(i for i, k in kinds.items() if k == "skip")
-    send_id = next(i for i, k in kinds.items() if k == "send")
-    # Both the taken branch and the condition itself reach the SKIP.
-    assert skip_id in cfg.nodes[send_id].succs
-    assert skip_id in cfg.nodes[if_id].succs
-
-
-def test_nested_if_bodies_branch_and_rejoin():
-    program, _ = compiled("""SCRIPT s;
-      INITIATION: IMMEDIATE;
-      TERMINATION: IMMEDIATE;
-      ROLE a (x : item; p : boolean; q : boolean);
-      BEGIN
-        IF p THEN
-          IF q THEN
-            SEND x TO b
-          ELSE
-            SKIP
-        ELSE
-          SKIP;
-        SEND x TO b
-      END a;
-      ROLE b (VAR y : item);
-      BEGIN
-        RECEIVE y FROM a;
-        IF a.terminated THEN
-          SKIP
-        ELSE
-          RECEIVE y FROM a
-      END b;
-    END s;
-    """)
-    cfg = build_cfg(role_named(program, "a").body)
-    assert cfg.kinds() == {"entry": 1, "exit": 1, "if": 2,
-                           "send": 2, "skip": 2}
-    final_send = cfg.nodes[-1]
-    assert final_send.kind == "send"
-    # All three paths (inner-then, inner-else, outer-else) rejoin on it.
-    joined = [n for n in cfg.nodes if final_send.id in n.succs]
-    assert len(joined) == 3
-
-
-def test_guarded_do_arm_loops_back_to_head():
-    program, _ = compiled("""SCRIPT s;
-      INITIATION: IMMEDIATE;
-      TERMINATION: IMMEDIATE;
-      ROLE a ();
-      VAR going : boolean;
-        msg : item;
-      BEGIN
-        going := true;
-        DO
-          going; RECEIVE msg FROM b ->
-            IF msg = 'stop' THEN
-              going := false
-        OD
-      END a;
-      ROLE b (x : item);
-      BEGIN
-        SEND x TO a;
-        SEND 'stop' TO a
-      END b;
-    END s;
-    """)
-    cfg = build_cfg(role_named(program, "a").body)
-    do_node = next(node for node in cfg.nodes if node.kind == "do")
-    receive = next(node for node in cfg.nodes if node.kind == "receive")
-    if_node = next(node for node in cfg.nodes if node.kind == "if")
-    assert receive.id in do_node.succs          # arm comm hangs off the head
-    assert do_node.id in if_node.succs          # arm body loops back
-    assert cfg.exit.id in do_node.succs         # DO falls through when done
-
-
-def test_replicated_do_arms_present_once_per_arm():
-    program, _ = compiled("""SCRIPT s;
-      INITIATION: IMMEDIATE;
-      TERMINATION: IMMEDIATE;
-      ROLE hub ();
-      VAR done : ARRAY [1..3] OF boolean;
-      BEGIN
-        done := false;
-        DO [i = 1..3]
-          NOT done[i]; SEND 'go' TO spoke[i] -> done[i] := true
-        OD
-      END hub;
-      ROLE spoke [i:1..3] (VAR m : item);
-      BEGIN
-        RECEIVE m FROM hub
-      END spoke;
-    END s;
-    """)
-    cfg = build_cfg(role_named(program, "hub").body)
-    # The CFG is structural: one send node for the textual arm (the
-    # replicator multiplies instances, not syntax).
-    assert cfg.kinds() == {"entry": 1, "exit": 1, "assign": 2,
-                           "do": 1, "send": 1}
 
 
 def test_fig4_prefix_folds_per_instance():

@@ -28,18 +28,6 @@ def test_event_validation():
         FaultPlan().drop(1.0, -2)
 
 
-def test_random_plans_are_seed_reproducible():
-    kwargs = dict(processes=["p", "q", "r"], links=[("a", "b")],
-                  horizon=20.0, crashes=2, partitions=1, slow_windows=1,
-                  drop_windows=1)
-    first = FaultPlan.random(7, **kwargs)
-    second = FaultPlan.random(7, **kwargs)
-    assert first.events == second.events
-    assert first.describe() == second.describe()
-    other = FaultPlan.random(8, **kwargs)
-    assert other.events != first.events
-
-
 def test_network_events_require_a_transport():
     plan = FaultPlan().partition(1.0, "a", "b")
     with pytest.raises(FaultPlanError):
@@ -264,24 +252,6 @@ def test_unhealed_partition_times_out_blocked_pair_via_deadline():
     assert result.results == {"sender": "gave up", "receiver": "gave up"}
     assert outcomes == {"sender": 3.0, "receiver": 3.0}
     assert scheduler.pending_timer_count == 0
-
-
-def test_random_plans_reproducible_across_shapes():
-    shapes = [
-        dict(processes=["p", "q"], crashes=2),
-        dict(links=[("a", "b"), ("b", "c")], partitions=2),
-        dict(slow_windows=2, drop_windows=2),
-        dict(processes=["p"], links=[("a", "b")], crashes=1, partitions=1,
-             slow_windows=1, drop_windows=1, not_before=3.0, horizon=9.0),
-    ]
-    for shape in shapes:
-        first = FaultPlan.random(11, **shape)
-        second = FaultPlan.random(11, **shape)
-        assert first.events == second.events, shape
-        for event in first:
-            assert event.time >= shape.get("not_before", 0.0)
-    with pytest.raises(FaultPlanError):
-        FaultPlan.random(0, horizon=1.0, not_before=2.0)
 
 
 def test_install_rejects_events_already_in_the_past_mid_run():

@@ -4,14 +4,15 @@ Hypothesis generates random *relay-tree* scripts in the surface syntax: a
 ``root`` role sends a value to the roots of random subtrees of ``relay``
 family members, each of which forwards to its children.  Every generated
 program is compiled, executed under a random seed, and checked: all
-members receive the value, the communication lint is clean, and the trace
-invariants hold.
+members receive the value, the analyzer finds no unmatched communication
+(SCR001/SCR002), and the trace invariants hold.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang import compile_script, lint_communications, parse_script
+from repro.analysis import analyze_program
+from repro.lang import compile_script, parse_script
 from repro.runtime import Scheduler
 from repro.verification import check_all
 
@@ -71,7 +72,7 @@ def test_generated_relay_scripts_deliver_everywhere(tree, seed):
     n, parents = tree
     source = build_source(n, parents)
     program = parse_script(source)
-    assert lint_communications(program) == []
+    assert analyze_program(program).by_code("SCR001", "SCR002") == []
     script = compile_script(source)
 
     scheduler = Scheduler(seed=seed)

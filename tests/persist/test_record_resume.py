@@ -3,11 +3,13 @@
 import pytest
 
 from repro.errors import PersistError, ResumeMismatch
+from repro.obs import RuntimeMetrics
 from repro.persist import JournalRecorder, record_run, resume
 from repro.persist.journal import DECISION, EVENT, SNAPSHOT, read_journal
 from repro.persist.record import FrameSink
 from repro.persist.resume import commit_summary
 from repro.runtime import Scheduler
+from repro.scenarios import lookup
 
 
 @pytest.mark.parametrize("scenario,seed", [
@@ -53,6 +55,37 @@ def test_lazy_and_eager_recorders_write_identical_journals(tmp_path):
     record_run("broadcast", 4, lazy)
     record_run("broadcast", 4, eager, fsync_every=1)
     assert lazy.read_bytes() == eager.read_bytes()
+
+
+def test_metrics_attached_over_a_journal_keep_its_frames(tmp_path):
+    # A sink attached after the recorder stacks on it: the journal keeps
+    # its timer decisions and resumes, and the metrics see every comm.
+    path = tmp_path / "b.jrnl"
+    recorder = JournalRecorder(path, seed=3, scenario="broadcast",
+                               options={"n": 4})
+    metrics = RuntimeMetrics()
+
+    class Hook:
+        def attach(self, scheduler):
+            recorder.attach(scheduler)
+            metrics.attach(scheduler, scheduler.transport)
+
+        def finish(self, outcome):
+            recorder.finish(outcome)
+
+        def barrier(self):
+            recorder.barrier()
+
+    lookup("broadcast").run(3, journal=Hook(), n=4)
+    report = resume(path, expect_seed=3, expect_scenario="broadcast")
+    assert report.complete and report.fresh == 0
+    frames = read_journal(path).frames
+    assert any(frame["k"] == DECISION and frame["kind"] == "timer"
+               for frame in frames)
+    comms = sum(1 for frame in frames
+                if frame["k"] == EVENT and frame["kind"] == "comm")
+    assert comms > 0
+    assert metrics.registry.counter("comms_total").value == comms
 
 
 def test_resume_rejects_wrong_seed(tmp_path):

@@ -80,20 +80,13 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-def test_lint_clean_file(tmp_path, capsys):
-    path = tmp_path / "bc.script"
-    path.write_text(FIGURE3_STAR_BROADCAST)
-    assert main(["lint", str(path)]) == 0
-    assert "no communication warnings" in capsys.readouterr().out
-
-
-def test_lint_flags_orphan_send(tmp_path, capsys):
+def test_analyze_flags_orphan_send(tmp_path, capsys):
     path = tmp_path / "orphan.script"
     path.write_text(
         "SCRIPT s; ROLE a (x : item); BEGIN SEND x TO b END a; "
         "ROLE b (); BEGIN SKIP END b; END s;")
-    assert main(["lint", str(path)]) == 1
-    assert "never receives" in capsys.readouterr().out
+    assert main(["analyze", str(path)]) == 1
+    assert "SCR001" in capsys.readouterr().out
 
 
 ORDER_DEADLOCK = """SCRIPT order_deadlock;
@@ -193,35 +186,6 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.script")]) == 2
     assert "nope.script" in capsys.readouterr().err
-
-
-def test_lint_parse_error_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.script"
-    path.write_text("SCRIPT ; nonsense")
-    assert main(["lint", str(path)]) == 2
-    assert "expected" in capsys.readouterr().err
-
-
-def test_lint_strict_catches_analyzer_findings(tmp_path, capsys):
-    # The order deadlock has no name-level lint warnings, so plain lint
-    # passes; --strict surfaces the analyzer's verdict.
-    path = tmp_path / "dl.script"
-    path.write_text(ORDER_DEADLOCK)
-    assert main(["lint", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--strict", str(path)]) == 1
-
-
-def test_lint_json_emits_full_report(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "dl.script"
-    path.write_text(ORDER_DEADLOCK)
-    assert main(["lint", "--json", str(path)]) == 0
-    document = json.loads(capsys.readouterr().out)
-    codes = [finding["code"]
-             for finding in document["reports"][0]["findings"]]
-    assert "SCR005" in codes
 
 
 def test_stats_analysis_summarizes_run(capsys):
