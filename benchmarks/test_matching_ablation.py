@@ -10,7 +10,7 @@ handful of roles).
 import pytest
 
 from repro.core.enrollment import EnrollmentRequest, normalize_partners
-from repro.core.matching import solve
+from repro.core.matching import fill_order, solve
 
 from helpers import print_series
 
@@ -40,7 +40,8 @@ def build_pool(requests_per_role, constraint_density):
 
 
 def solve_pool(pool):
-    return solve(pool, [frozenset(ROLES)], {}, {}, {}, frozenset(ROLES))
+    return solve(pool, fill_order([frozenset(ROLES)]), {}, {}, {},
+                 frozenset(ROLES))
 
 
 @pytest.mark.parametrize("requests_per_role", [2, 8])

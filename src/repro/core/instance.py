@@ -32,11 +32,11 @@ from ..errors import PerformanceError
 from ..runtime import DropAlias, EventKind, GetName, Scheduler, WaitUntil
 from .context import RoleContext
 from .enrollment import (EnrollmentRequest, RequestState, normalize_partners)
-from .matching import consistent_extension, solve
+from .matching import consistent_extension, fill_order, solve
 from .params import bind_formals, copy_back, validate_actuals
 from .performance import Performance
 from .policies import Initiation, Termination, UnfilledPolicy
-from .roles import RoleFamily, RoleId, family_member
+from .roles import RoleId, family_member
 from .script import ScriptDef
 
 Body = Generator[Any, Any, Any]
@@ -82,6 +82,19 @@ class ScriptInstance:
         if seal_policy not in (SealPolicy.EAGER, SealPolicy.MANUAL):
             raise PerformanceError(f"unknown seal policy {seal_policy!r}")
         self.seal_policy = seal_policy
+        # The script's shape, fixed at creation like the policies above:
+        # every enrollment reads these tables instead of re-deriving them.
+        self._closed_role_ids = script.closed_role_ids
+        self._closed_families = script.closed_families
+        open_families = script.open_families
+        self._open_min = {name: family.min_count
+                          for name, family in open_families.items()}
+        self._open_max = {name: family.max_count
+                          for name, family in open_families.items()}
+        self._fill_order = fill_order(
+            script._critical_sets_over(self._closed_role_ids))
+        #: Pending requests in arrival (``seq``) order: only
+        #: :meth:`_submit` appends, and removals keep the order.
         self.pool: list[EnrollmentRequest] = []
         self.current: Performance | None = None
         self.performances: list[Performance] = []
@@ -94,8 +107,7 @@ class ScriptInstance:
                    script=script.name,
                    initiation=script.initiation.value,
                    termination=script.termination.value,
-                   critical_sets=[sorted(s, key=repr)
-                                  for s in script.critical_sets])
+                   critical_sets=[list(s) for s in self._fill_order])
 
     # ------------------------------------------------------------------
     # Public API
@@ -236,13 +248,9 @@ class ScriptInstance:
     # -- delayed initiation -------------------------------------------------
 
     def _try_activate_delayed(self) -> None:
-        open_families = self.script.open_families
-        assignment = solve(
-            self.pool, self.script.critical_sets,
-            self.script.closed_families,
-            {name: fam.min_count for name, fam in open_families.items()},
-            {name: fam.max_count for name, fam in open_families.items()},
-            self.script.closed_role_ids)
+        assignment = solve(self.pool, self._fill_order,
+                           self._closed_families, self._open_min,
+                           self._open_max, self._closed_role_ids)
         if assignment is None:
             return
         performance = Performance(self.name, next(self._perf_seq))
@@ -272,7 +280,7 @@ class ScriptInstance:
                    performance=performance.id, binding={})
 
     def _join_pending(self, performance: Performance) -> None:
-        for request in sorted(self.pool, key=lambda r: r.seq):
+        for request in list(self.pool):
             if performance.sealed:
                 break
             role_id = self._resolve_target(performance, request)
@@ -290,23 +298,19 @@ class ScriptInstance:
                         request: EnrollmentRequest) -> RoleId | None:
         """Concrete role id this request would fill now, or ``None``."""
         target = request.role_id
-        if isinstance(target, str):
-            declaration = self.script.declarations[target]
-            if isinstance(declaration, RoleFamily):
-                if declaration.open:
-                    count = performance.family_count(target)
-                    if (declaration.max_count is not None
-                            and count >= declaration.max_count):
-                        return None
-                    indices = performance.family_indices(target)
-                    return family_member(target, (indices[-1] + 1)
-                                         if indices else 1)
-                for index in declaration.indices:
-                    candidate = family_member(target, index)
-                    if candidate not in performance.filled:
-                        return candidate
+        if target in self._open_min:
+            limit = self._open_max[target]
+            if (limit is not None
+                    and performance.family_count(target) >= limit):
                 return None
-            return target if target not in performance.filled else None
+            indices = performance.family_indices(target)
+            return family_member(target, (indices[-1] + 1) if indices else 1)
+        if target in self._closed_families:
+            for index in self._closed_families[target]:
+                candidate = family_member(target, index)
+                if candidate not in performance.filled:
+                    return candidate
+            return None
         return target if target not in performance.filled else None
 
     # -- shared machinery -------------------------------------------------
@@ -333,13 +337,12 @@ class ScriptInstance:
         performance.sealed = True
 
     def _critical_covered(self, performance: Performance) -> bool:
-        open_families = self.script.open_families
-        for critical in self.script.critical_sets:
+        open_min = self._open_min
+        for critical in self._fill_order:
             covered = True
             for item in critical:
-                if isinstance(item, str) and item in open_families:
-                    if (performance.family_count(item)
-                            < open_families[item].min_count):
+                if item in open_min:
+                    if performance.family_count(item) < open_min[item]:
                         covered = False
                         break
                 elif item not in performance.filled:

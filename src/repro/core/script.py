@@ -155,9 +155,14 @@ class ScriptDef:
         entire collection of roles is critical" — for open families that
         means at least ``min_count`` members.
         """
+        return self._critical_sets_over(self.closed_role_ids)
+
+    def _critical_sets_over(self, closed_role_ids: frozenset[RoleId]
+                            ) -> list[frozenset[Any]]:
+        """:attr:`critical_sets`, given :attr:`closed_role_ids` expanded."""
         if self._critical_sets:
             return list(self._critical_sets)
-        implicit: set[Any] = set(self.closed_role_ids)
+        implicit: set[Any] = set(closed_role_ids)
         implicit.update(name for name, decl in self.declarations.items()
                         if isinstance(decl, RoleFamily) and decl.open)
         if not implicit:
@@ -213,6 +218,10 @@ class ScriptDef:
         Multiple instances of one script coexist, "in the same sense that
         Ada allows for multiple instances of a generic object"; concurrent
         independent broadcasts use separate instances.
+
+        The instance takes the script's shape as it is now: its roles,
+        families and critical sets.  Roles or critical sets declared
+        afterwards apply only to instances created afterwards.
         """
         from .instance import ScriptInstance
         return ScriptInstance(self, scheduler, name=name, **options)

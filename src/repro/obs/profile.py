@@ -367,15 +367,25 @@ def _iter_reports(document: dict[str, Any]):
         yield str(label), document
 
 
+def _wall_amount(ns: int, clock: str | None) -> str:
+    """Phase time for a diff line: ms, or ticks under a tick clock."""
+    if clock == "deterministic-ticks":
+        return f"{ns} ticks"
+    return f"{ns / 1e6:.1f} ms"
+
+
 def diff_attributions(old: dict[str, Any],
                       new: dict[str, Any]) -> list[str]:
-    """Name the phase whose share of wall grew between two profiles.
+    """Name the phase that explains the change between two profiles.
 
-    The bench-gate explainer: when ops/sec regresses, this says *where*
-    the new cycles went.  For every label present in both documents the
+    The bench-gate explainer.  For every label present in both documents:
+    when the phases' total time fell, the phase with the largest absolute
+    drop is reported with its old and new time and its share of the
+    saving, so a speed-up names the phase that got faster; otherwise the
     phase with the largest percentage-point share growth is reported,
-    with the supporting per-commit counter that moved the most.  Output
-    is informational — sorted by share growth, largest first.
+    saying *where* the new cycles went.  Each line carries the per-commit
+    counter that moved the most.  Output is informational — sorted by
+    share growth, largest first.
     """
     olds = dict(_iter_reports(old))
     news = dict(_iter_reports(new))
@@ -406,7 +416,21 @@ def diff_attributions(old: dict[str, Any],
                             f"{new_rates[counter]}")
         old_pct = old_phases.get(phase, {}).get("pct", 0.0)
         new_pct = new_phases[phase]["pct"]
-        if delta > 0:
+        old_ns = {p: entry.get("ns", 0) for p, entry in old_phases.items()}
+        new_ns = {p: entry.get("ns", 0) for p, entry in new_phases.items()}
+        saved = sum(old_ns.values()) - sum(new_ns.values())
+        if saved > 0:
+            drop, fell = max((old_ns.get(p, 0) - new_ns[p], p)
+                             for p in new_ns)
+            clock = fresh["wall"].get("clock")
+            findings.append((delta, (
+                f"{label}: phase '{fell}' fell "
+                f"{_wall_amount(old_ns.get(fell, 0), clock)} -> "
+                f"{_wall_amount(new_ns[fell], clock)}, "
+                f"{_pct(drop, saved)}% of the "
+                f"{_wall_amount(saved, clock)} the phases saved"
+                f"{counter_note}")))
+        elif delta > 0:
             findings.append((delta, (
                 f"{label}: phase '{phase}' grew {old_pct}% -> {new_pct}% "
                 f"of run wall (+{round(delta, 2)} pts){counter_note}")))

@@ -6,6 +6,7 @@ from .metrics import (comm_counts_by_performance, performance_spans,
                       role_durations, time_in_script)
 from .timeline import render_timeline
 from .properties import (check_all, check_broadcast_delivery,
+                         check_critical_sets,
                          check_no_cross_performance_comm,
                          check_performances_well_formed,
                          check_successive_activations,
@@ -25,6 +26,7 @@ __all__ = [
     "WeakNext",
     "check_all",
     "check_broadcast_delivery",
+    "check_critical_sets",
     "check_no_cross_performance_comm",
     "check_performances_well_formed",
     "check_successive_activations",

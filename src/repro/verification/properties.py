@@ -12,7 +12,9 @@ The properties are exactly those the paper asserts in Section II:
 * **broadcast delivery**: within one performance, every recipient role
   receives the transmitted value (Figures 3, 4, 6, 8, 12);
 * **communication scoping**: role-addressed rendezvous never cross
-  performance boundaries.
+  performance boundaries;
+* **critical sets**: under delayed initiation, a performance starts only
+  once one of its script's critical role sets is filled.
 
 The properties hold under supervision's faults too (DESIGN.md §7): a
 ``role_crash`` closes its role, so refilling it takes a fresh accepted
@@ -222,6 +224,53 @@ def check_no_cross_performance_comm(tracer: TraceSource) -> int:
     return checked
 
 
+def check_critical_sets(tracer: TraceSource,
+                        instance: str | None = None) -> int:
+    """Under delayed initiation, every performance starts on a critical set.
+
+    For each instance whose ``instance_created`` says ``delayed``, every
+    ``performance_start`` binding holds ``repr(item)`` for every concrete
+    item of at least one critical set listed there.  An open family's name
+    is skipped, since ``min_count`` is not in the trace: a string item
+    under which the instance never accepted an enrollment is taken as one
+    (open members are accepted as ``(name, index)``).  Empty bindings, as
+    under immediate initiation, check nothing.  Returns the number of
+    performance starts checked.
+    """
+    events = _events(tracer)
+    critical_sets: dict[str, list[list[Any]]] = {}
+    accepted_names: dict[str, set[str]] = defaultdict(set)
+    for event in events:
+        name = event.get("instance")
+        if instance is not None and name != instance:
+            continue
+        if (event.kind is EventKind.INSTANCE_CREATED
+                and event.get("initiation") == "delayed"):
+            critical_sets[name] = event.get("critical_sets")
+        elif (event.kind is EventKind.ENROLL_ACCEPT
+              and isinstance(event.get("role"), str)):
+            accepted_names[name].add(event.get("role"))
+    checked = 0
+    for event in events:
+        if event.kind is not EventKind.PERFORMANCE_START:
+            continue
+        sets = critical_sets.get(event.get("instance"))
+        binding = event.get("binding")
+        if not (sets and binding):
+            continue
+        names = accepted_names[event.get("instance")]
+        if not any(all(repr(item) in binding for item in critical
+                       if not isinstance(item, str) or item in names)
+                   for critical in sets):
+            raise VerificationError(
+                "critical-sets",
+                f"{event.get('performance')} started with roles "
+                f"{sorted(binding)}, covering none of the critical sets "
+                f"{sets!r}")
+        checked += 1
+    return checked
+
+
 def check_all(tracer: TraceSource,
               instance: str | None = None) -> dict[str, int]:
     """Run every generic checker; return {property: items checked}."""
@@ -231,4 +280,5 @@ def check_all(tracer: TraceSource,
             check_successive_activations(events, instance),
         "well-formed": check_performances_well_formed(events, instance),
         "performance-scoping": check_no_cross_performance_comm(events),
+        "critical-sets": check_critical_sets(events, instance),
     }

@@ -2,7 +2,7 @@
 
 from repro.core.enrollment import EnrollmentRequest, normalize_partners
 from repro.core.matching import (Assignment, consistent_extension,
-                                 slot_candidates, solve)
+                                 fill_order, slot_candidates, solve)
 
 
 def request(process, role, partners=None):
@@ -21,7 +21,7 @@ def run_solve(pool, critical_sets, closed_families=None, open_min=None,
             {item for s in critical_sets for item in s
              if not isinstance(item, str) or not (open_min or {}).get(item)}
             | extra_ids)
-    return solve(pool, [frozenset(s) for s in critical_sets],
+    return solve(pool, fill_order(critical_sets),
                  closed_families, open_min or {}, open_max or {},
                  frozenset(closed_ids))
 

@@ -426,6 +426,23 @@ def test_diff_consumes_bench_sweep_shape():
     assert lines and lines[0].startswith("fanin N=500:")
 
 
+def test_diff_names_the_phase_that_fell():
+    """A faster run names the largest drop, not the share that grew."""
+    def doc(dispatch_ms, commit_ms, run_ms, rounds):
+        phases = {"dispatch": dispatch_ms, "commit": commit_ms}
+        return {"scenario": "demo-broadcast",
+                "per_commit": {"dispatch_rounds": rounds},
+                "wall": {"clock": "perf_counter_ns", "phases": {
+                    p: {"ns": int(ms * 1e6), "pct": round(100 * ms / run_ms, 2)}
+                    for p, ms in phases.items()}}}
+
+    lines = diff_attributions(doc(789.0, 21.6, 834.0, 3.0),
+                              doc(518.0, 24.6, 569.0, 2.0))
+    assert lines == ["demo-broadcast: phase 'dispatch' fell 789.0 ms -> "
+                     "518.0 ms, 101.12% of the 268.0 ms the phases saved; "
+                     "dispatch_rounds/commit 3.0 -> 2.0"]
+
+
 def test_diff_skips_labels_without_wall():
     old = _report_doc({}, {}, with_wall=False)
     new = _report_doc({"match": 50.0}, {})

@@ -8,6 +8,7 @@ from repro.errors import VerificationError
 from repro.runtime import EventKind, Scheduler, Tracer
 from repro.scripts import run_broadcast
 from repro.verification import (check_all, check_broadcast_delivery,
+                                check_critical_sets,
                                 check_no_cross_performance_comm,
                                 check_performances_well_formed,
                                 check_successive_activations,
@@ -235,3 +236,61 @@ def test_role_that_neither_ends_nor_crashes_blocks_the_next_performance():
     with pytest.raises(VerificationError,
                        match=re.escape("""roles ["'r'"] of i/p1""")):
         check_successive_activations(tracer, "i")
+
+
+# ---------------------------------------------------------------------------
+# Critical sets: a delayed performance starts on one of them
+# ---------------------------------------------------------------------------
+
+def critical_trace(initiation, critical_sets, accepted, binding):
+    """Instance ``i`` accepting ``accepted`` into ``i/p1``, which starts
+    with ``binding`` (role id -> process)."""
+    tracer = Tracer()
+    tracer.emit(0, EventKind.INSTANCE_CREATED, None, instance="i",
+                script="s", initiation=initiation, termination="delayed",
+                critical_sets=critical_sets)
+    for role in accepted:
+        tracer.emit(1, ACCEPT, "P", instance="i", performance="i/p1",
+                    role=role)
+    tracer.emit(1, START, None, instance="i", performance="i/p1",
+                binding={repr(role): "P" for role in binding})
+    return tracer
+
+
+def test_delayed_start_covering_a_critical_set_is_counted():
+    tracer = critical_trace("delayed", [["a", "b"], ["a", ("fam", 1)]],
+                            ["a", "b", ("fam", 1)], ["a", ("fam", 1)])
+    assert check_critical_sets(tracer, "i") == 1
+    assert check_all(tracer, "i")["critical-sets"] == 1
+
+
+def test_delayed_start_covering_no_critical_set_is_rejected():
+    tracer = critical_trace("delayed", [["a", "b"], ["c"]],
+                            ["a", "b", "c"], ["a"])
+    with pytest.raises(VerificationError,
+                       match=re.escape("i/p1 started with roles [\"'a'\"], "
+                                       "covering none of the critical sets "
+                                       "[['a', 'b'], ['c']]")):
+        check_critical_sets(tracer, "i")
+
+
+@pytest.mark.parametrize("initiation, accepted, binding, checked", [
+    ("immediate", [], [], 0),
+    ("immediate", ["a"], ["a"], 0),
+    ("delayed", [], [], 0),
+    ("delayed", ["a", "b", ("grp", 1)], ["a", "b", ("grp", 1)], 1),
+    ("delayed", ["a", "b"], ["a", "b"], 1),
+], ids=["immediate-empty", "immediate-uncovered", "delayed-empty",
+        "open-members", "open-none"])
+def test_immediate_starts_and_open_family_names_are_skipped(
+        initiation, accepted, binding, checked):
+    tracer = critical_trace(initiation, [["a", "b", "grp"]], accepted,
+                            binding)
+    tracer.emit(2, ACCEPT, "Q", instance="i", performance="i/p2", role="b")
+    assert check_critical_sets(tracer, "i") == checked
+
+
+@pytest.mark.parametrize("strategy, checked", [("star", 3), ("pipeline", 0)])
+def test_engine_runs_start_on_critical_sets(strategy, checked):
+    tracer, instance = broadcast_trace(strategy=strategy, performances=3)
+    assert check_critical_sets(tracer, instance.name) == checked
