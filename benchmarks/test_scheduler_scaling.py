@@ -137,9 +137,8 @@ class PrePRScheduler(Scheduler):
                     changed = True
         self._board_dirty = True
 
-    def _post_group(self, process, group, timeout=None, on_expiry=None):
-        super()._post_group(process, group, timeout=timeout,
-                            on_expiry=on_expiry)
+    def _post_group(self, process, group, timeout=None):
+        super()._post_group(process, group, timeout=timeout)
         process.blocked_reason = group.describe()  # eager, as pre-PR
 
 

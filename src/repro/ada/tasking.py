@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Hashable, Sequence
 
 from ..errors import AdaError
-from ..runtime import Choice, Scheduler, Trace, WaitUntil
+from ..runtime import TIMED_OUT, Choice, Scheduler, Trace, WaitUntil
 from ..runtime.process import Process
 
 EntryName = Hashable
@@ -89,27 +89,6 @@ class AcceptedCall:
 ELSE_TAKEN = "else"
 DELAY_TAKEN = "delay"
 TERMINATE_TAKEN = "terminate"
-
-
-class _TimedOut:
-    """Singleton result of a timed entry call that expired unaccepted."""
-
-    _instance: "_TimedOut | None" = None
-
-    def __new__(cls) -> "_TimedOut":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TIMED_OUT"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Returned by a timed entry call whose deadline passed while still queued.
-TIMED_OUT = _TimedOut()
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

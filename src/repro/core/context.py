@@ -26,7 +26,7 @@ from typing import Any, Generator, Hashable, Sequence, TYPE_CHECKING
 
 from ..errors import CrashedPartnerSignal, UnfilledRoleError
 from ..runtime import (ELSE_BRANCH, TIMED_OUT, TIMED_OUT_BRANCH, Receive,
-                       ReceiveTimeout, Select, Send, WaitUntil)
+                       Select, Send, WaitUntil)
 from .performance import Performance, RoleAddress
 from .policies import UNFILLED, UnfilledPolicy
 from .roles import RoleId, is_family_member
@@ -178,9 +178,10 @@ class RoleContext:
         Returns the received value, or ``(value, sender_role_id)`` with
         ``with_sender=True``; returns :data:`UNFILLED` (or raises) when the
         named partner is absent.  With ``timeout=`` the *rendezvous* wait
-        (not the wait for the role to fill) is bounded: if no partner
-        commits within that many virtual-time units the distinguished
-        falsy value :data:`~repro.runtime.TIMED_OUT` is returned instead.
+        (not the wait for the role to fill) is a one-branch ``Select``
+        with that timeout: if no partner commits within that many
+        virtual-time units the distinguished falsy value
+        :data:`~repro.runtime.TIMED_OUT` is returned instead.
         """
         if role_id is not None:
             yield from self._await_filled_or_absent(role_id)
@@ -194,10 +195,10 @@ class RoleContext:
                 message = yield Receive(source, tag=self._wrap_tag(tag),
                                         with_sender=True)
             else:
-                message = yield ReceiveTimeout(source, tag=self._wrap_tag(tag),
-                                               with_sender=True,
-                                               timeout=timeout)
-                if message is TIMED_OUT:
+                message = yield Select(
+                    (Receive(source, tag=self._wrap_tag(tag)),),
+                    timeout=timeout)
+                if message.index == TIMED_OUT_BRANCH:
                     return TIMED_OUT
         except CrashedPartnerSignal:
             if role_id is None:  # pragma: no cover - defensive

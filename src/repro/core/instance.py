@@ -174,7 +174,7 @@ class ScriptInstance:
     def seal_current(self) -> None:
         """Seal the current performance's participant set (manual sealing)."""
         performance = self.current
-        if performance is None or not performance.started:
+        if performance is None:
             raise PerformanceError(f"{self.name}: no active performance to seal")
         if not performance.sealed:
             if not self._critical_covered(performance):
@@ -184,8 +184,7 @@ class ScriptInstance:
             self._seal(performance)
             self._check_ended(performance)
 
-    def supervise(self, critical: Any = None,
-                  on_abort: Any = None) -> "Supervisor":
+    def supervise(self) -> "Supervisor":
         """Attach a crash :class:`~repro.core.supervision.Supervisor`.
 
         After this, a mid-performance process crash no longer wedges the
@@ -195,7 +194,7 @@ class ScriptInstance:
         :mod:`repro.core.supervision` for the policy details.
         """
         from .supervision import Supervisor
-        return Supervisor(self, critical=critical, on_abort=on_abort)
+        return Supervisor(self)
 
     @property
     def performance_count(self) -> int:
@@ -260,7 +259,6 @@ class ScriptInstance:
             for offset, request in enumerate(
                     sorted(members, key=lambda r: r.seq), start=1):
                 bindings[family_member(family, offset)] = request
-        performance.started = True
         for role_id, request in bindings.items():
             self._assign(performance, role_id, request)
         self._seal(performance)
@@ -273,7 +271,6 @@ class ScriptInstance:
 
     def _start_immediate_performance(self) -> None:
         performance = Performance(self.name, next(self._perf_seq))
-        performance.started = True
         self.performances.append(performance)
         self.current = performance
         self._emit(EventKind.PERFORMANCE_START, None,

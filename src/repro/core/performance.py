@@ -7,12 +7,10 @@ of the same script can begin" (Figure 1).  A :class:`Performance` tracks the
 binding of processes to roles, which roles have finished, and which roles
 were left unfilled (absent) when the critical role set completed.
 
-Lifecycle flags:
+A performance exists only once its roles may execute: immediate
+initiation creates it at its first enrollment, delayed initiation only
+once a critical role set is consistently filled.  Lifecycle flags:
 
-``started``
-    Roles may execute.  Immediate initiation starts the performance at its
-    first enrollment; delayed initiation starts it only once a critical
-    role set is consistently filled.
 ``sealed``
     The participant set is final: a critical role set is covered, so every
     still-unfilled role is *absent* and reports ``terminated = true`` (the
@@ -56,7 +54,6 @@ class Performance:
         self.filled: dict[RoleId, EnrollmentRequest] = {}
         self.done: set[RoleId] = set()
         self.crashed: set[RoleId] = set()
-        self.started = False
         self.sealed = False
         self.finished = Latch()
         self.aborted = False
@@ -119,7 +116,6 @@ class Performance:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("aborted" if self.aborted else
                  "ended" if self.ended else
-                 "sealed" if self.sealed else
-                 "started" if self.started else "gathering")
+                 "sealed" if self.sealed else "started")
         return (f"<Performance {self.id} {state} filled={len(self.filled)} "
                 f"done={len(self.done)}>")

@@ -38,13 +38,12 @@ create one per instance with :meth:`ScriptInstance.supervise
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, TYPE_CHECKING
+from typing import Hashable, TYPE_CHECKING
 
 from ..errors import CrashedPartnerSignal, PerformanceAborted
 from ..runtime import EventKind
 from ..runtime.process import Process
 from .performance import Performance
-from .roles import RoleId, family_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import ScriptInstance
@@ -52,25 +51,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class Supervisor:
     """Applies crash policies to one script instance.
 
-    ``critical`` optionally overrides the inference of which roles are
-    critical: a collection of role ids and/or family names; a crash of any
-    listed role (or member of a listed family) aborts the performance, any
-    other crash falls back to absence.  Without it, criticality is
-    inferred from the script's critical role sets: a crash aborts exactly
-    when the surviving participants no longer cover any critical set.
-
-    ``on_abort`` is called with the aborted :class:`Performance` before
-    survivors are released (harnesses use it to flip shutdown flags so
-    pooled survivors withdraw instead of waiting for a performance that
-    can never form).
+    Criticality is inferred from the script's critical role sets: a crash
+    aborts exactly when the surviving participants no longer cover any
+    critical set.  ``aborts`` counts aborted performances and is bumped
+    before survivors are released, so harnesses can read it (say, in a
+    ``withdraw_when`` predicate) to let pooled survivors withdraw instead
+    of waiting for a performance that can never form.
     """
 
-    def __init__(self, instance: "ScriptInstance",
-                 critical: Iterable[Any] | None = None,
-                 on_abort: Callable[[Performance], None] | None = None):
+    def __init__(self, instance: "ScriptInstance"):
         self.instance = instance
-        self.critical = frozenset(critical) if critical is not None else None
-        self.on_abort = on_abort
         self.crashes = 0
         self.aborts = 0
         instance.scheduler.on_kill(self._process_crashed)
@@ -105,22 +95,10 @@ class Supervisor:
             # by a pooled or future request; no abort decision yet.
             instance._progress()
             return
-        if self._should_abort(performance, crashed_roles):
-            self._abort(performance)
-        else:
+        if instance._critical_covered(performance):
             self._absent_fallback(performance)
-
-    # ------------------------------------------------------------------
-    # Policy decision
-    # ------------------------------------------------------------------
-
-    def _should_abort(self, performance: Performance,
-                      crashed_roles: list[RoleId]) -> bool:
-        if self.critical is not None:
-            return any(role in self.critical
-                       or family_of(role) in self.critical
-                       for role in crashed_roles)
-        return not self.instance._critical_covered(performance)
+        else:
+            self._abort(performance)
 
     # ------------------------------------------------------------------
     # Non-critical: demote the crashed role to absence
@@ -171,8 +149,6 @@ class Supervisor:
                        crashed=[repr(r) for r in crashed],
                        survivors=[repr(r) for r in
                                   sorted(performance.filled, key=repr)])
-        if self.on_abort is not None:
-            self.on_abort(performance)
         for role, request in list(performance.filled.items()):
             if role in performance.done:
                 continue  # body finished; delayed termination sees `ended`

@@ -66,23 +66,6 @@ class UnknownProcessError(RuntimeKernelError):
     """An operation referenced a process name that is not registered."""
 
 
-class TimeoutError(RuntimeKernelError):  # noqa: A001 - deliberate shadow
-    """A communication guarded by a :class:`~repro.runtime.Deadline` expired.
-
-    Carries the process that timed out and the virtual deadline so handlers
-    can implement retry loops without re-deriving either.
-    """
-
-    def __init__(self, process_name: object, deadline: float,
-                 waiting_for: str = ""):
-        self.process_name = process_name
-        self.deadline = deadline
-        self.waiting_for = waiting_for
-        detail = f" while {waiting_for}" if waiting_for else ""
-        super().__init__(
-            f"process {process_name!r} timed out at t={deadline:g}{detail}")
-
-
 class ProcessInterrupt(RuntimeKernelError):
     """Base class for exceptions thrown *into* a blocked process.
 
@@ -138,27 +121,6 @@ class CrashedPartnerSignal(ProcessInterrupt):
         super().__init__(
             f"every possible partner crashed: "
             f"{sorted(map(repr, self.addresses))}")
-
-
-class DeliveryFailed(ProcessInterrupt):
-    """A committed rendezvous could not be delivered within the retry budget.
-
-    Raised by a :class:`~repro.net.transport.NetworkTransport` whose
-    per-message :class:`~repro.net.transport.RetrySchedule` is exhausted by
-    an active drop window: the message would need more retransmissions than
-    the schedule allows.  The scheduler surfaces it like a timeout — thrown
-    into *both* parties at their communication yield point, after their
-    offers have already left the board — so handlers can retry or give up
-    exactly as they would for a :class:`TimeoutError`.
-    """
-
-    def __init__(self, sender: object, receiver: object, attempts: int):
-        self.sender = sender
-        self.receiver = receiver
-        self.attempts = attempts
-        super().__init__(
-            f"delivery from {sender!r} to {receiver!r} failed after "
-            f"{attempts} attempt(s)")
 
 
 class PerformanceAborted(ProcessInterrupt, ScriptError):

@@ -216,9 +216,7 @@ class FaultPlan:
         installed so cut links actually block rendezvous; if the scheduler
         already has a *different* match filter, the two are composed with
         AND (both must allow a pair), so neither silently shadows the
-        other.  The transport's ``rendezvous_deadline``, when set, is
-        copied onto ``scheduler.match_deadline`` so a pair blocked by the
-        partition times out instead of waiting forever.
+        other.
         """
         for event in self.events:
             if event.kind in _TRANSPORT_KINDS and transport is None:
@@ -241,8 +239,6 @@ class FaultPlan:
                     return (_first(sender, receiver)
                             and _second(sender, receiver))
                 scheduler.match_filter = composed
-            if transport.rendezvous_deadline is not None:
-                scheduler.match_deadline = transport.rendezvous_deadline
         return [scheduler.schedule_at(
                     event.time, self._action(scheduler, transport, event))
                 for event in self.events]

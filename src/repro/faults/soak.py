@@ -311,9 +311,7 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
     # which would leak into performance ids and break trace determinism.
     instance = script.instance(scheduler, name="chaos_broadcast",
                                seal_policy=SealPolicy.MANUAL)
-    aborted = {"flag": False}
-    supervisor = instance.supervise(
-        on_abort=lambda _performance: aborted.__setitem__("flag", True))
+    supervisor = instance.supervise()
 
     rng = random.Random(seed)
     if plan is None:
@@ -332,7 +330,7 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
         try:
             out = yield from instance.enroll(
                 ("recipient", i),
-                withdraw_when=lambda: aborted["flag"])
+                withdraw_when=lambda: supervisor.aborts > 0)
         except PerformanceAborted:
             return "aborted"
         if out is None:
@@ -510,9 +508,7 @@ def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
                            rounds=rounds)
     instance = script.instance(scheduler, name="chaos_chatroom",
                                seal_policy=SealPolicy.MANUAL)
-    aborted = {"flag": False}
-    supervisor = instance.supervise(
-        on_abort=lambda _performance: aborted.__setitem__("flag", True))
+    supervisor = instance.supervise()
 
     rng = random.Random(seed)
     if plan is None:
@@ -524,7 +520,7 @@ def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
         # after the room sealed (or after an abort tore it down) must not
         # enroll — its request would immediately start a hostless second
         # performance that can never seal.  It walks away instead.
-        if aborted["flag"]:
+        if supervisor.aborts:
             return False
         current = instance.current
         if current is not None:

@@ -2,12 +2,11 @@
 
 from .topology import (Topology, TopologyError, binary_tree, complete, line,
                        ring, star)
-from .transport import MessageStats, NetworkTransport, RetrySchedule
+from .transport import MessageStats, NetworkTransport
 
 __all__ = [
     "MessageStats",
     "NetworkTransport",
-    "RetrySchedule",
     "Topology",
     "TopologyError",
     "binary_tree",

@@ -23,7 +23,6 @@ import dataclasses
 from collections import Counter
 from typing import Hashable, Mapping, TYPE_CHECKING
 
-from ..errors import DeliveryFailed
 from ..runtime.instrument import NULL_SINK, Sink
 from .topology import Topology, TopologyError
 
@@ -44,7 +43,6 @@ class MessageStats:
     total_latency: float = 0.0
     max_latency: float = 0.0
     dropped: int = 0              # simulated retransmissions (drop faults)
-    delivery_failures: int = 0    # messages that exhausted their retries
     per_pair: Counter = dataclasses.field(default_factory=Counter)
 
     def record(self, src: Node, dst: Node, latency: float) -> None:
@@ -67,46 +65,6 @@ class MessageStats:
         return self.messages - self.local_messages
 
 
-@dataclasses.dataclass(frozen=True)
-class RetrySchedule:
-    """Per-message retransmission budget and backoff shape.
-
-    A drop window (``NetworkTransport.drop_retries = r``) forces ``r``
-    retransmissions per remote message, i.e. ``r + 1`` delivery attempts.
-    The schedule bounds attempts and prices each retransmission: attempt
-    ``i`` (0-based retry index) adds ``backoff(i)`` of virtual latency on
-    top of re-paying the link latency.  Exhausting ``max_attempts`` raises
-    :class:`~repro.errors.DeliveryFailed` instead of delivering at any cost.
-
-    The defaults (``backoff_base=0.0``) reproduce the historical static
-    multiplier exactly — ``latency * (1 + retries)`` with no extra backoff
-    — so existing seeds replay byte-identically unless a schedule is
-    explicitly configured.
-    """
-
-    max_attempts: int = 8
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
-
-    def backoff(self, retry: int) -> float:
-        """Extra virtual latency charged for the ``retry``-th retransmission."""
-        if self.backoff_base <= 0:
-            return 0.0
-        return min(self.backoff_base * self.backoff_factor ** retry,
-                   self.backoff_cap)
-
-    def total_backoff(self, retries: int) -> float:
-        """Summed backoff over ``retries`` consecutive retransmissions."""
-        return sum(self.backoff(i) for i in range(retries))
-
-
 class NetworkTransport:
     """Scheduler transport hook backed by a :class:`Topology`.
 
@@ -122,35 +80,23 @@ class NetworkTransport:
         Multiplier on every remote message's latency (congestion spikes).
     ``drop_retries``
         Number of simulated retransmissions per remote message; each
-        retransmission re-pays the link latency plus the configured
-        :class:`RetrySchedule` backoff and is counted in ``stats.dropped``.
-        When the implied attempt count exceeds ``retry.max_attempts`` the
-        message is *not* delivered: :class:`~repro.errors.DeliveryFailed`
-        propagates to the scheduler, which surfaces it to both parties
-        like a timeout.
+        retransmission re-pays the link latency and is counted in
+        ``stats.dropped``.  The message is always delivered.
     partitions
         :meth:`partition` / :meth:`heal` cut and restore topology links;
         :meth:`match_filter` turns the cut into a matching-time barrier.
-        ``rendezvous_deadline`` (seconds of virtual time, or ``None``)
-        bounds how long a pair blocked by the filter may wait — it is
-        copied onto ``scheduler.match_deadline`` when a
-        :class:`~repro.faults.FaultPlan` installs this transport.
     """
 
     def __init__(self, topology: Topology,
                  placement: Mapping[Hashable, Node],
                  default_node: Node | None = None,
-                 sink: Sink | None = None,
-                 retry: RetrySchedule | None = None,
-                 rendezvous_deadline: float | None = None):
+                 sink: Sink | None = None):
         self.topology = topology
         self.placement = dict(placement)
         self.default_node = default_node
         self.stats = MessageStats()
         self.latency_factor = 1.0
         self.drop_retries = 0
-        self.retry = retry if retry is not None else RetrySchedule()
-        self.rendezvous_deadline = rendezvous_deadline
         self.sink = sink if sink is not None else NULL_SINK
 
     def node_of(self, process: Hashable) -> Node:
@@ -198,20 +144,14 @@ class NetworkTransport:
         if src == dst:
             # Same node: no link is crossed, so congestion and drop
             # faults cannot apply.  (A zero-weight *link* is different:
-            # the message is still remote and pays retries/backoff.)
+            # the message is still remote and pays its retries.)
             latency = 0.0
         else:
             latency = self.topology.latency(src, dst) * self.latency_factor
             if self.drop_retries:
                 retries = self.drop_retries
-                if retries + 1 > self.retry.max_attempts:
-                    self.stats.delivery_failures += 1
-                    raise DeliveryFailed(commit.sender.name,
-                                         commit.receiver.name,
-                                         self.retry.max_attempts)
                 self.stats.dropped += retries
-                latency = (latency * (1 + retries)
-                           + self.retry.total_backoff(retries))
+                latency *= 1 + retries
         self.stats.record(src, dst, latency)
         if self.sink:
             self.sink.on_message(scheduler.now, src, dst, latency)

@@ -40,10 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: A factory producing a fresh process body per (re)start.
 BodyFactory = Callable[[], ProcessBody]
 
-#: Restart strategies: plain in-world respawn, or respawn with every
-#: recovery decision made durable through an attached journal first.
-STRATEGIES = ("respawn", "resume_from_journal")
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class BackoffSchedule:
@@ -108,17 +104,17 @@ class RestartPolicy:
         harnesses to stop recovering after the workload's goal is met).
     on_escalate:
         Optional callback invoked with the process name on quarantine.
-    strategy / journal:
-        ``"respawn"`` (default) restarts in-world and nothing more.
-        ``"resume_from_journal"`` additionally calls ``journal.barrier()``
-        (flush + fsync of the attached
-        :class:`~repro.persist.record.JournalRecorder`) immediately after
-        every recovery decision is traced — restart_scheduled, restart,
-        and quarantine — so a host-process kill -9 *between* the decision
-        and its effect finds the decision already durable and
-        :func:`~repro.persist.resume.resume` replays it instead of losing
-        it.  The strategy requires ``journal``; a replay validator's
-        no-op ``barrier`` satisfies it symmetrically on resume.
+    journal:
+        Optional run hook.  When given, ``journal.barrier()`` (flush +
+        fsync of an attached
+        :class:`~repro.persist.record.JournalRecorder`) is called
+        immediately after every recovery decision is traced —
+        restart_scheduled, restart, and quarantine — so a host-process
+        kill -9 *between* the decision and its effect finds the decision
+        already durable and :func:`~repro.persist.resume.resume` replays
+        it instead of losing it.  A replay validator's no-op ``barrier``
+        keeps resume symmetric.  Without a journal the policy restarts
+        in-world and nothing more.
     """
 
     def __init__(self, scheduler: "Scheduler",
@@ -128,19 +124,11 @@ class RestartPolicy:
                  seed: int = 0,
                  only_while: Callable[[], bool] | None = None,
                  on_escalate: Callable[[Hashable], None] | None = None,
-                 strategy: str = "respawn",
                  journal: Any = None):
         if max_restarts < 1:
             raise RecoveryError("max_restarts must be >= 1")
         if window <= 0:
             raise RecoveryError("window must be > 0")
-        if strategy not in STRATEGIES:
-            raise RecoveryError(f"unknown restart strategy {strategy!r}; "
-                                f"choose from {STRATEGIES}")
-        if strategy == "resume_from_journal" and journal is None:
-            raise RecoveryError(
-                "strategy 'resume_from_journal' needs a journal whose "
-                "barrier() makes recovery decisions durable")
         self.scheduler = scheduler
         self.bodies = dict(bodies)
         self.backoff = backoff if backoff is not None else BackoffSchedule()
@@ -149,7 +137,6 @@ class RestartPolicy:
         self.rng = random.Random(seed)
         self.only_while = only_while
         self.on_escalate = on_escalate
-        self.strategy = strategy
         self.journal = journal
         self.restarts = 0
         self.quarantined: set[Hashable] = set()
@@ -158,8 +145,8 @@ class RestartPolicy:
         scheduler.on_kill(self._crashed)
 
     def _barrier(self) -> None:
-        """Make the just-traced recovery decision durable (if asked to)."""
-        if self.strategy == "resume_from_journal":
+        """Make the just-traced recovery decision durable (with a journal)."""
+        if self.journal is not None:
             self.journal.barrier()
 
     # ------------------------------------------------------------------

@@ -103,10 +103,10 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
     instead.  The run's ``counters`` are ``completed``, ``restarts``,
     ``retries``, ``recovered`` and ``quarantined`` (names left down).
     ``journal`` is the run's hook (see :mod:`repro.scenarios`); with any
-    hook attached the policy runs the ``resume_from_journal`` strategy,
-    calling ``journal.barrier()`` before every recovery decision acts —
-    so a recorder has each decision on disk first.  Barriers do not
-    touch the run, so the trace is the same either way.
+    hook attached the policy calls ``journal.barrier()`` before every
+    recovery decision acts — so a recorder has each decision on disk
+    first.  Barriers do not touch the run, so the trace is the same
+    either way.
     """
     placement: dict[Hashable, Any] = {"S": "hub"}
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
@@ -187,9 +187,7 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
         max_restarts=(max_restarts if max_restarts is not None
                       else sender_crashes + 1),
         window=10 * horizon, seed=seed,
-        only_while=sender_alive, on_escalate=escalate,
-        strategy="respawn" if journal is None else "resume_from_journal",
-        journal=journal)
+        only_while=sender_alive, on_escalate=escalate, journal=journal)
 
     plan.install(scheduler, transport=transport)
     scheduler.spawn("S", sender_body())

@@ -11,10 +11,9 @@ from .board import Commit, RendezvousBoard
 from .board_index import IndexedBoard
 from .board_oracle import OracleBoard
 from .effects import (ELSE_BRANCH, TIMED_OUT, TIMED_OUT_BRANCH, AddAlias,
-                      Choice, Deadline, Delay, DropAlias, Effect, GetName,
-                      GetTime, Latch, QueryProcesses, Receive,
-                      ReceivedMessage, ReceiveTimeout, Select, SelectResult,
-                      Send, Spawn, Trace, WaitUntil)
+                      Choice, Delay, DropAlias, Effect, GetName, GetTime,
+                      Latch, QueryProcesses, Receive, ReceivedMessage,
+                      Select, SelectResult, Send, Spawn, Trace, WaitUntil)
 from .instrument import NULL_SINK, NullSink, Sink, TeeSink
 from .process import Process, ProcessState
 from .scheduler import MatchFilter, RunResult, Scheduler, run_processes
@@ -24,14 +23,12 @@ __all__ = [
     "AddAlias",
     "Choice",
     "Commit",
-    "Deadline",
     "Delay",
     "DropAlias",
     "ELSE_BRANCH",
     "MatchFilter",
     "NULL_SINK",
     "NullSink",
-    "ReceiveTimeout",
     "Sink",
     "TIMED_OUT",
     "TIMED_OUT_BRANCH",

@@ -55,8 +55,8 @@ class OfferGroup:
     process: "Process"
     offers: list[Offer]
     plain: bool                      # a bare Send/Receive, not a Select
-    # Timer that expires this group (Deadline / ReceiveTimeout / Select
-    # timeout); cancelled automatically when the group leaves the board.
+    # Timer that expires this group (a Select timeout); cancelled
+    # automatically when the group leaves the board.
     expiry: Any = None
     # Monotonic post-order stamp, assigned by the board at ``post`` time.
     # Candidate ordering (and therefore which pair the seeded RNG picks)

@@ -189,7 +189,7 @@ class Latch:
 
 
 class _TimedOut:
-    """Singleton result of a :class:`ReceiveTimeout` that expired."""
+    """Singleton result of a timed wait that expired."""
 
     _instance: "_TimedOut | None" = None
 
@@ -205,53 +205,10 @@ class _TimedOut:
         return False
 
 
-#: Distinguished (falsy) value returned by an expired :class:`ReceiveTimeout`.
+#: Distinguished (falsy) value returned by a timed wait that expired: a
+#: role receive whose ``Select`` timeout arm fired, or an Ada timed entry
+#: call left unaccepted.
 TIMED_OUT = _TimedOut()
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReceiveTimeout(Effect):
-    """A :class:`Receive` that gives up after ``timeout`` virtual time units.
-
-    The result is the received value (or :class:`ReceivedMessage` with
-    ``with_sender=True``) when a rendezvous commits in time, and the
-    distinguished :data:`TIMED_OUT` value otherwise.  This is the
-    non-raising counterpart of :class:`Deadline`, convenient in
-    retry loops: ``while (v := yield ReceiveTimeout(..., timeout=5)) is
-    TIMED_OUT: ...``.
-    """
-
-    frm: Address | None = None
-    tag: Tag = None
-    with_sender: bool = False
-    timeout: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.timeout < 0:
-            raise ValueError(f"negative receive timeout: {self.timeout}")
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Deadline(Effect):
-    """Run one communication effect under a deadline.
-
-    ``effect`` is a :class:`Send`, :class:`Receive` or blocking
-    :class:`Select`.  If no rendezvous commits within ``timeout`` units of
-    virtual time, the pending offers are withdrawn and
-    :class:`~repro.errors.TimeoutError` is raised *inside* the yielding
-    process at the yield point — a blocked rendezvous expires instead of
-    deadlocking.
-    """
-
-    effect: Send | Receive | Select
-    timeout: float
-
-    def __post_init__(self) -> None:
-        if self.timeout < 0:
-            raise ValueError(f"negative deadline: {self.timeout}")
-        if isinstance(self.effect, Select) and self.effect.immediate:
-            raise ValueError("an immediate select never blocks; "
-                             "a deadline on it is meaningless")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -268,8 +225,8 @@ class GetName(Effect):
 class Spawn(Effect):
     """Create a new process running ``body`` and return its name.
 
-    The paper's model is a fixed network, so user code rarely spawns; the
-    translation layers use this to materialise supervisor processes.
+    The paper's model is a fixed network, so user code rarely spawns;
+    hosts create their processes with :meth:`Scheduler.spawn` instead.
     """
 
     name: Address

@@ -5,8 +5,9 @@ A :class:`Sink` receives low-level callbacks the trace alone cannot carry —
 when a process *posted* its rendezvous offers (so match latency is
 measurable), when a commit happened (with board/waiter depth at that
 instant), and when the transport charged a message.  Everything derivable
-from :class:`~repro.runtime.tracing.TraceEvent` streams arrives through
-:meth:`Sink.on_event` instead, via a tracer listener.
+from :class:`~repro.runtime.tracing.TraceEvent` streams reaches a consumer
+through the tracer listener it registers itself
+(:meth:`~repro.runtime.tracing.Tracer.add_listener`) instead.
 
 The default sink is :data:`NULL_SINK`, a null object that is *falsy*: hot
 paths guard each callback with ``if self.sink:``, so an uninstrumented
@@ -16,10 +17,7 @@ Concrete sinks live in :mod:`repro.obs`; the kernel never imports them.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .tracing import TraceEvent
+from typing import Any, Hashable
 
 
 class Sink:
@@ -32,9 +30,6 @@ class Sink:
 
     def __bool__(self) -> bool:
         return True
-
-    def on_event(self, event: "TraceEvent") -> None:
-        """A trace event was emitted (delivered via a tracer listener)."""
 
     def on_offer_posted(self, time: float, process: Hashable) -> None:
         """``process`` just blocked on a group of rendezvous offers."""
@@ -123,10 +118,6 @@ class TeeSink(Sink):
 
     def __bool__(self) -> bool:
         return bool(self.sinks)
-
-    def on_event(self, event: "TraceEvent") -> None:
-        for sink in self.sinks:
-            sink.on_event(event)
 
     def on_offer_posted(self, time: float, process: Hashable) -> None:
         for sink in self.sinks:

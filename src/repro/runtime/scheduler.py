@@ -25,16 +25,16 @@ from operator import attrgetter
 from time import perf_counter_ns
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
-from ..errors import (DeadlockError, DeliveryFailed, InvalidEffectError,
-                      ProcessFailure, RuntimeKernelError, StepLimitExceeded,
-                      TimeoutError, UnknownProcessError)
+from ..errors import (DeadlockError, InvalidEffectError, ProcessFailure,
+                      RuntimeKernelError, StepLimitExceeded,
+                      UnknownProcessError)
 from . import board as board_mod
 from .board import OfferGroup, RendezvousBoard, make_group
 from .board_index import IndexedBoard
-from .effects import (TIMED_OUT, TIMED_OUT_BRANCH, AddAlias, Choice, Deadline,
-                      Delay, DropAlias, Effect, GetName, GetTime, Latch,
-                      QueryProcesses, Receive, ReceiveTimeout, Select,
-                      SelectResult, Send, Spawn, Trace, WaitUntil)
+from .effects import (TIMED_OUT_BRANCH, AddAlias, Choice, Delay, DropAlias,
+                      Effect, GetName, GetTime, Latch, QueryProcesses,
+                      Receive, Select, SelectResult, Send, Spawn, Trace,
+                      WaitUntil)
 from .instrument import NULL_SINK, Sink, sink_overrides
 from .process import (_FINISHED_STATES, Process, ProcessBody,
                       ProcessState)
@@ -46,7 +46,7 @@ Transport = Callable[["Scheduler", board_mod.Commit], float]
 #: Match filter signature: may a rendezvous between these two processes
 #: commit right now?  Installed by fault-injecting transports to model
 #: link partitions: a partitioned pair simply never matches, so senders
-#: block (and, with timeouts, expire) until the link heals.
+#: block (and, with a select timeout, expire) until the link heals.
 MatchFilter = Callable[[Process, Process], bool]
 
 #: The settle loop's pick seam: draw one committable pair, or ``None``.
@@ -180,7 +180,7 @@ class Scheduler:
     # ad-hoc attributes — without their own __slots__ they get a dict.
     __slots__ = (
         "seed", "rng", "tracer", "max_steps", "fail_fast", "transport",
-        "match_filter", "match_deadline", "now", "total_steps",
+        "match_filter", "now", "total_steps",
         "processes", "alias_owner", "_ready", "_board", "_waiters",
         "_polled", "_fired", "_park_seq", "_timers", "_timer_seq",
         "_armed_timers", "_cancelled_in_heap",
@@ -205,11 +205,6 @@ class Scheduler:
         self.fail_fast = fail_fast
         self.transport = transport
         self.match_filter: MatchFilter | None = None
-        # Optional bound on how long a *vetoed* rendezvous may wait for the
-        # match filter to relent (e.g. a partition to heal).  When set, the
-        # first settle that sees a filtered-out candidate arms a timeout on
-        # both parties' offer groups; a commit beforehand cancels it.
-        self.match_deadline: float | None = None
         self.now: float = 0.0
         self.total_steps = 0
         self.processes: dict[Hashable, Process] = {}
@@ -810,13 +805,13 @@ class Scheduler:
                 self._first_failure = ProcessFailure(process.name, exc)
 
     def _post_group(self, process: Process, group: OfferGroup,
-                    timeout: float | None = None,
-                    on_expiry: Callable[[Process], None] | None = None) -> None:
+                    timeout: float | None = None) -> None:
         """Block ``process`` on its offers, optionally with an expiry timer.
 
-        ``on_expiry`` runs only if the offers are still on the board when
-        the timer fires; a commit (or interrupt) beforehand withdraws the
-        group, which cancels the timer.
+        A select's timeout arm: if the offers are still on the board when
+        the timer fires they are withdrawn and the process resumes with
+        ``SelectResult(TIMED_OUT_BRANCH)``; a commit (or interrupt)
+        beforehand withdraws the group, which cancels the timer.
         """
         process.state = ProcessState.BLOCKED
         # Adopt the board's group: the indexed board's re-post cache may
@@ -839,7 +834,7 @@ class Scheduler:
             self._board_dirty = True
             self.tracer.emit(self.now, EventKind.TIMEOUT, process.name,
                              waiting=group.describe())
-            on_expiry(process)
+            self._make_ready(process, SelectResult(index=TIMED_OUT_BRANCH))
 
         group.expiry = self._push_timer(self.now + timeout, expire,
                                         owner=process.name)
@@ -847,39 +842,13 @@ class Scheduler:
     def _handle_effect(self, process: Process, effect: Any) -> None:
         if isinstance(effect, (Send, Receive)):
             self._post_group(process, make_group(process, [effect], plain=True))
-        elif isinstance(effect, ReceiveTimeout):
-            receive = Receive(effect.frm, tag=effect.tag,
-                              with_sender=effect.with_sender)
-            self._post_group(
-                process, make_group(process, [receive], plain=True),
-                timeout=effect.timeout,
-                on_expiry=lambda p: self._make_ready(p, TIMED_OUT))
-        elif isinstance(effect, Deadline):
-            inner = effect.effect
-            if isinstance(inner, (Send, Receive)):
-                group = make_group(process, [inner], plain=True)
-            elif isinstance(inner, Select):
-                group = make_group(process, inner.branches, plain=False)
-            else:
-                raise InvalidEffectError(
-                    f"Deadline wraps Send/Receive/Select, got {inner!r}")
-            deadline = self.now + effect.timeout
-            self._post_group(
-                process, group, timeout=effect.timeout,
-                on_expiry=lambda p, t=deadline, g=group: self._throw(
-                    p, TimeoutError(p.name, t, g.describe())))
         elif isinstance(effect, Select):
             group = make_group(process, effect.branches, plain=False)
             if effect.immediate:
                 if not self._matchable(group):
                     self._make_ready(process, board_mod.else_result())
                     return
-            on_expiry = None
-            if effect.timeout is not None:
-                on_expiry = lambda p: self._make_ready(  # noqa: E731
-                    p, SelectResult(index=TIMED_OUT_BRANCH))
-            self._post_group(process, group, timeout=effect.timeout,
-                             on_expiry=on_expiry)
+            self._post_group(process, group, timeout=effect.timeout)
         elif isinstance(effect, Delay):
             process.state = ProcessState.BLOCKED
             process.blocked_reason = f"delay({effect.duration})"
@@ -993,19 +962,10 @@ class Scheduler:
             finish()
 
     def _pick_filtered(self, rng: random.Random) -> board_mod.Commit | None:
-        """The settle loop's ``pick`` while a match filter is installed.
-
-        Draws among the candidates the filter allows exactly as
-        ``rng.choice`` over that list would; a vetoed pair arms its
-        parties' match deadline, if one is set.
-        """
-        allow = self.match_filter
-        passed = []
-        for candidate in self._board.candidates(self.alias_owner):
-            if allow(candidate.sender, candidate.receiver):
-                passed.append(candidate)
-            elif self.match_deadline is not None:
-                self._arm_match_deadline(candidate)
+        """The settle loop's ``pick`` while a match filter is installed:
+        draws among the candidates the filter allows exactly as
+        ``rng.choice`` over that list would."""
+        passed = self._filter_commits(self._board.candidates(self.alias_owner))
         return rng.choice(passed) if passed else None
 
     def _timed_seams(self, pick: Pick) -> tuple[
@@ -1118,35 +1078,6 @@ class Scheduler:
         else:
             del self._polled[name]
 
-    def _arm_match_deadline(self, commit: board_mod.Commit) -> None:
-        """Bound a filter-vetoed candidate pair's wait by ``match_deadline``.
-
-        Arms an expiry timer on each party's offer group (idempotently: a
-        group that already carries an expiry — from a select timeout, a
-        ``Deadline``, or an earlier veto — keeps it).  If the pair commits
-        before the timer fires, the withdraw cancels it; otherwise the
-        party's offers are withdrawn and a :class:`TimeoutError` is thrown
-        in, exactly like an expired ``Deadline``.
-        """
-        deadline = self.now + self.match_deadline
-        for offer in (commit.send, commit.recv):
-            group = offer.group
-            if group.expiry is not None:
-                continue
-            process = group.process
-
-            def expire(p=process, g=group, t=deadline) -> None:
-                if self._board.groups.get(p.name) is not g:
-                    return  # already committed; stale timer
-                self._board.withdraw(p.name)
-                self._board_dirty = True
-                self.tracer.emit(self.now, EventKind.TIMEOUT, p.name,
-                                 waiting=g.describe())
-                self._throw(p, TimeoutError(p.name, t, g.describe()))
-
-            group.expiry = self._push_timer(deadline, expire,
-                                            owner=process.name)
-
     def _commit(self, commit: board_mod.Commit) -> None:
         send = commit.send
         recv = commit.recv
@@ -1162,22 +1093,8 @@ class Scheduler:
             sender_result, receiver_result = board_mod.resume_values(commit)
         sender_identity = (send.as_alias if send.as_alias is not None
                            else sender.name)
-        # The transport runs before the COMM event so a delivery failure
-        # leaves no phantom "communication happened" record; on success the
-        # trace content is unchanged (the transport only returns a latency).
-        if self.transport is not None:
-            try:
-                delay = self.transport(self, commit)
-            except DeliveryFailed as failure:
-                self.tracer.emit(
-                    self.now, EventKind.FAULT, sender.name,
-                    fault="delivery_failed", target=receiver.name,
-                    value=failure.attempts, applied=True)
-                self._throw(sender, failure)
-                self._throw(receiver, failure)
-                return
-        else:
-            delay = 0.0
+        delay = (self.transport(self, commit) if self.transport is not None
+                 else 0.0)
         self.tracer.emit(
             self.now, EventKind.COMM, sender.name,
             receiver=receiver.name, to=send.partner_alias,

@@ -52,7 +52,7 @@ class EventKind(enum.Enum):
     PROC_FAIL = "proc_fail"
     COMM = "comm"                     # a rendezvous committed
     DELAY = "delay"
-    TIMEOUT = "timeout"               # a Deadline/ReceiveTimeout/Select expired
+    TIMEOUT = "timeout"               # a Select timeout arm fired
     INTERRUPT = "interrupt"           # an exception was thrown into a process
     FAULT = "fault"                   # an injected fault event fired
     RECOVERY = "recovery"             # a recovery action (restart/retry/...)

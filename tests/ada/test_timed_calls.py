@@ -116,8 +116,11 @@ def test_call_accepted_at_deadline_completes_anyway():
 
 
 def test_timed_out_sentinel_is_falsy_and_singleton():
-    from repro.ada.tasking import _TimedOut
+    import repro.ada
+    import repro.runtime
+    from repro.runtime.effects import _TimedOut
 
     assert not TIMED_OUT
     assert _TimedOut() is TIMED_OUT
     assert repr(TIMED_OUT) == "TIMED_OUT"
+    assert repro.ada.TIMED_OUT is repro.runtime.TIMED_OUT

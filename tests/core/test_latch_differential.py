@@ -115,8 +115,16 @@ def supervised_star_frames(seed, survivors_parked, n=5):
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
     scheduler.transport = NetworkTransport(star(n), placement)
     instance = make_broadcast(n, "star").instance(scheduler, name="star")
-    instance.supervise(on_abort=lambda performance: survivors_parked.append(
-        len(performance.finished._parked)))
+    instance.supervise()
+
+    def count_parked(event):
+        # Emitted by the abort just before it releases the survivors.
+        if event.kind is EventKind.PERFORMANCE_ABORT:
+            performance, = [p for p in instance.performances
+                            if p.id == event.get("performance")]
+            survivors_parked.append(len(performance.finished._parked))
+
+    scheduler.tracer.add_listener(count_parked)
 
     def enrolling(role, **actuals):
         try:

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import FaultPlanError
 from repro.faults import CRASH, FaultEvent, FaultPlan
 from repro.net import NetworkTransport, Topology
-from repro.runtime import (TIMED_OUT, Delay, EventKind, Receive,
-                           ReceiveTimeout, Scheduler, Send)
+from repro.runtime import (TIMED_OUT_BRANCH, Delay, EventKind, Receive,
+                           Scheduler, Select, Send)
 
 
 def test_events_kept_in_time_order():
@@ -107,11 +107,11 @@ def test_partition_survived_by_timeout_and_retry():
     def receiver():
         attempts = 0
         while True:
-            value = yield ReceiveTimeout(timeout=2.0)
-            if value is TIMED_OUT:
+            result = yield Select([Receive()], timeout=2.0)
+            if result.index == TIMED_OUT_BRANCH:
                 attempts += 1
                 continue
-            return attempts, value
+            return attempts, result.value
 
     scheduler.spawn("sender", sender())
     scheduler.spawn("receiver", receiver())
@@ -183,8 +183,8 @@ def test_install_composes_an_existing_match_filter_with_and():
         yield Send("blocked", "never")
 
     def blocked():
-        value = yield ReceiveTimeout(timeout=3.0)
-        return value
+        result = yield Select([Receive()], timeout=3.0)
+        return result.index
 
     scheduler.spawn("sender", sender())
     scheduler.spawn("blocked", blocked())
@@ -192,7 +192,7 @@ def test_install_composes_an_existing_match_filter_with_and():
     result = scheduler.run(until=10.0)
     # The custom filter was consulted and vetoed the pair: the receive
     # timed out instead of committing.
-    assert result.results["blocked"] is TIMED_OUT
+    assert result.results["blocked"] == TIMED_OUT_BRANCH
     assert ("sender", "blocked") in vetoes
 
 
@@ -204,54 +204,6 @@ def test_reinstalling_the_same_transport_does_not_stack_filters():
     FaultPlan().slow(2.0, 3.0).install(scheduler, transport=transport)
     # Bound methods compare equal, so the second install is idempotent.
     assert scheduler.match_filter == first == transport.match_filter
-
-
-def test_install_copies_rendezvous_deadline_onto_the_scheduler():
-    scheduler = Scheduler()
-    topology = Topology("pair")
-    topology.add_link("a", "b", 1.0)
-    transport = NetworkTransport(topology, {"sender": "a", "receiver": "b"},
-                                 rendezvous_deadline=4.0)
-    FaultPlan().slow(1.0, 2.0).install(scheduler, transport=transport)
-    assert scheduler.match_deadline == 4.0
-
-
-def test_unhealed_partition_times_out_blocked_pair_via_deadline():
-    from repro.errors import TimeoutError as ReproTimeout
-
-    scheduler = Scheduler()
-    topology = Topology("pair")
-    topology.add_link("a", "b", 1.0)
-    transport = NetworkTransport(topology, {"sender": "a", "receiver": "b"},
-                                 rendezvous_deadline=2.0)
-    scheduler.transport = transport
-    outcomes = {}
-
-    def sender():
-        yield Delay(1.0)   # offer only once the partition is up
-        try:
-            yield Send("receiver", "never")
-        except ReproTimeout as exc:
-            outcomes["sender"] = exc.deadline
-            return "gave up"
-
-    def receiver():
-        try:
-            yield Receive()
-        except ReproTimeout as exc:
-            outcomes["receiver"] = exc.deadline
-            return "gave up"
-
-    scheduler.spawn("sender", sender())
-    scheduler.spawn("receiver", receiver())
-    FaultPlan().partition(0.5, "a", "b").install(scheduler,
-                                                 transport=transport)
-    result = scheduler.run()
-    # The pair is vetoed at t=1 (sender's offer meets the cut link) and
-    # expires match_deadline later instead of deadlocking forever.
-    assert result.results == {"sender": "gave up", "receiver": "gave up"}
-    assert outcomes == {"sender": 3.0, "receiver": 3.0}
-    assert scheduler.pending_timer_count == 0
 
 
 def test_install_rejects_events_already_in_the_past_mid_run():

@@ -12,7 +12,7 @@ WINDOW = 2.0
 N = 3
 
 
-def build(seed=0, with_network=True, critical=None):
+def build(seed=0, with_network=True):
     """A 3-recipient chaos broadcast rig with deterministic enrollments."""
     scheduler = Scheduler(seed=seed)
     transport = None
@@ -24,7 +24,7 @@ def build(seed=0, with_network=True, critical=None):
     script = make_chaos_broadcast(N, WINDOW)
     instance = script.instance(scheduler, name="rig",
                                seal_policy=SealPolicy.MANUAL)
-    supervisor = instance.supervise(critical=critical)
+    supervisor = instance.supervise()
     state = {"aborted": None}
 
     def sender_process():
@@ -191,17 +191,6 @@ def test_critical_crash_aborts_and_releases_survivors():
     assert isinstance(exc, PerformanceAborted)
     assert exc.performance_id == performance.id
     assert "sender" in exc.crashed
-    assert_no_residue(scheduler, instance)
-
-
-def test_explicit_critical_override_aborts_on_listed_family():
-    # Override the inferred policy: recipients are declared critical too.
-    scheduler, instance, supervisor, _, _ = build(critical={"recipient"})
-    FaultPlan().crash(2.5, ("R", 2)).install(scheduler)
-    result = scheduler.run()
-    assert supervisor.aborts == 1
-    assert instance.performances[0].aborted
-    assert result.results[("R", 1)] == "aborted"
     assert_no_residue(scheduler, instance)
 
 

@@ -1,86 +1,119 @@
-"""Kernel timeout effects: Deadline, ReceiveTimeout, and Select timeouts."""
+"""The one expiring wait: ``Select(timeout=)`` and the role receive on it."""
 
 import pytest
 
-from repro import errors
-from repro.runtime import (TIMED_OUT, TIMED_OUT_BRANCH, Deadline, Delay,
-                           Receive, ReceiveTimeout, Scheduler, Select, Send,
-                           run_processes)
+from repro.core import Mode, Param, ScriptDef, UNFILLED
+from repro.faults import FaultPlan
+from repro.runtime import (TIMED_OUT, TIMED_OUT_BRANCH, Delay, Receive,
+                           Scheduler, Select, Send, run_processes)
+from repro.scenarios import lookup
+from repro.verification import check_all
+
+
+def timed_listener(patience, talk=None, source=None, with_sender=False):
+    """A script whose 'listener' receives once with ``patience``.
+
+    With ``talk=(delay, value)``, a 'talker' role sends ``value`` to the
+    listener after ``delay``.  The listener alone is critical, so a
+    crashed talker is demoted to absence.
+    """
+    script = ScriptDef("timed")
+
+    @script.role("listener", params=[Param("got", Mode.OUT)])
+    def listener(ctx, got):
+        got.value = yield from ctx.receive(source, timeout=patience,
+                                           with_sender=with_sender)
+
+    if talk is not None:
+        @script.role("talker")
+        def talker(ctx):
+            delay, value = talk
+            yield Delay(delay)
+            yield from ctx.send("listener", value)
+
+    script.critical_role_set("listener")
+    return script
+
+
+def retrying_listener(patience):
+    """A 'listener' that re-receives until a value beats ``patience``."""
+    script = ScriptDef("retrying")
+
+    @script.role("listener", params=[Param("got", Mode.OUT)])
+    def listener(ctx, got):
+        attempts = 0
+        while True:
+            value = yield from ctx.receive(timeout=patience)
+            if value is TIMED_OUT:
+                attempts += 1
+                continue
+            got.value = attempts, value
+            return
+
+    @script.role("talker")
+    def talker(ctx):
+        yield Delay(3.5)
+        yield from ctx.send("listener", 42)
+
+    return script
+
+
+def run_roles(script, *roles, plan=None):
+    """Enroll one supervised process per role (named by the role's first
+    letter, upper case, spawned in the order given) and run; return the
+    run result and the scheduler."""
+    scheduler = Scheduler()
+    instance = script.instance(scheduler, name=script.name)
+    instance.supervise()
+
+    def enrolling(role):
+        out = yield from instance.enroll(role)
+        return out
+
+    for role in roles:
+        scheduler.spawn(role[0].upper(), enrolling(role))
+    if plan is not None:
+        plan.install(scheduler)
+    return scheduler.run(), scheduler
 
 
 def test_receive_timeout_expires_to_distinguished_value():
-    def lonely():
-        value = yield ReceiveTimeout(timeout=5.0)
-        return value
-
-    result = run_processes({"lonely": lonely()})
-    assert result.results["lonely"] is TIMED_OUT
-    assert not result.results["lonely"]  # TIMED_OUT is falsy
+    result, _ = run_roles(timed_listener(5.0), "listener")
+    assert result.results["L"]["got"] is TIMED_OUT
+    assert not result.results["L"]["got"]  # TIMED_OUT is falsy
     assert result.time == 5.0
 
 
 def test_receive_timeout_delivers_when_partner_arrives_in_time():
-    def receiver():
-        value = yield ReceiveTimeout(timeout=10.0)
-        return value
-
-    def sender():
-        yield Delay(2.0)
-        yield Send("receiver", "hello")
-
-    result = run_processes({"receiver": receiver(), "sender": sender()})
-    assert result.results["receiver"] == "hello"
+    script = timed_listener(10.0, talk=(2.0, "hello"))
+    result, _ = run_roles(script, "talker", "listener")
+    assert result.results["L"]["got"] == "hello"
     assert result.time == 2.0  # the expiry timer was cancelled, not awaited
 
 
 def test_receive_timeout_retry_loop_survives_a_late_sender():
-    def receiver():
-        attempts = 0
-        while True:
-            value = yield ReceiveTimeout(timeout=1.0)
-            if value is TIMED_OUT:
-                attempts += 1
-                continue
-            return attempts, value
-
-    def sender():
-        yield Delay(3.5)
-        yield Send("receiver", 42)
-
-    result = run_processes({"receiver": receiver(), "sender": sender()})
-    attempts, value = result.results["receiver"]
+    result, _ = run_roles(retrying_listener(1.0), "talker", "listener")
+    attempts, value = result.results["L"]["got"]
     assert attempts == 3 and value == 42
 
 
-def test_deadline_raises_kernel_timeout_error():
-    def impatient():
-        try:
-            yield Deadline(Receive("nobody"), timeout=4.0)
-        except errors.TimeoutError as exc:
-            return exc.deadline, exc.process_name
-        return None
-
-    result = run_processes({"impatient": impatient()})
-    assert result.results["impatient"] == (4.0, "impatient")
-    assert result.time == 4.0
+def test_role_receive_with_sender_reports_the_partner_role():
+    script = timed_listener(10.0, talk=(1.0, "hi"), with_sender=True)
+    result, _ = run_roles(script, "talker", "listener")
+    assert result.results["L"]["got"] == ("hi", "talker")
 
 
-def test_deadline_is_a_runtime_kernel_error():
-    assert issubclass(errors.TimeoutError, errors.RuntimeKernelError)
-
-
-def test_deadline_passes_through_on_commit():
-    def sender():
-        yield Deadline(Send("receiver", "v"), timeout=50.0)
-        return "sent"
-
-    def receiver():
-        value = yield Receive()
-        return value
-
-    result = run_processes({"sender": sender(), "receiver": receiver()})
-    assert result.results == {"sender": "sent", "receiver": "v"}
-    assert result.time == 0.0  # stale deadline timer neither fires nor holds
+def test_crash_of_the_named_partner_ends_a_timed_receive_unfilled():
+    # The talker would send at t=5; it crashes at t=2 while the listener
+    # waits on it, and is demoted to absence (the listener alone is
+    # critical), so the receive returns UNFILLED at once.
+    script = timed_listener(50.0, talk=(5.0, "late"), source="talker")
+    result, scheduler = run_roles(script, "talker", "listener",
+                                  plan=FaultPlan().crash(2.0, "T"))
+    assert result.results["L"]["got"] is UNFILLED
+    assert result.killed == ["T"]
+    assert result.time == 2.0
+    assert scheduler.pending_timer_count == 0
 
 
 def test_select_timeout_arm_fires_when_nothing_commits():
@@ -113,10 +146,6 @@ def test_immediate_select_rejects_timeout():
 
 def test_negative_timeouts_rejected():
     with pytest.raises(ValueError):
-        ReceiveTimeout(timeout=-1.0)
-    with pytest.raises(ValueError):
-        Deadline(Receive("x"), timeout=-0.5)
-    with pytest.raises(ValueError):
         Select([Receive("x")], timeout=-2.0)
 
 
@@ -124,8 +153,8 @@ def test_expired_timeout_leaves_no_board_residue():
     scheduler = Scheduler()
 
     def lonely():
-        value = yield ReceiveTimeout(timeout=1.0)
-        assert value is TIMED_OUT
+        result = yield Select([Receive()], timeout=1.0)
+        assert result.index == TIMED_OUT_BRANCH
         yield Delay(1.0)  # keep running after the expiry
 
     scheduler.spawn("lonely", lonely())
@@ -133,3 +162,12 @@ def test_expired_timeout_leaves_no_board_residue():
     assert scheduler.board_size == 0
     assert scheduler.waiter_count == 0
     assert scheduler.pending_timer_count == 0
+
+
+def test_long_drop_window_delivers_every_broadcast_message():
+    # A drop window only slows delivery down, however many retries
+    # (here 8 per message) it forces.
+    run = lookup("broadcast").run(
+        0, plan=FaultPlan().drop(0.1, 8, until=50.0))
+    assert run.outcome == "completed"
+    check_all(run.events)

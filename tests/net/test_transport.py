@@ -4,9 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import DeliveryFailed
-from repro.net import (MessageStats, NetworkTransport, RetrySchedule,
-                       Topology, TopologyError)
+from repro.net import MessageStats, NetworkTransport, Topology, TopologyError
 
 
 def _pair(zero_weight=False):
@@ -123,45 +121,13 @@ def test_same_node_is_exempt_from_drop_and_latency_knobs():
     assert transport.stats.local_messages == 1
 
 
-def test_retry_schedule_backoff_shape():
-    schedule = RetrySchedule(max_attempts=5, backoff_base=0.5,
-                             backoff_factor=2.0, backoff_cap=3.0)
-    assert schedule.backoff(0) == 0.5
-    assert schedule.backoff(1) == 1.0
-    assert schedule.backoff(2) == 2.0
-    assert schedule.backoff(3) == 3.0   # capped (would be 4.0)
-    assert schedule.total_backoff(4) == 6.5
-    # Default (base 0) prices nothing: historical latency*(1+retries).
-    assert RetrySchedule().total_backoff(7) == 0.0
-
-
-def test_retry_schedule_validates():
-    with pytest.raises(ValueError):
-        RetrySchedule(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetrySchedule(backoff_base=-1.0)
-
-
-def test_drop_retries_add_backoff_to_repaid_latency():
-    transport = NetworkTransport(
-        _pair(), {"p": "a", "q": "b"},
-        retry=RetrySchedule(max_attempts=8, backoff_base=0.5))
-    transport.drop_retries = 2
-    # 1.0 * (1 + 2 retransmits) + backoff(0) + backoff(1) = 3.0 + 1.5
-    assert transport(None, _commit("p", "q")) == 4.5
-    assert transport.stats.dropped == 2
-
-
-def test_exhausted_retry_budget_raises_delivery_failed():
-    transport = NetworkTransport(
-        _pair(), {"p": "a", "q": "b"},
-        retry=RetrySchedule(max_attempts=3))
-    transport.drop_retries = 3   # 4 attempts > budget of 3
-    with pytest.raises(DeliveryFailed) as excinfo:
-        transport(None, _commit("p", "q"))
-    assert excinfo.value.attempts == 3
-    assert transport.stats.delivery_failures == 1
-    assert transport.stats.messages == 0   # never delivered, never recorded
-    # Within budget the same transport delivers again.
-    transport.drop_retries = 2
-    assert transport(None, _commit("p", "q")) == 3.0
+def test_drop_window_of_any_length_delivers_at_repaid_latency():
+    # No retry budget: r retries always cost latency * (1 + r) and add r
+    # to ``dropped``, however long the window.
+    transport = NetworkTransport(_pair(), {"p": "a", "q": "b"})
+    transport.drop_retries = 8
+    assert transport(None, _commit("p", "q")) == 9.0
+    transport.drop_retries = 20
+    assert transport(None, _commit("p", "q")) == 21.0
+    assert transport.stats.dropped == 28
+    assert transport.stats.messages == 2

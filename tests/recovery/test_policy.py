@@ -224,16 +224,8 @@ class BarrierSpy:
         self.barriers += 1
 
 
-def test_strategy_validation():
-    scheduler = Scheduler(seed=0)
-    with pytest.raises(RecoveryError, match="unknown restart strategy"):
-        RestartPolicy(scheduler, {}, strategy="reincarnate")
-    with pytest.raises(RecoveryError, match="needs a journal"):
-        RestartPolicy(scheduler, {}, strategy="resume_from_journal")
-
-
 def test_resume_from_journal_barriers_every_recovery_decision():
-    """With the durable strategy, every RECOVERY trace emission is
+    """With a journal, every RECOVERY trace emission is
     preceded by a journal barrier: scheduled restarts, executed restarts
     and the quarantine escalation all hit disk before the world moves."""
     scheduler = Scheduler(seed=0)
@@ -241,8 +233,7 @@ def test_resume_from_journal_barriers_every_recovery_decision():
     RestartPolicy(
         scheduler, {"W": forever},
         backoff=BackoffSchedule(base=1.0, factor=1.0, jitter=0.0),
-        max_restarts=2, window=100.0, seed=0,
-        strategy="resume_from_journal", journal=journal)
+        max_restarts=2, window=100.0, seed=0, journal=journal)
     scheduler.spawn("W", forever())
     for t in (1.0, 3.0, 5.0):
         scheduler.kill_at(t, "W")
@@ -251,19 +242,3 @@ def test_resume_from_journal_barriers_every_recovery_decision():
     decisions = len(recovery_events(scheduler))
     assert decisions > 0
     assert journal.barriers == decisions
-
-
-def test_respawn_strategy_never_touches_the_journal():
-    scheduler = Scheduler(seed=0)
-    journal = BarrierSpy()
-    RestartPolicy(
-        scheduler, {"W": forever},
-        backoff=BackoffSchedule(base=1.0, factor=1.0, jitter=0.0),
-        max_restarts=2, window=100.0, seed=0,
-        strategy="respawn", journal=journal)
-    scheduler.spawn("W", forever())
-    for t in (1.0, 3.0, 5.0):                     # ends in quarantine
-        scheduler.kill_at(t, "W")
-    scheduler.run()
-    assert len(recovery_events(scheduler)) > 0
-    assert journal.barriers == 0

@@ -19,10 +19,10 @@ import pytest
 
 from repro.errors import DeadlockError, StepLimitExceeded
 from repro.net import NetworkTransport, complete
-from repro.runtime import (AddAlias, Choice, Deadline, Delay, DropAlias,
-                           GetName, GetTime, IndexedBoard, OracleBoard,
-                           QueryProcesses, Receive, ReceiveTimeout, Scheduler,
-                           Select, Send, Trace, WaitUntil, format_trace)
+from repro.runtime import (AddAlias, Choice, Delay, DropAlias, GetName,
+                           GetTime, IndexedBoard, OracleBoard, QueryProcesses,
+                           Receive, Scheduler, Select, Send, Trace, WaitUntil,
+                           format_trace)
 
 TAGS = (None, "a", "b")
 
@@ -66,8 +66,8 @@ def build_spec(rng: random.Random) -> dict:
             r = rng.random()
             if r < 0.08:
                 ops.append(("send", address(p), tag()))
-            elif r < 0.24:  # send under a deadline: timeout throws inside
-                ops.append(("deadline_send", address(p), tag(),
+            elif r < 0.24:  # a send that gives up on its select timeout
+                ops.append(("timed_send", address(p), tag(),
                             round(rng.uniform(0.5, 4.0), 1)))
             elif r < 0.58:
                 frm = None if rng.random() < 0.6 else address(p)
@@ -117,17 +117,14 @@ def make_body(name, ops, roles, scheduler):
             kind = op[0]
             if kind == "send":
                 yield Send(op[1], (name, op[1]), tag=op[2])
-            elif kind == "deadline_send":
-                try:
-                    yield Deadline(Send(op[1], (name, "d"), tag=op[2]), op[3])
-                except Exception:
-                    pass  # kernel TimeoutError: branch abandoned
+            elif kind == "timed_send":
+                yield Select((Send(op[1], (name, "d"), tag=op[2]),),
+                             timeout=op[3])
             elif kind == "recv":
-                yield ReceiveTimeout(op[1], tag=op[2], timeout=op[3],
-                                     with_sender=True)
+                yield Select((Receive(op[1], tag=op[2]),), timeout=op[3])
             elif kind == "drain":
                 for _ in range(op[1]):
-                    yield ReceiveTimeout(None, timeout=op[2])
+                    yield Select((Receive(None),), timeout=op[2])
             elif kind == "select":
                 branches = tuple(
                     Send(b[1], (name, "sel"), tag=b[2]) if b[0] == "s"
@@ -233,7 +230,7 @@ def test_oracle_pairing_covers_interesting_events():
             kinds.update(op[0] for op in ops)
         fault_kinds.update(f[0] for f in spec["faults"])
     assert {"send", "recv", "select", "delay", "claim", "drop",
-            "waituntil", "deadline_send"} <= kinds
+            "waituntil", "timed_send"} <= kinds
     assert {"partition", "crash"} <= fault_kinds
 
 

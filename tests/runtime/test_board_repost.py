@@ -21,8 +21,8 @@ Two layers of evidence here:
 import pytest
 
 from repro.runtime import (AddAlias, Delay, DropAlias, IndexedBoard,
-                           OracleBoard, Receive, ReceiveTimeout, Scheduler,
-                           Select, Send, TIMED_OUT, format_trace)
+                           OracleBoard, Receive, Scheduler, Select, Send,
+                           TIMED_OUT_BRANCH, format_trace)
 from repro.runtime.board import make_group
 from repro.runtime.process import Process
 
@@ -62,8 +62,8 @@ def build_churn(scheduler, n):
     def receiver(i):
         got = 0
         while got < 2:
-            value = yield ReceiveTimeout(None, timeout=0.7)
-            if value is not TIMED_OUT:
+            result = yield Select((Receive(None),), timeout=0.7)
+            if result.index != TIMED_OUT_BRANCH:
                 got += 1
 
     def sender(i):
@@ -97,8 +97,8 @@ def build_reclaim(scheduler, n):
         yield AddAlias("slot")
         got = 0
         while got < quota:
-            value = yield ReceiveTimeout(None, timeout=0.3)
-            if value is not TIMED_OUT:
+            result = yield Select((Receive(None),), timeout=0.3)
+            if result.index != TIMED_OUT_BRANCH:
                 got += 1
         yield DropAlias("slot")
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net import NetworkTransport, Topology
-from repro.runtime import Delay, OracleBoard, Receive, Scheduler, Send
+from repro.runtime import (Delay, OracleBoard, Receive, Scheduler, Select,
+                           Send)
 from repro.runtime.tracing import EventKind
 
 
@@ -50,8 +51,7 @@ def test_expiry_timer_self_cancel_accounting():
     scheduler = Scheduler()
 
     def waiter():
-        from repro.runtime import ReceiveTimeout
-        yield ReceiveTimeout(None, timeout=1.0)
+        yield Select([Receive()], timeout=1.0)
 
     scheduler.spawn("w", waiter())
     scheduler.run()
