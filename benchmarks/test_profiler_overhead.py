@@ -29,6 +29,8 @@ import pathlib
 import statistics
 import time
 
+import pytest
+
 from repro.errors import DeadlockError
 from repro.obs import Profiler
 from repro.runtime import IndexedBoard, Receive, Scheduler, Send
@@ -148,8 +150,6 @@ class PreProfilerScheduler(Scheduler):
                         for c in candidates:
                             if allow(c.sender, c.receiver):
                                 passed.append(c)
-                            elif self.match_deadline is not None:
-                                self._arm_match_deadline(c)
                         candidates = passed
                 if not candidates:
                     break
@@ -165,6 +165,24 @@ class PreProfilerScheduler(Scheduler):
                         del self._waiters[name]
                         self._make_ready(waiter.process)
                         changed = True
+
+
+def test_pre_profiler_kernel_deadlocks_under_a_vetoing_filter():
+    """The frozen kernel's filtered branch runs: a filter that vetoes
+    every pair leaves a lone sender and receiver deadlocked."""
+    scheduler = PreProfilerScheduler(seed=0)
+    scheduler.match_filter = lambda sender, receiver: False
+
+    def sender():
+        yield Send("receiver", 1)
+
+    def receiver():
+        yield Receive("sender")
+
+    scheduler.spawn("sender", sender())
+    scheduler.spawn("receiver", receiver())
+    with pytest.raises(DeadlockError):
+        scheduler.run()
 
 
 MODES = ("pre", "off", "on")

@@ -16,15 +16,15 @@ Commands:
 * ``chaos <scenario>``   — soak a scenario under seeded fault injection
   (in ``chaos recover`` crashed processes are restarted with backoff
   and aborted performances retried, and the report adds their counters;
-  ``--kill9`` SIGKILLs a journaled subprocess mid-run and — with
-  ``--resume`` — proves the resumed run commits the identical rendezvous
+  ``--kill9`` SIGKILLs a journaled subprocess mid-run, resumes its
+  journal and proves the resumed run commits the identical rendezvous
   sequence;
   ``--explore`` switches to systematic fault-space exploration: fault
   schedules anchored at a probe run's injection points are generated
-  under ``--budget``, each run is judged by the ``--oracle`` set, and
-  any failure is delta-debugged to a minimal counterexample JSON that
-  ``--replay-plan`` re-executes; ``--describe-plan`` prints the fault
-  plan a plan-less run of the seed would install);
+  under ``--budget``, each run is journaled, resumed and judged by every
+  oracle, and any failure is delta-debugged to a minimal counterexample
+  JSON that ``--replay-plan`` re-executes; ``--describe-plan`` prints
+  the fault plan a plan-less run of the seed would install);
 * ``replay <journal>``   — resume a durable performance journal:
   deterministically re-run its recorded scenario, validate every frame,
   and continue past the crash point;
@@ -195,10 +195,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Soak or explore a scenario under deterministic fault injection."""
-    if args.max_restarts is not None and args.script != "recover":
-        print(f"chaos: --max-restarts applies only to recover, not "
-              f"{args.script!r}", file=sys.stderr)
-        return 2
     if args.describe_plan:
         return _chaos_mode(args, _chaos_describe_plan, planned=True)
     if args.kill9:
@@ -226,27 +222,17 @@ def _chaos_mode(args: argparse.Namespace, handler, **needs: bool) -> int:
 def _chaos_soak(args: argparse.Namespace) -> int:
     """``chaos <scenario>``: the seeded soak, plus ``--verify``."""
     from .faults import soak, verify_determinism
-    # A forced (sub-covering) restart cap makes quarantine reachable; the
-    # runner then reports it instead of crashing mid-soak.
-    options = ({} if args.max_restarts is None
-               else {"max_restarts": args.max_restarts})
-    report = soak(args.script, runs=args.runs, seed=args.seed, **options)
+    report = soak(args.script, runs=args.runs, seed=args.seed)
     for line in report.lines():
         print(line)
     if args.trace_out:
         _write_trace(args.trace_out, report.base_trace, args.seed)
     if args.verify:
-        same = verify_determinism(args.script, seed=args.seed, **options)
+        same = verify_determinism(args.script, seed=args.seed)
         print(f"  determinism   seed {args.seed} replayed "
               f"{'identically' if same else 'DIFFERENTLY'}")
         if not same:
             return 1
-    if report.counters["quarantined"]:
-        # Quarantine leaves a process permanently down: that is a
-        # recovery *failure*, and the soak must not exit clean.
-        print(f"  FAILED        {report.counters['quarantined']} "
-              f"quarantined name(s) never recovered", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -257,17 +243,9 @@ def _write_trace(path: str, trace: str, seed: int) -> None:
     print(f"  trace         wrote base seed {seed} to {path}")
 
 
-def _chaos_oracles(args: argparse.Namespace) -> tuple[str, ...] | None:
-    """Resolve repeated ``--oracle`` flags (``all`` or None → defaults)."""
-    if not args.oracle or "all" in args.oracle:
-        return None
-    # Preserve first-mention order but drop repeats.
-    return tuple(dict.fromkeys(args.oracle))
-
-
 def _chaos_describe_plan(args: argparse.Namespace) -> int:
     """``chaos --describe-plan``: print the seed's implied fault plan."""
-    from .faults import JournalCorruptionPlan, plan_for_seed
+    from .faults import plan_for_seed
     plan = plan_for_seed(args.script, args.seed)
     print(f"fault plan: {args.script}, seed {args.seed}")
     lines = plan.describe()
@@ -275,9 +253,6 @@ def _chaos_describe_plan(args: argparse.Namespace) -> int:
         print(f"  {line}")
     if not lines:
         print("  (no fault events)")
-    corruption = JournalCorruptionPlan.random(args.seed)
-    print("journal corruption (same seed, --kill9 --torn territory):")
-    print(f"  {corruption.describe()}")
     return 0
 
 
@@ -285,12 +260,8 @@ def _chaos_explore(args: argparse.Namespace) -> int:
     """``chaos --explore``: systematic fault-space search + shrinking."""
     import json
 
-    from .faults.explore import explore, record_exploration
-    from .obs import MetricsRegistry
-    metrics = MetricsRegistry()
-    report = explore(args.script, seed=args.seed, budget=args.budget,
-                     oracles=_chaos_oracles(args), minimize=args.minimize)
-    record_exploration(report, metrics)
+    from .faults.explore import explore
+    report = explore(args.script, seed=args.seed, budget=args.budget)
     for line in report.lines():
         print(line)
     if args.trace_out:
@@ -312,8 +283,7 @@ def _chaos_replay_plan(args: argparse.Namespace) -> int:
     from .errors import ChaosInvariantError
     from .faults.explore import check_saved_schedule
     try:
-        check = check_saved_schedule(args.replay_plan,
-                                     oracles=_chaos_oracles(args))
+        check = check_saved_schedule(args.replay_plan)
     except (ChaosInvariantError, OSError, ValueError) as error:
         print(f"replay-plan: {error}", file=sys.stderr)
         return 2
@@ -328,11 +298,6 @@ def _chaos_kill9(args: argparse.Namespace) -> int:
 
     from .errors import PersistError, ResumeMismatch
     from .persist import kill9_resume
-    if not args.resume:
-        print("chaos --kill9 requires --resume (the kill alone proves "
-              "nothing; resuming the journal is the point)",
-              file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory(prefix="repro-kill9-") as tmp:
         work_dir = args.journal or tmp
         try:
@@ -576,25 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--explore", action="store_true",
                        help="systematic fault-space exploration: generate "
                             "schedules at the probe run's injection "
-                            "points, judge each run with the oracle set, "
+                            "points, judge each run with every oracle, "
                             "shrink any failure to a minimal "
                             "counterexample (exits 1 on counterexample)")
     chaos.add_argument("--budget", type=int, default=100,
                        help="with --explore: number of schedules to "
                             "examine (default 100)")
-    chaos.add_argument("--oracle", action="append", default=None,
-                       choices=["residue", "abort", "convergence",
-                                "replay", "all"],
-                       help="with --explore/--replay-plan: enable an "
-                            "oracle (repeatable; default: all)")
-    chaos.add_argument("--minimize", action="store_true", default=True,
-                       help="with --explore: delta-debug the first "
-                            "failure to a locally minimal schedule "
-                            "(default: on)")
-    chaos.add_argument("--no-minimize", action="store_false",
-                       dest="minimize",
-                       help="with --explore: keep the first failing "
-                            "schedule as found")
     chaos.add_argument("--plan-out", default=None, metavar="PATH",
                        help="with --explore: where to write the "
                             "counterexample JSON (default "
@@ -605,27 +557,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "it reproduces)")
     chaos.add_argument("--describe-plan", action="store_true",
                        help="print the fault plan a plan-less run of "
-                            "the seed would install, plus the seed's "
-                            "journal-corruption recipe, and exit")
+                            "the seed would install, and exit")
     chaos.add_argument("--trace-out", default=None,
                        help="write the base seed's formatted trace to "
                             "this path (CI artifact)")
     chaos.add_argument("--verify", action="store_true",
                        help="also replay the base seed twice and compare "
                             "traces")
-    chaos.add_argument("--max-restarts", type=int, default=None,
-                       help="with recover: force the restart intensity "
-                            "cap (a cap below the crash plan's coverage "
-                            "deterministically exercises quarantine, "
-                            "which exits nonzero)")
     chaos.add_argument("--kill9", action="store_true",
                        help="SIGKILL a journaled subprocess run of the "
-                            "base seed mid-performance (use with "
-                            "--resume)")
-    chaos.add_argument("--resume", action="store_true",
-                       help="with --kill9: resume the crashed journal "
-                            "and verify the committed-rendezvous "
-                            "sequence matches an uninterrupted run")
+                            "base seed mid-performance, resume the "
+                            "crashed journal and verify the "
+                            "committed-rendezvous sequence matches an "
+                            "uninterrupted run")
     chaos.add_argument("--torn", action="store_true",
                        help="with --kill9: additionally tear the "
                             "journal's final frame before resuming")

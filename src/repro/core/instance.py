@@ -35,7 +35,7 @@ from .enrollment import (EnrollmentRequest, RequestState, normalize_partners)
 from .matching import consistent_extension, fill_order, solve
 from .params import bind_formals, copy_back, validate_actuals
 from .performance import Performance
-from .policies import Initiation, Termination, UnfilledPolicy
+from .policies import Initiation, Termination
 from .roles import RoleId, family_member
 from .script import ScriptDef
 
@@ -62,23 +62,16 @@ class ScriptInstance:
 
     def __init__(self, script: ScriptDef, scheduler: Scheduler,
                  name: str | None = None,
-                 allow_multi_role: bool | None = None,
-                 unfilled: UnfilledPolicy | None = None,
                  seal_policy: str = SealPolicy.EAGER):
         self.script = script
         self.scheduler = scheduler
         self.name = name or f"{script.name}@{next(_instance_counter)}"
-        self.unfilled = unfilled if unfilled is not None else script.unfilled
-        if allow_multi_role is None:
-            allow_multi_role = (script.initiation is Initiation.IMMEDIATE and
-                                script.termination is Termination.IMMEDIATE)
-        elif allow_multi_role and not (
-                script.initiation is Initiation.IMMEDIATE
-                and script.termination is Termination.IMMEDIATE):
-            raise PerformanceError(
-                "a process may enroll in several roles of one performance "
-                "only under immediate initiation and immediate termination")
-        self.allow_multi_role = allow_multi_role
+        self.unfilled = script.unfilled
+        # A process may enroll in several roles of one performance only
+        # under immediate initiation and immediate termination.
+        self.allow_multi_role = (
+            script.initiation is Initiation.IMMEDIATE
+            and script.termination is Termination.IMMEDIATE)
         if seal_policy not in (SealPolicy.EAGER, SealPolicy.MANUAL):
             raise PerformanceError(f"unknown seal policy {seal_policy!r}")
         self.seal_policy = seal_policy

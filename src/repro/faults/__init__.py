@@ -10,13 +10,13 @@ the scenario catalogue (:mod:`repro.scenarios`) names them for every tool.
 :mod:`repro.faults.explore` explores the fault space *systematically*: it
 enumerates injection points from a fault-free run's instrumentation
 stream, generates schedules anchored at them under a budget, judges each
-run with a pluggable oracle set, and delta-debugs any failure down to a
-minimal, replayable counterexample.
+run with every oracle, and delta-debugs any failure down to a minimal,
+replayable counterexample.
 """
 
-from .explore import (DEFAULT_ORACLES, Counterexample, ExploreReport,
-                      FaultSchedule, InjectionPoint, InjectionProbe,
-                      check_saved_schedule, explore, record_exploration)
+from .explore import (ORACLES, Counterexample, ExploreReport, FaultSchedule,
+                      InjectionPoint, InjectionProbe, check_saved_schedule,
+                      explore)
 from .plan import (BITFLIP, CORRUPTION_MODES, CRASH, DROP, GARBAGE, HEAL,
                    KINDS, PARTITION, SLOW, TRUNCATE, FaultEvent, FaultPlan,
                    JournalCorruptionPlan)
@@ -30,7 +30,6 @@ __all__ = [
     "CORRUPTION_MODES",
     "CRASH",
     "Counterexample",
-    "DEFAULT_ORACLES",
     "DROP",
     "ExploreReport",
     "FaultEvent",
@@ -42,6 +41,7 @@ __all__ = [
     "InjectionProbe",
     "JournalCorruptionPlan",
     "KINDS",
+    "ORACLES",
     "PARTITION",
     "SLOW",
     "TRUNCATE",
@@ -54,7 +54,6 @@ __all__ = [
     "make_chaos_broadcast",
     "make_chatroom",
     "plan_for_seed",
-    "record_exploration",
     "run_chaos_broadcast",
     "run_chaos_chatroom",
     "run_chaos_lock",

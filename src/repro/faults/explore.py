@@ -21,14 +21,12 @@ fault space *systematically*:
    instead of whichever family happens to enumerate first.  Past the
    singles, seeded depth-2/3 composites keep the frontier endless.
 
-3. **Check.**  Every run is judged by a pluggable oracle set: ``residue``
-   (the kernel must end empty — :func:`~repro.scenarios.check_residue`),
-   ``abort`` (critical-crash abort semantics), ``convergence`` (the run
-   must terminate without kernel errors), and ``replay`` (a journaled run
-   must resume byte-identically through
-   :class:`~repro.persist.resume.ReplayValidator`).  An error no selected
-   oracle owns still fails the run — attributed to ``convergence`` — so
-   deselecting oracles never turns a crash into a pass.
+3. **Check.**  Every run is journaled, resumed, and judged by the four
+   :data:`ORACLES`: ``residue`` (the kernel must end empty —
+   :func:`~repro.scenarios.check_residue`), ``abort`` (critical-crash
+   abort semantics), ``convergence`` (the run must terminate without
+   kernel errors), and ``replay`` (the journal must resume
+   byte-identically through :class:`~repro.persist.resume.ReplayValidator`).
 
 4. **Shrink.**  On the first failure, delta-debug the schedule down to a
    locally minimal counterexample: repeated ddmin passes over the fault
@@ -38,12 +36,12 @@ fault space *systematically*:
    (``--replay-plan``) plus a one-command repro line.
 
 Everything is deterministic: the same scenario, seed and budget produce
-the identical schedule sequence, verdicts and coverage counters — pinned
-by test.
+the identical schedule sequence, verdicts and counts — pinned by test.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -54,7 +52,6 @@ from collections import Counter
 from typing import Any, Hashable, Iterator
 
 from ..errors import ChaosInvariantError, FaultPlanError, ReproError
-from ..obs.metrics import MetricsRegistry
 from ..persist.record import SNAPSHOT_EVERY, JournalRecorder
 from ..persist.resume import resume
 from ..reporting import kv_lines
@@ -69,8 +66,8 @@ POINT_ENROLL = "enroll"
 POINT_RECOVERY = "recovery"
 POINT_TIMER = "timer"
 
-#: Oracle names accepted by :func:`explore` (and the ``--oracle`` flag).
-DEFAULT_ORACLES = ("residue", "abort", "convergence", "replay")
+#: The oracles that judge every explored run, in report order.
+ORACLES = ("residue", "abort", "convergence", "replay")
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,7 @@ def _candidate_singles(contract: FaultContract,
 
 
 def _frontier(contract: FaultContract, points: list[InjectionPoint],
-              rng: random.Random, budget: int,
-              include_corruption: bool) -> Iterator[FaultSchedule]:
+              rng: random.Random, budget: int) -> Iterator[FaultSchedule]:
     """Seeded, stratified, endless candidate stream.
 
     Singles first — round-robin over the shuffled (family, target)
@@ -255,14 +251,13 @@ def _frontier(contract: FaultContract, points: list[InjectionPoint],
             if queue and emitted < single_cap:
                 yield queue.pop(0)
                 emitted += 1
-    if include_corruption:
-        for mode in CORRUPTION_MODES:
-            for intensity in (1, 8, 32):
-                yield FaultSchedule(
-                    family="corruption",
-                    corruption=JournalCorruptionPlan(
-                        seed=rng.randrange(1 << 30), mode=mode,
-                        intensity=intensity))
+    for mode in CORRUPTION_MODES:
+        for intensity in (1, 8, 32):
+            yield FaultSchedule(
+                family="corruption",
+                corruption=JournalCorruptionPlan(
+                    seed=rng.randrange(1 << 30), mode=mode,
+                    intensity=intensity))
     if not pool:
         return
     while True:
@@ -290,24 +285,17 @@ class RunOutcome:
 
 
 def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
-                     *, sizes: dict[str, Any], replay: bool,
-                     workdir: str | None, tag: str) -> RunOutcome:
+                     *, sizes: dict[str, Any], workdir: str,
+                     tag: str) -> RunOutcome:
     """Run ``schedule`` against ``scenario`` at ``seed`` and ``sizes``.
 
-    Plan schedules run the scenario under the plan — journaled when the
-    replay oracle is active, followed by a full resume.  Corruption
-    schedules journal a fault-free run, corrupt the file, and resume it:
-    the attack targets the durability layer, not the virtual world.
+    Plan schedules run the scenario journaled under the plan, followed by
+    a full resume.  Corruption schedules journal a fault-free run,
+    corrupt the file, and resume it: the attack targets the durability
+    layer, not the virtual world.
     """
     outcome = RunOutcome(schedule=schedule)
     plan = schedule.plan if schedule.plan is not None else FaultPlan()
-    if not replay and schedule.corruption is None:
-        outcome.runs = 1
-        try:
-            outcome.run = scenario.run(seed, plan=plan, **sizes)
-        except ReproError as err:
-            outcome.error = err
-        return outcome
     path = os.path.join(workdir, f"{tag}.journal")
     recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
                                options={"plan": plan.to_jsonable(), **sizes})
@@ -339,39 +327,27 @@ def _owner_of(error: ReproError) -> str:
     return "convergence"
 
 
-def evaluate(outcome: RunOutcome,
-             oracles: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Judge one execution; ``(oracle, detail)`` per violated oracle.
-
-    Errors raised by the faulted run *always* fail it: if the owning
-    oracle is deselected the failure is attributed to ``convergence``
-    instead — deselecting oracles narrows attribution, never safety.
-    """
+def evaluate(outcome: RunOutcome) -> list[tuple[str, str]]:
+    """Judge one execution; ``(oracle, detail)`` per violated oracle."""
     failures: list[tuple[str, str]] = []
     if outcome.error is not None:
-        owner = _owner_of(outcome.error)
-        if owner not in oracles:
-            owner = "convergence"
-        failures.append((owner, str(outcome.error)))
+        failures.append((_owner_of(outcome.error), str(outcome.error)))
     run = outcome.run
-    if ("abort" in oracles and run is not None
-            and run.outcome == "aborted" and run.contract.critical
+    if (run is not None and run.outcome == "aborted"
+            and run.contract.critical
             and not any(name in run.contract.critical
                         for name in run.killed)):
         failures.append(("abort",
                          f"aborted without a critical-process kill "
                          f"(killed: {run.killed!r})"))
-    if "replay" in oracles or outcome.resume_error is not None:
-        if outcome.resume_error is not None:
-            failures.append(("replay" if "replay" in oracles
-                             else "convergence",
-                             str(outcome.resume_error)))
-        elif (outcome.resume_report is not None and run is not None
-                and outcome.resume_report.outcome != run.outcome):
-            failures.append(
-                ("replay", f"resume outcome "
-                           f"{outcome.resume_report.outcome!r} != recorded "
-                           f"{run.outcome!r}"))
+    if outcome.resume_error is not None:
+        failures.append(("replay", str(outcome.resume_error)))
+    elif (outcome.resume_report is not None and run is not None
+            and outcome.resume_report.outcome != run.outcome):
+        failures.append(
+            ("replay", f"resume outcome "
+                       f"{outcome.resume_report.outcome!r} != recorded "
+                       f"{run.outcome!r}"))
     return failures
 
 
@@ -380,8 +356,7 @@ def evaluate(outcome: RunOutcome,
 # ---------------------------------------------------------------------------
 
 def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
-           oracle: str, oracles: tuple[str, ...], *, sizes: dict[str, Any],
-           replay: bool, workdir: str | None
+           oracle: str, *, sizes: dict[str, Any], workdir: str
            ) -> tuple[FaultSchedule, str, int]:
     """Minimize ``schedule`` while the same oracle keeps failing.
 
@@ -399,10 +374,9 @@ def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
     def still_fails(candidate: FaultSchedule) -> bool:
         nonlocal runs, last_detail
         outcome = execute_schedule(scenario, seed, candidate, sizes=sizes,
-                                   replay=replay, workdir=workdir,
-                                   tag=f"shrink-{runs}")
+                                   workdir=workdir, tag=f"shrink-{runs}")
         runs += outcome.runs
-        for name, detail in evaluate(outcome, oracles):
+        for name, detail in evaluate(outcome):
             if name == oracle:
                 last_detail = detail
                 return True
@@ -480,7 +454,6 @@ class ExploreReport:
     scenario: str
     seed: int
     budget: int
-    oracles: tuple[str, ...]
     points: Counter = dataclasses.field(default_factory=Counter)
     frames: int = 0
     schedules: int = 0
@@ -488,12 +461,10 @@ class ExploreReport:
     shrink_runs: int = 0
     families: Counter = dataclasses.field(default_factory=Counter)
     verdicts: Counter = dataclasses.field(default_factory=Counter)
-    oracle_failures: Counter = dataclasses.field(default_factory=Counter)
     #: One line per examined schedule — the determinism pin's witness.
     schedule_log: list[str] = dataclasses.field(default_factory=list)
     counterexample: Counterexample | None = None
     base_trace: str = ""
-    metrics: MetricsRegistry | None = None
 
     @property
     def ok(self) -> bool:
@@ -507,7 +478,7 @@ class ExploreReport:
         family_share = ", ".join(f"{name}: {count}" for name, count
                                  in sorted(self.families.items()))
         rows: list[tuple[str, Any]] = [
-            ("oracles", ", ".join(self.oracles)),
+            ("oracles", ", ".join(ORACLES)),
             ("points", f"{point_total} ({point_share})"),
             ("frames", self.frames),
             ("schedules", f"{self.schedules} ({family_share})"),
@@ -530,51 +501,24 @@ class ExploreReport:
             f"(seed {self.seed})", rows)
 
 
-def record_exploration(report: ExploreReport,
-                       registry: MetricsRegistry) -> MetricsRegistry:
-    """Publish a report's coverage counters into ``registry``."""
-    for kind, count in sorted(report.points.items()):
-        registry.counter("explore_points_total", label=kind).inc(count)
-    registry.counter("explore_frames_total").inc(report.frames)
-    for family, count in sorted(report.families.items()):
-        registry.counter("explore_schedules_total", label=family).inc(count)
-    registry.counter("explore_runs_total").inc(report.runs)
-    registry.counter("explore_shrink_runs_total").inc(report.shrink_runs)
-    for verdict, count in sorted(report.verdicts.items()):
-        registry.counter("explore_verdicts_total", label=verdict).inc(count)
-    for oracle, count in sorted(report.oracle_failures.items()):
-        registry.counter("explore_oracle_failures_total",
-                         label=oracle).inc(count)
-    return registry
-
-
 # ---------------------------------------------------------------------------
 # The explorer
 # ---------------------------------------------------------------------------
 
 def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
-            oracles: tuple[str, ...] | None = None, minimize: bool = True,
-            workdir: str | None = None,
-            metrics: MetricsRegistry | None = None,
-            **sizes: Any) -> ExploreReport:
+            workdir: str | None = None, **sizes: Any) -> ExploreReport:
     """Systematically explore ``scenario``'s fault space at ``seed``.
 
     Runs the probe, then up to ``budget`` candidate schedules, stopping
-    at the first oracle violation (shrunk to a locally minimal
-    counterexample when ``minimize``).  ``sizes`` reach the runner on
-    every run — probe, schedules, replays and shrinking — and the probe
-    run's :class:`~repro.scenarios.FaultContract` shapes the frontier.
+    at the first oracle violation, shrunk to a locally minimal
+    counterexample.  ``sizes`` reach the runner on every run — probe,
+    schedules, replays and shrinking — and the probe run's
+    :class:`~repro.scenarios.FaultContract` shapes the frontier.
+    ``workdir`` keeps the run journals (default: a temporary directory).
     Deterministic: same arguments, same report.
     """
     sc = lookup(scenario, explorable=True)
-    oracle_names = tuple(oracles) if oracles else DEFAULT_ORACLES
-    for name in oracle_names:
-        if name not in DEFAULT_ORACLES:
-            raise ChaosInvariantError(
-                f"unknown oracle {name!r}; choose from {DEFAULT_ORACLES}")
-    replay = "replay" in oracle_names
-    report = ExploreReport(scenario=scenario, seed=seed, budget=budget,
-                           oracles=oracle_names)
+    report = ExploreReport(scenario=scenario, seed=seed, budget=budget)
 
     probe = InjectionProbe()
     base = sc.run(seed, plan=FaultPlan(), journal=probe, **sizes)
@@ -584,40 +528,31 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
     report.points = Counter(point.kind for point in probe.points)
 
     rng = random.Random(seed)
-    frontier = _frontier(base.contract, probe.points, rng, budget,
-                         include_corruption=replay)
-    cleanup: tempfile.TemporaryDirectory | None = None
-    if replay and workdir is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-explore-")
-        workdir = cleanup.name
-    try:
+    frontier = _frontier(base.contract, probe.points, rng, budget)
+    with (tempfile.TemporaryDirectory(prefix="repro-explore-")
+          if workdir is None else contextlib.nullcontext(workdir)) as workdir:
         for index, schedule in enumerate(itertools.islice(frontier, budget)):
             outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
-                                       replay=replay, workdir=workdir,
-                                       tag=f"run-{index}")
+                                       workdir=workdir, tag=f"run-{index}")
             report.runs += outcome.runs
             report.schedules += 1
             report.families[schedule.family] += 1
             description = "; ".join(schedule.describe())
-            failures = evaluate(outcome, oracle_names)
+            failures = evaluate(outcome)
             if not failures:
                 report.verdicts["pass"] += 1
                 report.schedule_log.append(f"#{index} {description} -> pass")
                 continue
             report.verdicts["fail"] += 1
             oracle, detail = failures[0]
-            report.oracle_failures[oracle] += 1
             report.schedule_log.append(
                 f"#{index} {description} -> FAIL {oracle}")
             original_events = (len(schedule.plan)
                                if schedule.plan is not None else 0)
-            minimized, shrink_runs = schedule, 0
-            if minimize:
-                minimized, shrunk_detail, shrink_runs = shrink(
-                    sc, seed, schedule, oracle, oracle_names, sizes=sizes,
-                    replay=replay, workdir=workdir)
-                if shrunk_detail:
-                    detail = shrunk_detail
+            minimized, shrunk_detail, shrink_runs = shrink(
+                sc, seed, schedule, oracle, sizes=sizes, workdir=workdir)
+            if shrunk_detail:
+                detail = shrunk_detail
             report.shrink_runs = shrink_runs
             report.runs += shrink_runs
             report.counterexample = Counterexample(
@@ -625,11 +560,6 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
                 schedule=minimized, original_events=original_events,
                 shrink_runs=shrink_runs, sizes=sizes)
             break
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
-    report.metrics = record_exploration(
-        report, metrics if metrics is not None else MetricsRegistry())
     return report
 
 
@@ -663,9 +593,7 @@ class ReplayCheck:
             f"replay: {self.scenario} seed {self.seed}", rows)
 
 
-def check_saved_schedule(path: str,
-                         oracles: tuple[str, ...] | None = None
-                         ) -> ReplayCheck:
+def check_saved_schedule(path: str) -> ReplayCheck:
     """Re-execute the counterexample JSON at ``path`` (``--replay-plan``).
 
     Accepts the file :func:`explore` writes; returns the oracle verdicts
@@ -684,13 +612,9 @@ def check_saved_schedule(path: str,
     seed = data.get("seed", 0)
     sizes = data.get("sizes") or {}
     schedule = FaultSchedule.from_jsonable(data.get("schedule", {}))
-    oracle_names = tuple(oracles) if oracles else DEFAULT_ORACLES
-    replay = ("replay" in oracle_names
-              or schedule.corruption is not None)
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as workdir:
         outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
-                                   replay=replay, workdir=workdir,
-                                   tag="replay")
-        failures = evaluate(outcome, oracle_names)
+                                   workdir=workdir, tag="replay")
+        failures = evaluate(outcome)
     return ReplayCheck(scenario=scenario_name, seed=seed, schedule=schedule,
                        failures=failures)

@@ -357,13 +357,6 @@ class JournalCorruptionPlan:
             raise FaultPlanError(
                 f"corruption intensity must be >= 1, got {self.intensity}")
 
-    @classmethod
-    def random(cls, seed: int) -> "JournalCorruptionPlan":
-        """Draw a mode and intensity from ``seed`` (reproducibly)."""
-        rng = random.Random(seed)
-        return cls(seed=seed, mode=CORRUPTION_MODES[rng.randrange(
-            len(CORRUPTION_MODES))], intensity=rng.randint(1, 16))
-
     def apply(self, path: str) -> str:
         """Corrupt the file at ``path`` in place; return a description.
 

@@ -43,13 +43,31 @@ from .plan import FaultPlan
 
 Body = Generator[Any, Any, Any]
 
+#: The chaos broadcast's payload, seal window and fault horizon.
+PAYLOAD = "payload"
+BROADCAST_WINDOW = 3.0
+BROADCAST_HORIZON = 30.0
+
+#: The lock workload's replica count and fault horizon.
+LOCK_MANAGERS = 3
+LOCK_HORIZON = 12.0
+
+#: The chatroom's host rounds, join window and fault horizon, and how
+#: long a host send and a member receive wait before giving up.
+CHATROOM_ROUNDS = 4
+CHATROOM_WINDOW = 3.0
+CHATROOM_HORIZON = 40.0
+SEND_PATIENCE = 2.0
+MEMBER_PATIENCE = 6.0
+
 
 # ---------------------------------------------------------------------------
 # The chaos broadcast script (open membership, manual seal, critical sender)
 # ---------------------------------------------------------------------------
 
 def make_chaos_broadcast(n: int = 4,
-                         enroll_window: float = 3.0) -> ScriptDef:
+                         enroll_window: float = BROADCAST_WINDOW
+                         ) -> ScriptDef:
     """A broadcast built to be crashed into.
 
     Immediate initiation with a *manual* seal: the sender waits
@@ -91,36 +109,35 @@ def make_chaos_broadcast(n: int = 4,
 # The open-chatroom churn script (Section V open family, manual seal)
 # ---------------------------------------------------------------------------
 
-def make_chatroom(max_members: int = 4, join_window: float = 3.0,
-                  rounds: int = 4, send_patience: float = 2.0,
-                  member_patience: float = 6.0) -> ScriptDef:
+def make_chatroom(max_members: int = 4) -> ScriptDef:
     """An open chatroom built to churn: members join, depart, and crash.
 
-    The host (critical) keeps enrollment open for ``join_window``, seals
-    the room itself, then broadcasts ``rounds`` numbered messages to
-    whichever members made it in.  Every host send is a bounded select —
-    a partitioned or departed member costs ``send_patience``, never a
-    wedge.  Members receive with ``member_patience`` and *depart* (role
-    body returns) after their planned ``stay`` rounds or on a timeout, so
-    the member population shrinks mid-performance — the open-ended-script
-    behaviour the Section V extension promises.
+    The host (critical) keeps enrollment open for
+    :data:`CHATROOM_WINDOW`, seals the room itself, then broadcasts
+    :data:`CHATROOM_ROUNDS` numbered messages to whichever members made
+    it in.  Every host send is a bounded select — a partitioned or
+    departed member costs :data:`SEND_PATIENCE`, never a wedge.  Members
+    receive with :data:`MEMBER_PATIENCE` and *depart* (role body returns)
+    after their planned ``stay`` rounds or on a timeout, so the member
+    population shrinks mid-performance — the open-ended-script behaviour
+    the Section V extension promises.
     """
     script = ScriptDef("chaos_chatroom", initiation=Initiation.IMMEDIATE,
                        termination=Termination.IMMEDIATE)
 
     @script.role("host", params=[Param("delivered", Mode.OUT)])
     def host(ctx: Any, delivered: Any) -> Body:
-        yield Delay(join_window)
+        yield Delay(CHATROOM_WINDOW)
         ctx.close_enrollment()
         sent: list[tuple[int, int]] = []
-        for r in range(rounds):
+        for r in range(CHATROOM_ROUNDS):
             for i in ctx.family_indices("member"):
                 member = ("member", i)
                 if ctx.terminated(member):
                     continue  # departed or demoted to absence
                 result = yield from ctx.select(
                     [SendTo(member, (r, f"news-{r}"))],
-                    timeout=send_patience)
+                    timeout=SEND_PATIENCE)
                 if result.index == 0:
                     sent.append((r, i))
         delivered.value = sent
@@ -131,7 +148,7 @@ def make_chatroom(max_members: int = 4, join_window: float = 3.0,
     def member(ctx: Any, stay: Any, log: Any) -> Body:
         received: list[Any] = []
         while True:
-            value = yield from ctx.receive("host", timeout=member_patience)
+            value = yield from ctx.receive("host", timeout=MEMBER_PATIENCE)
             if value is TIMED_OUT or value is UNFILLED:
                 break  # host quiet for too long (or gone): depart
             received.append(value)
@@ -148,9 +165,7 @@ def make_chatroom(max_members: int = 4, join_window: float = 3.0,
 # the --describe-plan CLI: one draw sequence, two consumers)
 # ---------------------------------------------------------------------------
 
-def broadcast_plan(rng: random.Random, n: int = 4,
-                   enroll_window: float = 3.0,
-                   horizon: float = 30.0) -> FaultPlan:
+def broadcast_plan(rng: random.Random, n: int = 4) -> FaultPlan:
     """The seed-derived default plan of :func:`run_chaos_broadcast`.
 
     Possible sender crash (only after the seal window — a pre-seal sender
@@ -158,16 +173,16 @@ def broadcast_plan(rng: random.Random, n: int = 4,
     design error, not a chaos finding), recipient crashes at any time,
     one hub-leaf partition window, and optional latency/drop windows.
     """
+    window, horizon = BROADCAST_WINDOW, BROADCAST_HORIZON
     plan = FaultPlan()
     if rng.random() < 0.25:
-        plan.crash(round(rng.uniform(enroll_window + 0.5,
-                                     horizon / 2), 3), "S")
+        plan.crash(round(rng.uniform(window + 0.5, horizon / 2), 3), "S")
     for i in range(1, n + 1):
         if rng.random() < 0.3:
             plan.crash(round(rng.uniform(0.2, horizon / 2), 3), ("R", i))
     if rng.random() < 0.5:
         leaf = rng.randint(1, n)
-        start = round(rng.uniform(0.2, enroll_window + 2.0), 3)
+        start = round(rng.uniform(0.2, window + 2.0), 3)
         plan.partition(start, "hub", ("leaf", leaf),
                        heal_at=round(start + rng.uniform(0.5, 4.0), 3))
     if rng.random() < 0.3:
@@ -181,8 +196,7 @@ def broadcast_plan(rng: random.Random, n: int = 4,
     return plan
 
 
-def lock_plan(rng: random.Random, clients: int = 4,
-              horizon: float = 12.0) -> FaultPlan:
+def lock_plan(rng: random.Random, clients: int = 4) -> FaultPlan:
     """The seed-derived default plan of :func:`run_chaos_lock`.
 
     Client crashes only: managers hold the lock tables, which must
@@ -191,14 +205,12 @@ def lock_plan(rng: random.Random, clients: int = 4,
     plan = FaultPlan()
     for i in range(1, clients + 1):
         if rng.random() < 0.4:
-            plan.crash(round(rng.uniform(0.2, horizon * 0.6), 3),
+            plan.crash(round(rng.uniform(0.2, LOCK_HORIZON * 0.6), 3),
                        ("client", i))
     return plan
 
 
-def chatroom_plan(rng: random.Random, n: int = 4,
-                  join_window: float = 3.0,
-                  horizon: float = 40.0) -> FaultPlan:
+def chatroom_plan(rng: random.Random, n: int = 4) -> FaultPlan:
     """The seed-derived default plan of :func:`run_chaos_chatroom`.
 
     Possible host crash (post-seal only, like the broadcast's sender),
@@ -206,16 +218,16 @@ def chatroom_plan(rng: random.Random, n: int = 4,
     *never heals* (chatrooms tolerate a member falling off the net: the
     member departs on timeout), and optional latency/drop windows.
     """
+    window, horizon = CHATROOM_WINDOW, CHATROOM_HORIZON
     plan = FaultPlan()
     if rng.random() < 0.25:
-        plan.crash(round(rng.uniform(join_window + 0.5,
-                                     horizon / 2), 3), "H")
+        plan.crash(round(rng.uniform(window + 0.5, horizon / 2), 3), "H")
     for i in range(1, n + 1):
         if rng.random() < 0.3:
             plan.crash(round(rng.uniform(0.2, horizon / 2), 3), ("M", i))
     if rng.random() < 0.5:
         leaf = rng.randint(1, n)
-        start = round(rng.uniform(0.2, join_window + 2.0), 3)
+        start = round(rng.uniform(0.2, window + 2.0), 3)
         if rng.random() < 0.35:
             plan.partition(start, "hub", ("leaf", leaf))  # never heals
         else:
@@ -284,10 +296,8 @@ def _star_contract(hub: str, leaf: str, n: int, seal_window: float,
 # Broadcast under chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
+def run_chaos_broadcast(seed: int, *, n: int = 4,
                         plan: FaultPlan | None = None,
-                        enroll_window: float = 3.0,
-                        horizon: float = 30.0,
                         journal: Any = None) -> Run:
     """One chaos broadcast: star network, seeded faults, full invariants.
 
@@ -306,7 +316,7 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
     scheduler, transport = world(seed, star(n), placement, journal)
 
-    script = make_chaos_broadcast(n, enroll_window)
+    script = make_chaos_broadcast(n)
     # Explicit name: the default names draw on a process-global counter,
     # which would leak into performance ids and break trace determinism.
     instance = script.instance(scheduler, name="chaos_broadcast",
@@ -315,12 +325,12 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
 
     rng = random.Random(seed)
     if plan is None:
-        plan = broadcast_plan(rng, n, enroll_window, horizon)
+        plan = broadcast_plan(rng, n)
     plan.install(scheduler, transport=transport)
 
     def sender_process() -> Body:
         try:
-            yield from instance.enroll("sender", data=payload)
+            yield from instance.enroll("sender", data=PAYLOAD)
         except PerformanceAborted:
             return "aborted"
         return "sent"
@@ -339,7 +349,7 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
 
     scheduler.spawn("S", sender_process())
     for i in range(1, n + 1):
-        stagger = round(rng.uniform(0.0, 0.8 * enroll_window), 3)
+        stagger = round(rng.uniform(0.0, 0.8 * BROADCAST_WINDOW), 3)
         scheduler.spawn(("R", i), recipient_process(i, stagger))
 
     result = run_checked(scheduler, seed, instance)
@@ -351,11 +361,11 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
             name = ("R", i)
             if name in result.killed:
                 continue
-            if result.results.get(name) != payload:
+            if result.results.get(name) != PAYLOAD:
                 _fail(seed, f"recipient {i} survived a completed broadcast "
                             f"but holds {result.results.get(name)!r}")
-    contract = _star_contract("S", "R", n, enroll_window, horizon,
-                              heal_required=True)
+    contract = _star_contract("S", "R", n, BROADCAST_WINDOW,
+                              BROADCAST_HORIZON, heal_required=True)
     return _chaos_run(seed, result, supervisor, instance, plan, contract,
                       journal)
 
@@ -364,9 +374,8 @@ def run_chaos_broadcast(seed: int, *, n: int = 4, payload: Any = "payload",
 # Lock manager under chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_lock(seed: int, *, k: int = 3, clients: int = 4,
+def run_chaos_lock(seed: int, *, clients: int = 4,
                    plan: FaultPlan | None = None,
-                   horizon: float = 12.0,
                    journal: Any = None) -> Run:
     """One chaos lock-manager workload: client crashes mid-protocol.
 
@@ -383,6 +392,7 @@ def run_chaos_lock(seed: int, *, k: int = 3, clients: int = 4,
     # One node per participant, complete graph, unit latency: every
     # manager round-trip advances the clock, so performances span virtual
     # time and crash timers can land *inside* one.
+    k, horizon = LOCK_MANAGERS, LOCK_HORIZON
     placement: dict[Hashable, Any] = {}
     for index in range(1, k + 1):
         placement[("manager-proc", index)] = ("n", index - 1)
@@ -398,7 +408,7 @@ def run_chaos_lock(seed: int, *, k: int = 3, clients: int = 4,
     # ``random.Random(seed)`` reproduces it: the contract behind
     # :func:`plan_for_seed` and the ``--describe-plan`` CLI.
     if plan is None:
-        plan = lock_plan(rng, clients, horizon)
+        plan = lock_plan(rng, clients)
 
     finished: set[int] = set()
 
@@ -480,10 +490,8 @@ def run_chaos_lock(seed: int, *, k: int = 3, clients: int = 4,
 # Chatroom under churn
 # ---------------------------------------------------------------------------
 
-def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
+def run_chaos_chatroom(seed: int, *, n: int = 4,
                        plan: FaultPlan | None = None,
-                       join_window: float = 3.0,
-                       horizon: float = 40.0,
                        journal: Any = None) -> Run:
     """One chaos chatroom: open membership, departures, seeded churn.
 
@@ -504,15 +512,14 @@ def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
     placement.update({("M", i): ("leaf", i) for i in range(1, n + 1)})
     scheduler, transport = world(seed, star(n), placement, journal)
 
-    script = make_chatroom(max_members=n, join_window=join_window,
-                           rounds=rounds)
+    script = make_chatroom(max_members=n)
     instance = script.instance(scheduler, name="chaos_chatroom",
                                seal_policy=SealPolicy.MANUAL)
     supervisor = instance.supervise()
 
     rng = random.Random(seed)
     if plan is None:
-        plan = chatroom_plan(rng, n, join_window, horizon)
+        plan = chatroom_plan(rng, n)
     plan.install(scheduler, transport=transport)
 
     def room_open() -> bool:
@@ -550,8 +557,8 @@ def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
 
     scheduler.spawn("H", host_process())
     for i in range(1, n + 1):
-        stagger = round(rng.uniform(0.0, 1.6 * join_window), 3)
-        stay = rng.randint(1, rounds + 1)
+        stagger = round(rng.uniform(0.0, 1.6 * CHATROOM_WINDOW), 3)
+        stay = rng.randint(1, CHATROOM_ROUNDS + 1)
         scheduler.spawn(("M", i), member_process(i, stagger, stay))
 
     result = run_checked(scheduler, seed, instance)
@@ -574,8 +581,8 @@ def run_chaos_chatroom(seed: int, *, n: int = 4, rounds: int = 4,
                             f"{entry!r}")
             last_round = r
     # Members depart on timeout, so a partition need never heal.
-    contract = _star_contract("H", "M", n, join_window, horizon,
-                              heal_required=False)
+    contract = _star_contract("H", "M", n, CHATROOM_WINDOW,
+                              CHATROOM_HORIZON, heal_required=False)
     return _chaos_run(seed, result, supervisor, instance, plan, contract,
                       journal)
 
@@ -619,18 +626,18 @@ class SoakReport:
             ])
 
 
-def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
-         **options: Any) -> SoakReport:
+def soak(script: str = "broadcast", runs: int = 100,
+         seed: int = 0) -> SoakReport:
     """Run ``runs`` chaos runs with consecutive seeds; raise on any residue.
 
-    ``script`` names a catalogue entry with a fault plan; ``options`` are
-    forwarded to its runner.  Each run's ``counters`` are summed by name.
+    ``script`` names a catalogue entry with a fault plan.  Each run's
+    ``counters`` are summed by name.
     """
     scenario = lookup(script, planned=True)
     report = SoakReport(script=script, runs=runs, base_seed=seed,
                         outcomes=Counter())
     for offset in range(runs):
-        run = scenario.run(seed + offset, **options)
+        run = scenario.run(seed + offset)
         if offset == 0:
             report.base_trace = run.trace
         report.outcomes[run.outcome] += 1
@@ -642,10 +649,9 @@ def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
     return report
 
 
-def verify_determinism(script: str = "broadcast", seed: int = 0,
-                       **options: Any) -> bool:
+def verify_determinism(script: str = "broadcast", seed: int = 0) -> bool:
     """Run one seed twice; True iff the formatted traces are identical."""
     scenario = lookup(script)
-    first = scenario.run(seed, **options)
-    second = scenario.run(seed, **options)
+    first = scenario.run(seed)
+    second = scenario.run(seed)
     return first.trace == second.trace

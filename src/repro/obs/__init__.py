@@ -22,7 +22,7 @@ Three parts:
 from .export import (dump_chrome_trace, dump_spans_jsonl, jsonable,
                      load_spans_jsonl, merge_chrome_events, span_to_dict,
                      to_chrome_trace)
-from .metrics import (BYTE_BUCKETS, DEFAULT_BUCKETS, Counter, Gauge, Histogram,
+from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, RuntimeMetrics)
 from .profile import (PHASES, ProfileReport, Profiler, diff_attributions,
                       profile_scenario, tick_clock)
@@ -31,7 +31,6 @@ from .spans import Span, build_spans, span_tree_lines
 
 __all__ = [
     "Counter",
-    "BYTE_BUCKETS",
     "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",

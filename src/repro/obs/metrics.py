@@ -27,9 +27,6 @@ from ..runtime.tracing import EventKind, TraceEvent
 #: Default histogram bucket upper bounds (virtual-time units).
 DEFAULT_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-#: Bucket bounds for byte-sized observations (journal frame sizes).
-BYTE_BUCKETS = (64, 128, 256, 512, 1024, 4096, 16384, 65536)
-
 
 class Counter:
     """A monotonically increasing count."""

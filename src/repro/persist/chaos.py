@@ -11,8 +11,8 @@ harness does it for real:
    that runs the same scenario with a recorder armed to SIGKILL itself
    after N synced frames — a genuine, unhandled ``kill -9`` mid-run,
    leaving a journal that is durable exactly up to the kill point;
-3. optionally tear the journal further (truncate/bit-flip its tail, the
-   crash modes a filesystem can inflict);
+3. with ``torn``, truncate the journal mid-frame (:func:`tear_tail`, the
+   classic torn final write);
 4. :func:`~repro.persist.resume.resume` the child's journal and check the
    resumed run's committed-rendezvous sequence is identical, trace id by
    trace id, to the oracle's.
@@ -41,12 +41,14 @@ from .resume import ResumeReport, commit_summary, resume
 #: Child exit code meaning "the run finished before the kill point fired".
 COMPLETED_BEFORE_KILL = 3
 
+#: Seconds the harness waits for the child before giving up on it.
+CHILD_TIMEOUT = 120.0
+
 
 def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
                options: dict[str, Any] | None = None,
                snapshot_every: int = SNAPSHOT_EVERY,
                fsync_every: int | None = None,
-               registry: Any = None,
                kill_after_frames: int | None = None) -> Run:
     """Run ``scenario`` at ``seed`` with a journal recorder attached.
 
@@ -59,7 +61,7 @@ def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
     recorder = JournalRecorder(
         path, seed=seed, scenario=scenario, options=options,
         snapshot_every=snapshot_every, fsync_every=fsync_every,
-        registry=registry, kill_after_frames=kill_after_frames)
+        kill_after_frames=kill_after_frames)
     try:
         return entry.run(seed, journal=recorder, **(options or {}))
     except BaseException:
@@ -149,8 +151,7 @@ class Kill9Report:
 def kill9_resume(scenario: str, seed: int, work_dir: str | os.PathLike, *,
                  options: dict[str, Any] | None = None,
                  kill_after: int | None = None,
-                 torn: bool = False,
-                 timeout: float = 120.0) -> Kill9Report:
+                 torn: bool = False) -> Kill9Report:
     """Full crash/resume cycle in ``work_dir``; see the module docstring.
 
     Raises :class:`PersistError` when the child does not die by SIGKILL
@@ -178,7 +179,8 @@ def kill9_resume(scenario: str, seed: int, work_dir: str | os.PathLike, *,
     if options:
         command += ["--options", json.dumps(options, sort_keys=True)]
     child = subprocess.run(command, env=_child_environment(),
-                           capture_output=True, text=True, timeout=timeout)
+                           capture_output=True, text=True,
+                           timeout=CHILD_TIMEOUT)
     if child.returncode != -signal.SIGKILL:
         raise PersistError(
             f"kill9 child exited with {child.returncode} instead of dying "

@@ -21,10 +21,8 @@ unsupported version) is structural and raises
 Durability knobs: the writer buffers through a regular file object;
 ``flush()`` pushes to the OS, ``sync()`` additionally ``fsync``\\ s.  The
 ``fsync_every`` constructor argument syncs automatically every N frames
-(None: only on close/explicit sync).  All journal I/O is metered into an
-optional :class:`~repro.obs.metrics.MetricsRegistry` — frames, bytes,
-flushes, fsyncs — so journal overhead is observable like any other
-runtime cost.
+(None: only on close/explicit sync).  The writer counts the frames, bytes
+and fsyncs it wrote.
 """
 
 from __future__ import annotations
@@ -76,8 +74,7 @@ class JournalWriter:
     """
 
     def __init__(self, path: str | os.PathLike, *,
-                 fsync_every: int | None = None,
-                 registry: Any = None):
+                 fsync_every: int | None = None):
         if fsync_every is not None and fsync_every < 1:
             raise JournalError("fsync_every must be >= 1 (or None)")
         self.path = os.fspath(path)
@@ -87,9 +84,6 @@ class JournalWriter:
         self.frames_written = 0
         self.bytes_written = len(MAGIC)
         self.fsyncs = 0
-        self._registry = registry
-        if registry is not None:
-            registry.counter("journal_bytes_total").inc(len(MAGIC))
 
     def append(self, record: dict[str, Any]) -> int:
         """Frame and buffer one record; returns the frame's byte size."""
@@ -101,14 +95,6 @@ class JournalWriter:
         self._handle.write(blob)
         self.frames_written += 1
         self.bytes_written += len(blob)
-        registry = self._registry
-        if registry is not None:
-            from ..obs.metrics import BYTE_BUCKETS
-            registry.counter("journal_frames_total",
-                             label=record.get("k", "?")).inc()
-            registry.counter("journal_bytes_total").inc(len(blob))
-            registry.histogram("journal_frame_bytes",
-                               buckets=BYTE_BUCKETS).observe(len(blob))
         if (self.fsync_every is not None
                 and self.frames_written % self.fsync_every == 0):
             self.sync()
@@ -126,8 +112,6 @@ class JournalWriter:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self.fsyncs += 1
-        if self._registry is not None:
-            self._registry.counter("journal_fsyncs_total").inc()
 
     def close(self) -> None:
         """Flush, sync and close (idempotent)."""

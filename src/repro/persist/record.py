@@ -201,9 +201,9 @@ class JournalRecorder(FrameSink):
     Construction opens the file and writes the header, so the journal
     identifies its run even if the process dies before the first frame.
     ``kill_after_frames`` arms the crash harness: after that many frames
-    (header included) have been appended *and synced*, ``kill_hook`` is
-    invoked — the default SIGKILLs the current process, simulating a
-    crash whose journal is guaranteed durable up to the kill point.
+    (header included) have been appended *and synced*, the recorder
+    SIGKILLs the current process, simulating a crash whose journal is
+    guaranteed durable up to the kill point.
     Setting either ``fsync_every`` or ``kill_after_frames`` selects eager
     mode (render + write per frame); otherwise frames buffer in memory
     and spill at barriers, buffer pressure, or the end of the run.
@@ -213,14 +213,10 @@ class JournalRecorder(FrameSink):
                  options: dict[str, Any] | None = None,
                  snapshot_every: int = SNAPSHOT_EVERY,
                  fsync_every: int | None = None,
-                 registry: Any = None,
-                 kill_after_frames: int | None = None,
-                 kill_hook: Any = None):
+                 kill_after_frames: int | None = None):
         super().__init__(snapshot_every=snapshot_every)
-        self.writer = JournalWriter(path, fsync_every=fsync_every,
-                                    registry=registry)
+        self.writer = JournalWriter(path, fsync_every=fsync_every)
         self.kill_after_frames = kill_after_frames
-        self.kill_hook = kill_hook if kill_hook is not None else _sigkill_self
         self._eager = (fsync_every is not None
                        or kill_after_frames is not None)
         #: Noted-but-unrendered entries: TraceEvents, decision tuples, and
@@ -319,7 +315,7 @@ class JournalRecorder(FrameSink):
         if (self.kill_after_frames is not None
                 and self.writer.frames_written >= self.kill_after_frames):
             self.writer.sync()
-            self.kill_hook()
+            _sigkill_self()
 
     def finish(self, status: str) -> None:
         """Append the end frame (status + final digest) and close."""

@@ -28,7 +28,7 @@ the dead process); the recovery soak re-checks it after every run.
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..errors import RecoveryError
 from ..runtime import EventKind
@@ -41,13 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class PerformanceRetry:
     """At-most-once retry budget for one script instance's performances."""
 
-    def __init__(self, instance: "ScriptInstance", max_retries: int = 1,
-                 on_exhausted: Callable[[str], None] | None = None):
+    def __init__(self, instance: "ScriptInstance", max_retries: int = 1):
         if max_retries < 0:
             raise RecoveryError("max_retries must be >= 0")
         self.instance = instance
         self.max_retries = max_retries
-        self.on_exhausted = on_exhausted
         self.retries = 0
         self.recovered = 0
         self.epoch = 0
@@ -83,8 +81,6 @@ class PerformanceRetry:
                     scheduler.now, EventKind.RECOVERY, None,
                     action="retry_exhausted", performance=performance,
                     retries=self.retries)
-                if self.on_exhausted is not None:
-                    self.on_exhausted(performance)
                 return
             self._granted.add(performance)
             self.retries += 1

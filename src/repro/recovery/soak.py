@@ -9,11 +9,14 @@ budgeting re-runs, a workload that asks for K completed performances gets
 them **despite** a crash plan that kills the critical sender — a plan
 which, unsupervised, would permanently abort the run.
 
-Budgets are sized from the generated plan (restart cap above the per-name
-crash count, retry budget equal to the sender crash count), so recovery
-always suffices and the liveness assertion is unconditional.  Escalation
-(quarantine, retry exhaustion) is still wired into the workload's stop
-predicate as a backstop and is proven separately by unit tests.
+Budgets are sized from the plan (restart cap above the sender crash
+count, retry budget equal to it), so recovery suffices and the liveness
+assertion is unconditional: a shortfall, a quarantine, an exhausted retry
+budget or an abort without a retry raises
+:class:`~repro.errors.ChaosInvariantError`, like every other chaos
+invariant.  Escalation stays wired into the workload's stop predicate as
+a backstop; a given plan that crashes one recipient more often than the
+cap allows reaches it.
 
 Its soak is ``soak("recover")``, which sums each run's liveness counters
 (completed performances, restarts, retries, recoveries, quarantined
@@ -31,7 +34,7 @@ from typing import Any, Generator, Hashable
 from ..core import SealPolicy
 from ..errors import ChaosInvariantError, PerformanceAborted
 from ..faults.plan import CRASH, FaultPlan
-from ..faults.soak import make_chaos_broadcast
+from ..faults.soak import PAYLOAD, make_chaos_broadcast
 from ..net import star
 from ..scenarios import Run, finish, run_checked, world
 from .policy import BackoffSchedule, RestartPolicy
@@ -39,15 +42,20 @@ from .retry import PerformanceRetry
 
 Body = Generator[Any, Any, Any]
 
+#: Completed performances a run asks for, the sender's seal window and
+#: the fault horizon.
+RECOVER_ROUNDS = 3
+RECOVER_WINDOW = 2.0
+RECOVER_HORIZON = 40.0
 
-def recover_plan(rng: random.Random, n: int = 3,
-                 enroll_window: float = 2.0,
-                 horizon: float = 40.0) -> FaultPlan:
+
+def recover_plan(rng: random.Random, n: int = 3) -> FaultPlan:
     """The seed-derived plan of :func:`run_recover_broadcast`.
 
     The sender dies at least once — each crash window is offset past the
     previous recovery, so every crash can land in a fresh performance.
     """
+    enroll_window, horizon = RECOVER_WINDOW, RECOVER_HORIZON
     plan = FaultPlan()
     sender_crashes = 1 + (rng.random() < 0.4)
     for c in range(sender_crashes):
@@ -77,42 +85,32 @@ def _fail(seed: int, message: str) -> None:
                               category="liveness")
 
 
-def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
-                          payload: Any = "payload",
+def run_recover_broadcast(seed: int, *, n: int = 3,
                           plan: FaultPlan | None = None,
-                          enroll_window: float = 2.0,
-                          horizon: float = 40.0,
-                          journal: Any = None,
-                          max_restarts: int | None = None) -> Run:
-    """K rounds of the chaos broadcast, recovered through a crash plan.
+                          journal: Any = None) -> Run:
+    """:data:`RECOVER_ROUNDS` rounds of the chaos broadcast, recovered
+    through a crash plan.
 
     The sender (critical) and every recipient loop re-enrolling until
-    ``rounds`` performances have completed; a seed-derived plan crashes
-    the sender at least once (plus recipients at random) and a
+    :data:`RECOVER_ROUNDS` performances have completed; a seed-derived plan
+    crashes the sender at least once (plus recipients at random) and a
     :class:`RestartPolicy` brings every victim back after backoff.  The
     run must deliver the asked-for rounds, leave zero kernel residue,
     and — when the plan managed to abort a sealed performance — show the
-    retry accounting in the trace.
-
-    ``max_restarts`` overrides the plan-covering restart cap (a cap
-    *below* the plan's crash count deterministically forces quarantine —
-    how the CLI and tests exercise the escalation path).  With the
-    covering cap, a quarantine/exhaustion/shortfall raises
-    :class:`~repro.errors.ChaosInvariantError`; with an overriding cap
-    the run reports it through its outcome and ``quarantined`` counter
-    instead.  The run's ``counters`` are ``completed``, ``restarts``,
-    ``retries``, ``recovered`` and ``quarantined`` (names left down).
-    ``journal`` is the run's hook (see :mod:`repro.scenarios`); with any
-    hook attached the policy calls ``journal.barrier()`` before every
-    recovery decision acts — so a recorder has each decision on disk
-    first.  Barriers do not touch the run, so the trace is the same
-    either way.
+    retry accounting in the trace; otherwise it raises
+    :class:`~repro.errors.ChaosInvariantError`.  The run's ``counters``
+    are ``completed``, ``restarts``, ``retries``, ``recovered`` and
+    ``quarantined`` (names left down).  ``journal`` is the run's hook
+    (see :mod:`repro.scenarios`); with any hook attached the policy
+    calls ``journal.barrier()`` before every recovery decision acts — so
+    a recorder has each decision on disk first.  Barriers do not touch
+    the run, so the trace is the same either way.
     """
     placement: dict[Hashable, Any] = {"S": "hub"}
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
     scheduler, transport = world(seed, star(n), placement, journal)
 
-    script = make_chaos_broadcast(n, enroll_window)
+    script = make_chaos_broadcast(n, RECOVER_WINDOW)
     instance = script.instance(scheduler, name="recover_broadcast",
                                seal_policy=SealPolicy.MANUAL)
     supervisor = instance.supervise()
@@ -120,7 +118,7 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
     # The budgets are sized from the plan's sender crashes so they
     # provably cover it (liveness must not depend on luck).
     if plan is None:
-        plan = recover_plan(random.Random(seed), n, enroll_window, horizon)
+        plan = recover_plan(random.Random(seed), n)
     sender_crashes = sum(1 for event in plan
                          if event.kind == CRASH and event.target == "S")
 
@@ -139,7 +137,7 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
                    if p.ended and not p.aborted)
 
     def done() -> bool:
-        return (completed_count() >= rounds or retry.exhausted
+        return (completed_count() >= RECOVER_ROUNDS or retry.exhausted
                 or bool(quarantined))
 
     def unresolved() -> bool:
@@ -157,7 +155,7 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
         sent = 0
         while sender_alive():
             try:
-                yield from instance.enroll("sender", data=payload)
+                yield from instance.enroll("sender", data=PAYLOAD)
             except PerformanceAborted:
                 continue
             sent += 1
@@ -178,15 +176,15 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
     bodies: dict[Hashable, Any] = {"S": sender_body}
     bodies.update({("R", i): (lambda i=i: recipient_body(i))
                    for i in range(1, n + 1)})
-    # Cap sized above the plan's worst per-name crash count: the soak
-    # proves liveness, so quarantine must be unreachable here (the cap
-    # itself is proven by tests/recovery/test_policy.py).
+    # Cap sized above the sender's crash count, which generated plans
+    # never exceed for any name: the soak proves liveness, so quarantine
+    # is unreachable there (the cap itself is proven by
+    # tests/recovery/test_policy.py).
     policy = RestartPolicy(
         scheduler, bodies,
         backoff=BackoffSchedule(base=0.25, factor=2.0, cap=2.0, jitter=0.1),
-        max_restarts=(max_restarts if max_restarts is not None
-                      else sender_crashes + 1),
-        window=10 * horizon, seed=seed,
+        max_restarts=sender_crashes + 1,
+        window=10 * RECOVER_HORIZON, seed=seed,
         only_while=sender_alive, on_escalate=escalate, journal=journal)
 
     plan.install(scheduler, transport=transport)
@@ -198,14 +196,14 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
     completed = completed_count()
     if quarantined:
         outcome = "quarantined"
-    elif completed < rounds or retry.exhausted:
+    elif completed < RECOVER_ROUNDS or retry.exhausted:
         outcome = "incomplete"
     else:
         outcome = "recovered"
     run = finish(
         seed, result, journal, outcome,
         f"recovery run {outcome}: {completed} performance(s) completed of "
-        f"{rounds} asked for, {policy.restarts} restart(s), "
+        f"{RECOVER_ROUNDS} asked for, {policy.restarts} restart(s), "
         f"t={result.time:g}",
         performances=instance.performance_count,
         crashes=supervisor.crashes, aborts=supervisor.aborts,
@@ -213,17 +211,16 @@ def run_recover_broadcast(seed: int, *, n: int = 3, rounds: int = 3,
         counters={"completed": completed, "restarts": policy.restarts,
                   "retries": retry.retries, "recovered": retry.recovered,
                   "quarantined": len(quarantined)})
-    if max_restarts is None:
-        if completed < rounds and not quarantined:
-            _fail(seed, f"only {completed}/{rounds} performances completed "
-                        f"under recovery")
-        if quarantined:
-            _fail(seed, f"intensity cap escalated "
-                        f"{sorted(quarantined, key=repr)!r}"
-                        f" despite a covering budget")
-        if retry.exhausted:
-            _fail(seed, "retry budget exhausted despite covering the "
-                        "crash plan")
-        if supervisor.aborts and not retry.retries:
-            _fail(seed, "performance aborted but no retry was granted")
+    if completed < RECOVER_ROUNDS and not quarantined:
+        _fail(seed, f"only {completed}/{RECOVER_ROUNDS} performances "
+                    f"completed under recovery")
+    if quarantined:
+        _fail(seed, f"intensity cap escalated "
+                    f"{sorted(quarantined, key=repr)!r}"
+                    f" despite a covering budget")
+    if retry.exhausted:
+        _fail(seed, "retry budget exhausted despite covering the "
+                    "crash plan")
+    if supervisor.aborts and not retry.retries:
+        _fail(seed, "performance aborted but no retry was granted")
     return run

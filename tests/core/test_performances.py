@@ -4,7 +4,7 @@ activations."""
 import pytest
 
 from repro.core import (Initiation, Mode, Param, Ref, ScriptDef, Termination)
-from repro.errors import DeadlockError, PerformanceError
+from repro.errors import DeadlockError
 from repro.runtime import Delay, EventKind, GetTime, Scheduler
 
 from .helpers import enrolling, make_pair_script
@@ -244,13 +244,6 @@ def test_lone_enrollment_deadlocks_under_delayed_initiation():
     with pytest.raises(DeadlockError) as excinfo:
         scheduler.run()
     assert "enrollment" in str(excinfo.value)
-
-
-def test_multi_role_requires_immediate_policies():
-    script = make_pair_script(initiation=Initiation.DELAYED)
-    scheduler = Scheduler()
-    with pytest.raises(PerformanceError):
-        script.instance(scheduler, allow_multi_role=True)
 
 
 def test_one_process_cannot_fill_two_roles_under_delayed_initiation():

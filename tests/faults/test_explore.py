@@ -5,12 +5,10 @@ import json
 import pytest
 
 from repro.core.supervision import Supervisor
-from repro.faults.explore import (DEFAULT_ORACLES, FaultSchedule,
-                                  InjectionProbe, check_saved_schedule,
-                                  explore, record_exploration)
+from repro.faults.explore import (ORACLES, FaultSchedule, InjectionProbe,
+                                  check_saved_schedule, explore)
 from repro.faults.plan import FaultPlan
 from repro.faults.soak import run_chaos_broadcast
-from repro.obs import MetricsRegistry
 from repro.scenarios import names
 
 
@@ -70,40 +68,12 @@ def test_different_seed_explores_a_different_frontier():
 def test_explorer_green_on_unmodified_runtime(scenario):
     report = explore(scenario, seed=0, budget=12)
     assert report.ok
-    assert report.oracles == DEFAULT_ORACLES
+    assert f"  oracles       {', '.join(ORACLES)}" in report.lines()
     assert report.schedules == 12
     assert report.verdicts["pass"] == 12
     assert report.verdicts.get("fail", 0) == 0
-    # The replay oracle doubles every journaled run.
-    assert report.runs > report.schedules
-
-
-def test_deselecting_the_replay_oracle_skips_journaled_runs():
-    report = explore("lock", seed=1, budget=8,
-                     oracles=("residue", "abort", "convergence"))
-    assert report.ok
-    # No journal legs: one run per schedule, plus the probe run.
-    assert report.schedules == 8
-    assert report.runs == report.schedules + 1
-    assert report.families.get("corruption", 0) == 0
-
-
-# ---------------------------------------------------------------------------
-# Coverage counters
-# ---------------------------------------------------------------------------
-
-def test_record_exploration_publishes_coverage_counters():
-    report = explore("broadcast", seed=0, budget=6)
-    registry = record_exploration(report, MetricsRegistry())
-    snapshot = registry.to_dict()
-    assert snapshot["explore_runs_total"]["value"] == report.runs
-    assert snapshot["explore_verdicts_total{pass}"]["value"] == 6
-    assert sum(entry["value"] for key, entry in snapshot.items()
-               if key.startswith("explore_points_total{")) == sum(
-                   report.points.values())
-    assert sum(entry["value"] for key, entry in snapshot.items()
-               if key.startswith("explore_schedules_total{")
-               ) == report.schedules
+    # The probe run, then every schedule journaled and resumed.
+    assert report.runs == 1 + 2 * report.schedules
 
 
 # ---------------------------------------------------------------------------

@@ -252,15 +252,6 @@ def test_corruption_plan_validation():
         JournalCorruptionPlan(seed=0, intensity=0)
 
 
-def test_corruption_plan_random_is_seed_reproducible():
-    from repro.faults import CORRUPTION_MODES, JournalCorruptionPlan
-    first = JournalCorruptionPlan.random(42)
-    second = JournalCorruptionPlan.random(42)
-    assert first == second
-    assert first.mode in CORRUPTION_MODES
-    assert "seed 42" in first.describe()
-
-
 @pytest.mark.parametrize("mode", ["truncate", "bitflip", "garbage"])
 def test_corruption_reads_as_torn_tail_never_structural(tmp_path, mode):
     """Every corruption mode leaves a journal the reader can still open:

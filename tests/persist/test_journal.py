@@ -6,15 +6,13 @@ import zlib
 import pytest
 
 from repro.errors import JournalError
-from repro.obs import MetricsRegistry
 from repro.persist.journal import (END, HEADER, MAGIC, MAX_FRAME_BYTES,
                                    JournalWriter, encode_frame, read_journal)
 
 
-def write_simple(path, frames=3, fsync_every=None, registry=None):
+def write_simple(path, frames=3, fsync_every=None):
     """A header plus ``frames`` event frames; returns the writer's stats."""
-    with JournalWriter(path, fsync_every=fsync_every,
-                       registry=registry) as writer:
+    with JournalWriter(path, fsync_every=fsync_every) as writer:
         writer.append({"k": HEADER, "version": 1, "seed": 0,
                        "scenario": "t", "options": {}, "snapshot_every": 64})
         for i in range(frames):
@@ -150,15 +148,3 @@ def test_fsync_cadence_counts_syncs(tmp_path):
         writer.append({"k": "event", "seq": 0})
         mid = writer.fsyncs
     assert mid >= 2                               # one per frame so far
-
-
-def test_writer_metrics(tmp_path):
-    registry = MetricsRegistry()
-    frames, size = write_simple(tmp_path / "j.jrnl", frames=2,
-                                registry=registry)
-    snap = registry.to_dict()
-    assert snap["journal_bytes_total"]["value"] == size
-    total = sum(entry["value"] for name, entry in snap.items()
-                if name.startswith("journal_frames_total{"))
-    assert total == frames
-    assert "journal_frame_bytes" in snap

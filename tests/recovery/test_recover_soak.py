@@ -1,9 +1,11 @@
 """Recovery soak: liveness under a sender-killing plan, deterministically."""
 
-from repro.faults import soak, verify_determinism
-from repro.recovery import run_recover_broadcast
+import pytest
 
-ROUNDS = 3                             # run_recover_broadcast's default
+from repro.errors import ChaosInvariantError
+from repro.faults import FaultPlan, soak, verify_determinism
+from repro.recovery import run_recover_broadcast
+from repro.recovery.soak import RECOVER_ROUNDS as ROUNDS
 
 
 def test_single_seed_recovers_and_traces_recovery_events():
@@ -43,3 +45,18 @@ def test_regression_seed_138_pre_seal_refill_then_crash():
     run = run_recover_broadcast(138)
     assert run.counters["completed"] >= ROUNDS
     assert not run.counters["quarantined"]
+
+
+def test_a_crash_loop_past_the_cap_raises_instead_of_reporting():
+    # The cap covers the one sender crash (two restarts per name); a
+    # recipient crashed four times escalates to quarantine, which the
+    # runner raises like any other liveness failure.  Generated plans
+    # crash each recipient at most once, so only a given plan gets here.
+    plan = FaultPlan().crash(3.0, "S")
+    for t in (1.0, 4.0, 7.0, 10.0):
+        plan.crash(t, ("R", 1))
+    with pytest.raises(ChaosInvariantError,
+                       match=r"intensity cap escalated \[\('R', 1\)\] "
+                             r"despite a covering budget") as excinfo:
+        run_recover_broadcast(0, plan=plan)
+    assert excinfo.value.category == "liveness"

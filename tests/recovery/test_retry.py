@@ -57,15 +57,13 @@ def test_completion_after_grant_counts_as_recovered():
 
 
 def test_budget_exhaustion_flags_and_notifies():
-    exhausted_on = []
-    scheduler, retry = rig(max_retries=1, on_exhausted=exhausted_on.append)
+    scheduler, retry = rig(max_retries=1)
     scheduler.tracer.emit(1.0, EventKind.PERFORMANCE_ABORT, None,
                           performance="rig/p1")
     scheduler.tracer.emit(2.0, EventKind.PERFORMANCE_ABORT, None,
                           performance="rig/p2")
     assert retry.exhausted
     assert retry.retries == 1
-    assert exhausted_on == ["rig/p2"]
     assert recovery_actions(scheduler)[-1] == ("retry_exhausted", "rig/p2")
     # Once exhausted, later aborts change nothing.
     scheduler.tracer.emit(3.0, EventKind.PERFORMANCE_ABORT, None,

@@ -228,23 +228,6 @@ def test_chaos_recover_soak_with_trace_artifact(tmp_path, capsys):
     assert "restart" in content
 
 
-def test_chaos_recover_quarantine_exits_nonzero(capsys):
-    # A restart cap below the crash plan's coverage deterministically
-    # quarantines a name; the soak must not exit clean over a process
-    # that never came back.
-    assert main(["chaos", "recover", "--runs", "2",
-                 "--max-restarts", "1"]) == 1
-    captured = capsys.readouterr()
-    assert "quarantined" in captured.out
-    assert "never recovered" in captured.err
-
-
-def test_chaos_max_restarts_is_refused_outside_recover(capsys):
-    assert main(["chaos", "broadcast", "--runs", "1",
-                 "--max-restarts", "1"]) == 2
-    assert "recover" in capsys.readouterr().err
-
-
 def test_replay_verb_validates_and_summarizes(tmp_path, capsys):
     from repro.persist import record_run
 
@@ -268,15 +251,10 @@ def test_replay_verb_rejects_non_journal(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
-def test_chaos_kill9_requires_resume(capsys):
-    assert main(["chaos", "broadcast", "--kill9"]) == 2
-    assert "--resume" in capsys.readouterr().err
-
-
 def test_chaos_kill9_resume_roundtrip(tmp_path, capsys):
     # Full harness through the CLI: oracle run, SIGKILLed child
     # subprocess, torn tail, resume, committed-sequence comparison.
-    assert main(["chaos", "broadcast", "--kill9", "--resume", "--torn",
+    assert main(["chaos", "broadcast", "--kill9", "--torn",
                  "--seed", "0", "--journal", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "SIGKILL" in out
@@ -305,13 +283,12 @@ def test_chaos_plain_soak_trace_artifact(tmp_path, capsys):
 def test_chaos_describe_plan(capsys):
     assert main(["chaos", "chatroom", "--describe-plan",
                  "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "fault plan: chatroom, seed 7" in out
-    assert "journal" in out                       # corruption recipe too
-    # The printed plan is exactly what a plan-less run installs.
+    # The printed plan is exactly what a plan-less run installs, and
+    # nothing else.
     from repro.faults import plan_for_seed
-    for line in plan_for_seed("chatroom", 7).describe():
-        assert line in out
+    assert capsys.readouterr().out.splitlines() == [
+        "fault plan: chatroom, seed 7",
+        *(f"  {line}" for line in plan_for_seed("chatroom", 7).describe())]
 
 
 def test_chaos_describe_plan_recover(capsys):
@@ -323,7 +300,6 @@ def test_chaos_describe_plan_recover(capsys):
 def test_chaos_explore_green_run(tmp_path, capsys):
     trace = tmp_path / "explore.trace"
     assert main(["chaos", "lock", "--explore", "--budget", "6",
-                 "--oracle", "residue", "--oracle", "abort",
                  "--trace-out", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "fault exploration: lock, budget 6" in out

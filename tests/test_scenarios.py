@@ -188,8 +188,7 @@ def test_explore_sizes_reach_every_run(monkeypatch):
 
 
 def test_explore_sizes_shape_the_frontier():
-    report = explore("lock", seed=0, clients=2, budget=30,
-                     oracles=("residue", "abort", "convergence"))
+    report = explore("lock", seed=0, clients=2, budget=30)
     assert report.ok
     assert any("('client', 2)" in line for line in report.schedule_log)
     assert not any("('client', 3)" in line for line in report.schedule_log)
@@ -219,7 +218,7 @@ def test_replay_accepts_journals_written_by_explore(tmp_path, capsys):
 
 
 def test_chaos_recover_kill9_runs_the_recover_entry(tmp_path, capsys):
-    assert main(["chaos", "recover", "--kill9", "--resume", "--seed", "0",
+    assert main(["chaos", "recover", "--kill9", "--seed", "0",
                  "--journal", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "kill9: recover seed 0" in out
