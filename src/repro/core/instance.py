@@ -276,7 +276,9 @@ class ScriptInstance:
             role_id = self._resolve_target(performance, request)
             if role_id is None:
                 continue
-            if not consistent_extension(performance.filled, role_id, request,
+            if not consistent_extension(performance.filled,
+                                        performance.namers.values(),
+                                        role_id, request,
                                         self.allow_multi_role):
                 continue
             self._assign(performance, role_id, request)
@@ -311,11 +313,7 @@ class ScriptInstance:
         request.accepted.set()
         request.performance = performance
         request.assigned_role = role_id
-        performance.filled[role_id] = request
-        # A vacated-then-refilled role (pre-seal crash, new enrollee — e.g.
-        # a supervised restart) is no longer crashed: its address is live
-        # again and must not poison later absent-fallback dead sets.
-        performance.crashed.discard(role_id)
+        performance.fill(role_id, request)
         self.pool.remove(request)
         if self.current is None:
             self.current = performance

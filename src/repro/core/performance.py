@@ -52,11 +52,35 @@ class Performance:
         self.seq = seq
         self.id = f"{instance_name}/p{seq}"
         self.filled: dict[RoleId, EnrollmentRequest] = {}
+        #: The requests in ``filled`` that name partners, by role: the
+        #: only bound requests that can reject a joiner.  :meth:`fill`
+        #: and :meth:`vacate` keep both maps.
+        self.namers: dict[RoleId, EnrollmentRequest] = {}
         self.done: set[RoleId] = set()
         self.crashed: set[RoleId] = set()
         self.sealed = False
         self.finished = Latch()
         self.aborted = False
+
+    # -- binding ------------------------------------------------------------
+
+    def fill(self, role_id: RoleId, request: EnrollmentRequest) -> None:
+        """Bind ``request`` to ``role_id``.
+
+        A vacated-then-refilled role (pre-seal crash, new enrollee — e.g.
+        a supervised restart) is no longer crashed: its address is live
+        again and must not poison later absent-fallback dead sets.
+        """
+        self.filled[role_id] = request
+        if request.partners:
+            self.namers[role_id] = request
+        self.crashed.discard(role_id)
+
+    def vacate(self, role_id: RoleId) -> None:
+        """Unbind ``role_id``, whose process crashed; it counts as crashed."""
+        del self.filled[role_id]
+        self.namers.pop(role_id, None)
+        self.crashed.add(role_id)
 
     # -- addressing -------------------------------------------------------
 

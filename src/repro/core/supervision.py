@@ -85,8 +85,7 @@ class Supervisor:
             return
         self.crashes += 1
         for role in crashed_roles:
-            performance.filled.pop(role)
-            performance.crashed.add(role)
+            performance.vacate(role)
             instance._emit(EventKind.ROLE_CRASH, name, role=role,
                            performance=performance.id,
                            sealed=performance.sealed)

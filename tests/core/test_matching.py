@@ -140,24 +140,32 @@ def test_solve_alternative_critical_sets_tried_in_order():
     assert set(assignment.bindings) == {"manager", "writer"}
 
 
+def namers(filled):
+    """The requests of ``filled`` that name partners."""
+    return [r for r in filled.values() if r.partners]
+
+
 def test_consistent_extension_checks_both_directions():
     filled = {"giver": request("P", "giver", {"taker": "Q"})}
-    ok = consistent_extension(filled, "taker", request("Q", "taker"))
-    bad = consistent_extension(filled, "taker", request("R", "taker"))
+    ok = consistent_extension(filled, namers(filled), "taker",
+                              request("Q", "taker"))
+    bad = consistent_extension(filled, namers(filled), "taker",
+                               request("R", "taker"))
     assert ok and not bad
 
 
 def test_consistent_extension_new_request_constrains_filled():
     filled = {"giver": request("P", "giver")}
     rejecting = request("Q", "taker", {"giver": "R"})
-    assert not consistent_extension(filled, "taker", rejecting)
+    assert not consistent_extension(filled, namers(filled), "taker",
+                                    rejecting)
 
 
 def test_consistent_extension_same_process_rule():
     filled = {"giver": request("P", "giver")}
     again = request("P", "taker")
-    assert not consistent_extension(filled, "taker", again)
-    assert consistent_extension(filled, "taker", again,
+    assert not consistent_extension(filled, namers(filled), "taker", again)
+    assert consistent_extension(filled, namers(filled), "taker", again,
                                 allow_same_process=True)
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.core import Initiation, Mode, Param, ScriptDef, Termination
 from repro.core.enrollment import normalize_partners
 from repro.errors import DeadlockError, EnrollmentError
-from repro.runtime import Delay, Scheduler
+from repro.faults import FaultPlan
+from repro.runtime import Delay, EventKind, Scheduler
 
 from .helpers import enrolling, make_pair_script
 
@@ -199,6 +200,38 @@ def test_constraint_on_immediate_initiation_checked_incrementally():
         scheduler.run()
     assert instance.performances[0].binding() == {"giver": "P",
                                                   "taker": "good"}
+
+
+def test_vacated_naming_role_stops_constraining_joiners():
+    """A crashed request's partner naming leaves the performance with it.
+
+    P takes 'giver' naming Q as its taker and crashes before the seal.
+    R, whom P's naming would have rejected, then takes 'taker' in the
+    same performance, and a second giver G completes it."""
+    script = make_pair_script(initiation=Initiation.IMMEDIATE,
+                              termination=Termination.IMMEDIATE)
+    scheduler = Scheduler()
+    instance = script.instance(scheduler)
+    instance.supervise()
+
+    def later(delay, role, **actuals):
+        yield Delay(delay)
+        return (yield from instance.enroll(role, **actuals))
+
+    scheduler.spawn("P", enrolling(instance, "giver", value="p",
+                                   partners={"taker": "Q"}))
+    scheduler.spawn("R", later(2, "taker"))
+    scheduler.spawn("G", later(3, "giver", value="g"))
+    FaultPlan().crash(1, "P").install(scheduler)
+    result = scheduler.run()
+    first = instance.performances[0]
+    accepts = {event.process: event.details for event in
+               scheduler.tracer.events
+               if event.kind is EventKind.ENROLL_ACCEPT}
+    assert accepts["R"]["performance"] == first.id
+    assert accepts["R"]["role"] == "taker"
+    assert first.binding() == {"giver": "G", "taker": "R"}
+    assert result.results["R"] == {"value": "g"}
 
 
 def test_reflexive_partner_constraint_must_include_self():
