@@ -398,6 +398,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_reports(path: str) -> list[dict]:
+    """The saved profile report at ``path``, or every ``*.json`` in it."""
+    import json
+    from pathlib import Path
+
+    files = (sorted(Path(path).glob("*.json")) if Path(path).is_dir()
+             else [Path(path)])
+    return [json.loads(file.read_text(encoding="utf-8")) for file in files]
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile a scenario's kernel hot path, or diff two saved profiles."""
     import json
@@ -406,11 +416,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
                       merge_chrome_events, profile_scenario, to_chrome_trace)
     if args.diff:
         old_path, new_path = args.diff
-        with open(old_path, encoding="utf-8") as handle:
-            old = json.load(handle)
-        with open(new_path, encoding="utf-8") as handle:
-            new = json.load(handle)
-        lines = diff_attributions(old, new)
+        lines = diff_attributions(_load_reports(old_path),
+                                  _load_reports(new_path))
         if not lines:
             print(f"no comparable wall attributions between "
                   f"{old_path} and {new_path}")
@@ -642,7 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                          default=None,
                          help="explain a regression: compare two saved "
-                              "profile JSON files instead of running")
+                              "profile JSON files, or two directories of "
+                              "them (every *.json: repeated runs, "
+                              "compared by median), instead of running")
     profile.set_defaults(handler=cmd_profile)
     return parser
 

@@ -9,7 +9,10 @@ enforces the paper's lifecycle rules:
   critical-set-covering joint enrollment) or immediate (a performance
   begins at its first enrollment; later requests join incrementally);
 * **sealing** — once a critical role set is covered, the participant set is
-  final and still-unfilled roles become absent;
+  final and still-unfilled roles become absent.  The instance builds its
+  critical sets' table once (:class:`~repro.core.performance.CriticalTable`),
+  and each performance counts, as roles fill and vacate, how many items
+  of each set are still missing, so coverage is a count read;
 * **termination** — immediate (each process freed as its role ends) or
   delayed (all freed together when the performance ends);
 * **successive activations** — a new performance forms only after the
@@ -34,7 +37,7 @@ from .context import RoleContext
 from .enrollment import (EnrollmentRequest, RequestState, normalize_partners)
 from .matching import consistent_extension, fill_order, solve
 from .params import bind_formals, copy_back, validate_actuals
-from .performance import Performance
+from .performance import CriticalTable, Performance
 from .policies import Initiation, Termination
 from .roles import RoleId, family_member
 from .script import ScriptDef
@@ -86,6 +89,10 @@ class ScriptInstance:
                           for name, family in open_families.items()}
         self._fill_order = fill_order(
             script._critical_sets_over(self._closed_role_ids))
+        # Which sets each critical item counts toward: every performance
+        # keeps its missing-item counts against this one table.
+        self._critical_table = CriticalTable.build(self._fill_order,
+                                                   self._open_min)
         #: Pending requests in arrival (``seq``) order: only
         #: :meth:`_submit` appends, and removals keep the order.
         self.pool: list[EnrollmentRequest] = []
@@ -170,7 +177,7 @@ class ScriptInstance:
         if performance is None:
             raise PerformanceError(f"{self.name}: no active performance to seal")
         if not performance.sealed:
-            if not self._critical_covered(performance):
+            if not performance.covered:
                 raise PerformanceError(
                     f"{self.name}: cannot seal {performance.id}: no critical "
                     f"role set is covered")
@@ -233,7 +240,7 @@ class ScriptInstance:
                 and self.script.initiation is Initiation.IMMEDIATE):
             self._join_pending(self.current)
             if (self.seal_policy == SealPolicy.EAGER
-                    and self._critical_covered(self.current)):
+                    and self.current.covered):
                 self._seal(self.current)
                 self._check_ended(self.current)
 
@@ -245,7 +252,8 @@ class ScriptInstance:
                            self._open_max, self._closed_role_ids)
         if assignment is None:
             return
-        performance = Performance(self.name, next(self._perf_seq))
+        performance = Performance(self.name, next(self._perf_seq),
+                                  self._critical_table)
         self.performances.append(performance)
         bindings: dict[RoleId, EnrollmentRequest] = dict(assignment.bindings)
         for family, members in assignment.family_members.items():
@@ -263,7 +271,8 @@ class ScriptInstance:
     # -- immediate initiation -------------------------------------------------
 
     def _start_immediate_performance(self) -> None:
-        performance = Performance(self.name, next(self._perf_seq))
+        performance = Performance(self.name, next(self._perf_seq),
+                                  self._critical_table)
         self.performances.append(performance)
         self.current = performance
         self._emit(EventKind.PERFORMANCE_START, None,
@@ -283,7 +292,7 @@ class ScriptInstance:
                 continue
             self._assign(performance, role_id, request)
             if (self.seal_policy == SealPolicy.EAGER
-                    and self._critical_covered(performance)):
+                    and performance.covered):
                 self._seal(performance)
 
     def _resolve_target(self, performance: Performance,
@@ -324,25 +333,9 @@ class ScriptInstance:
     def _seal(self, performance: Performance) -> None:
         performance.sealed = True
 
-    def _critical_covered(self, performance: Performance) -> bool:
-        open_min = self._open_min
-        for critical in self._fill_order:
-            covered = True
-            for item in critical:
-                if item in open_min:
-                    if performance.family_count(item) < open_min[item]:
-                        covered = False
-                        break
-                elif item not in performance.filled:
-                    covered = False
-                    break
-            if covered:
-                return True
-        return False
-
     def _role_finished(self, performance: Performance, role_id: RoleId,
                        process: Hashable) -> None:
-        performance.done.add(role_id)
+        performance.finish(role_id)
         self._emit(EventKind.ROLE_END, process, role=role_id,
                    performance=performance.id)
         self._check_ended(performance)

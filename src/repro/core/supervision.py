@@ -94,7 +94,7 @@ class Supervisor:
             # by a pooled or future request; no abort decision yet.
             instance._progress()
             return
-        if instance._critical_covered(performance):
+        if performance.covered:
             self._absent_fallback(performance)
         else:
             self._abort(performance)

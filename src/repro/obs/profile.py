@@ -29,6 +29,7 @@ pins the whole pipeline, flamegraph and Chrome export included.
 
 from __future__ import annotations
 
+import statistics
 from itertools import count
 from typing import Any, Callable, Hashable
 
@@ -374,38 +375,103 @@ def _wall_amount(ns: int, clock: str | None) -> str:
     return f"{ns / 1e6:.1f} ms"
 
 
-def diff_attributions(old: dict[str, Any],
-                      new: dict[str, Any]) -> list[str]:
+def _side(documents: dict[str, Any] | list[dict[str, Any]]
+          ) -> dict[str, list[dict[str, Any]]]:
+    """One diff side's reports with a wall section, grouped by label."""
+    if isinstance(documents, dict):
+        documents = [documents]
+    runs: dict[str, list[dict[str, Any]]] = {}
+    for document in documents:
+        for label, report in _iter_reports(document):
+            if "wall" in report:
+                runs.setdefault(label, []).append(report)
+    return runs
+
+
+def _center(values: list[float]) -> tuple[float, float]:
+    """The low median of ``values`` and their interquartile range.
+
+    The low median is always one run's value; the range is 0 for a
+    single run.
+    """
+    spread = 0.0
+    if len(values) > 1:
+        low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+        spread = high - low
+    return statistics.median_low(values), spread
+
+
+def _phase_stats(runs: list[dict[str, Any]], field: str, empty: float,
+                 phases: list[str]) -> dict[str, tuple[float, float]]:
+    """Per phase, :func:`_center` of ``field`` across ``runs``."""
+    return {phase: _center([run["wall"].get("phases", {}).get(phase, {}).get(
+                field, empty) for run in runs])
+            for phase in phases}
+
+
+def _phases_of(runs: list[dict[str, Any]]) -> list[str]:
+    """Every phase named in any of ``runs``, in first-seen order."""
+    return list(dict.fromkeys(
+        phase for run in runs for phase in run["wall"].get("phases", {})))
+
+
+def _median_rates(runs: list[dict[str, Any]]) -> dict[str, float]:
+    """Per-commit counter rates, the low median across ``runs``."""
+    names = dict.fromkeys(c for run in runs for c in run.get("per_commit", {}))
+    return {c: _center([run.get("per_commit", {}).get(c, 0.0)
+                        for run in runs])[0]
+            for c in names}
+
+
+def diff_attributions(old: dict[str, Any] | list[dict[str, Any]],
+                      new: dict[str, Any] | list[dict[str, Any]]
+                      ) -> list[str]:
     """Name the phase that explains the change between two profiles.
 
-    The bench-gate explainer.  For every label present in both documents:
-    when the phases' total time fell, the phase with the largest absolute
-    drop is reported with its old and new time and its share of the
-    saving, so a speed-up names the phase that got faster; otherwise the
-    phase with the largest percentage-point share growth is reported,
-    saying *where* the new cycles went.  Each line carries the per-commit
-    counter that moved the most.  Output is informational — sorted by
-    share growth, largest first.
+    The bench-gate explainer.  Each side is one saved report or a list of
+    them (repeated runs), and per label and phase the medians of the two
+    sides are compared.  For every label present on both sides: when the
+    phases' total time fell, the phase with the largest absolute drop is
+    reported with its old and new time and its share of the saving, so a
+    speed-up names the phase that got faster; otherwise the phase with
+    the largest percentage-point share growth is reported, saying *where*
+    the new cycles went.  A phase is named only when its median moved by
+    more than the larger interquartile range of the two sides; when none
+    did, the line says so and gives the largest move and its spread.
+    With one report per side the spread is 0.  Each line carries the
+    per-commit counter that moved the most.  Output is informational —
+    sorted by share growth, largest first.
     """
-    olds = dict(_iter_reports(old))
-    news = dict(_iter_reports(new))
+    olds = _side(old)
+    news = _side(new)
     findings: list[tuple[float, str]] = []
     for label, fresh in news.items():
         base = olds.get(label)
-        if base is None or "wall" not in base or "wall" not in fresh:
+        phases = _phases_of(fresh) if base else []
+        if not phases:
             continue
-        old_phases = base["wall"].get("phases", {})
-        new_phases = fresh["wall"].get("phases", {})
-        grown = sorted(
-            ((new_phases[p]["pct"] - old_phases.get(p, {}).get("pct", 0.0),
-              p) for p in new_phases),
-            reverse=True)
-        if not grown:
-            continue
-        delta, phase = grown[0]
+        old_pct = _phase_stats(base, "pct", 0.0, phases)
+        new_pct = _phase_stats(fresh, "pct", 0.0, phases)
+        old_ns = _phase_stats(base, "ns", 0, _phases_of(base))
+        new_ns = _phase_stats(fresh, "ns", 0, phases)
+        grown = sorted(((new_pct[p][0] - old_pct[p][0], p) for p in phases),
+                       reverse=True)
+        delta = grown[0][0]
+        saved = (sum(m for m, _ in old_ns.values())
+                 - sum(m for m, _ in new_ns.values()))
+        if saved > 0:
+            moves = sorted(((old_ns.get(p, (0, 0.0))[0] - new_ns[p][0], p)
+                            for p in phases), reverse=True)
+            stats = (old_ns, new_ns)
+        else:
+            moves = grown
+            stats = (old_pct, new_pct)
+        spread = {p: max(side.get(p, (0, 0.0))[1] for side in stats)
+                  for p in phases}
+        named = [(move, p) for move, p in moves if move > spread[p]]
         counter_note = ""
-        old_rates = base.get("per_commit", {})
-        new_rates = fresh.get("per_commit", {})
+        old_rates = _median_rates(base)
+        new_rates = _median_rates(fresh)
         rate_deltas = sorted(
             ((abs(new_rates[c] - old_rates.get(c, 0.0)), c)
              for c in new_rates), reverse=True)
@@ -414,31 +480,34 @@ def diff_attributions(old: dict[str, Any],
             counter_note = (f"; {counter}/commit "
                             f"{old_rates.get(counter, 0.0)} -> "
                             f"{new_rates[counter]}")
-        old_pct = old_phases.get(phase, {}).get("pct", 0.0)
-        new_pct = new_phases[phase]["pct"]
-        old_ns = {p: entry.get("ns", 0) for p, entry in old_phases.items()}
-        new_ns = {p: entry.get("ns", 0) for p, entry in new_phases.items()}
-        saved = sum(old_ns.values()) - sum(new_ns.values())
-        if saved > 0:
-            drop, fell = max((old_ns.get(p, 0) - new_ns[p], p)
-                             for p in new_ns)
-            clock = fresh["wall"].get("clock")
-            findings.append((delta, (
-                f"{label}: phase '{fell}' fell "
-                f"{_wall_amount(old_ns.get(fell, 0), clock)} -> "
-                f"{_wall_amount(new_ns[fell], clock)}, "
-                f"{_pct(drop, saved)}% of the "
-                f"{_wall_amount(saved, clock)} the phases saved"
-                f"{counter_note}")))
-        elif delta > 0:
-            findings.append((delta, (
-                f"{label}: phase '{phase}' grew {old_pct}% -> {new_pct}% "
-                f"of run wall (+{round(delta, 2)} pts){counter_note}")))
+        clock = fresh[0]["wall"].get("clock")
+
+        def show(side: dict[str, tuple[float, float]], phase: str) -> str:
+            value = side.get(phase, (0, 0.0))[0]
+            return _wall_amount(value, clock) if saved > 0 else f"{value}%"
+
+        if named and saved > 0:
+            drop, phase = named[0]
+            line = (f"phase '{phase}' fell {show(old_ns, phase)} -> "
+                    f"{show(new_ns, phase)}, {_pct(drop, saved)}% of the "
+                    f"{_wall_amount(saved, clock)} the phases saved")
+        elif named:
+            move, phase = named[0]
+            line = (f"phase '{phase}' grew {show(old_pct, phase)} -> "
+                    f"{show(new_pct, phase)} of run wall "
+                    f"(+{round(move, 2)} pts)")
+        elif moves[0][0] > 0:
+            move, phase = moves[0]
+            width = (_wall_amount(spread[phase], clock) if saved > 0
+                     else f"{round(spread[phase], 2)} pts")
+            line = (f"no phase moved beyond the runs' spread (largest "
+                    f"move: '{phase}' {show(stats[0], phase)} -> "
+                    f"{show(stats[1], phase)}, spread {width})")
         else:
-            findings.append((delta, (
-                f"{label}: no phase share grew "
-                f"(largest: '{phase}' {old_pct}% -> {new_pct}%)"
-                f"{counter_note}")))
+            phase = grown[0][1]
+            line = (f"no phase share grew (largest: '{phase}' "
+                    f"{old_pct[phase][0]}% -> {new_pct[phase][0]}%)")
+        findings.append((delta, f"{label}: {line}{counter_note}"))
     return [line for _, line in
             sorted(findings, key=lambda f: f[0], reverse=True)]
 

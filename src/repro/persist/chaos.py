@@ -160,6 +160,7 @@ def kill9_resume(scenario: str, seed: int, work_dir: str | os.PathLike, *,
     ``committed_match=False`` in the report instead.
     """
     work_dir = os.fspath(work_dir)
+    os.makedirs(work_dir, exist_ok=True)
     oracle_path = os.path.join(work_dir, f"oracle-{scenario}-{seed}.jrnl")
     child_path = os.path.join(work_dir, f"crash-{scenario}-{seed}.jrnl")
 

@@ -342,21 +342,23 @@ class Scheduler:
     def state_capture(self) -> tuple:
         """Cheap point-in-time copy of everything :meth:`state_digest` reads.
 
-        Shallow key copies plus the RNG state tuple — tens of
-        microseconds, vs the repr/sort/CRC rendering cost of the digest
-        itself.  The journal recorder snapshots with this inside the run
-        loop and renders via :meth:`digest_of` at the next durability
-        point; both orders yield the identical digest because the capture
-        is already decoupled from the live structures.
+        Shallow key copies plus the CRC of the RNG state — tens of
+        microseconds, vs the repr/sort rendering cost of the digest
+        itself.  The CRC is taken now rather than at render time, so a
+        capture holds one int instead of the 625-int state tuple.  The
+        journal recorder snapshots with this inside the run loop and
+        renders via :meth:`digest_of` at the next durability point; both
+        orders yield the identical digest because the capture is already
+        decoupled from the live structures.
         """
         return (self.now, self.total_steps, list(self._board.groups),
                 list(self._waiters), self._armed_timers,
-                list(self.alias_owner), self.rng.getstate())
+                list(self.alias_owner), _rng_crc(self.rng.getstate()))
 
     @staticmethod
     def digest_of(capture: tuple) -> dict[str, Any]:
         """Render a :meth:`state_capture` into the digest mapping."""
-        now, steps, board, waiters, timers, aliases, rng_state = capture
+        now, steps, board, waiters, timers, aliases, rng_crc = capture
         return {
             "now": now,
             "steps": steps,
@@ -364,7 +366,7 @@ class Scheduler:
             "waiters": sorted(repr(name) for name in waiters),
             "timers": timers,
             "aliases": sorted(repr(alias) for alias in aliases),
-            "rng": _rng_crc(rng_state),
+            "rng": rng_crc,
         }
 
     def blocked_only_on(self, aliases: Iterable[Hashable]) -> list[Hashable]:

@@ -8,6 +8,11 @@ docstring and its imports, as the oracle of
 in arrival order and the critical sets in ``fill_order``, must return
 ``None`` exactly when this one does, and otherwise bind the same
 requests to the same roles.
+
+At the end, the scans a performance's queries made before it kept
+counts: ``ScriptInstance._critical_covered`` and
+``Performance.family_count`` and ``all_filled_done``.  They are the
+oracle of ``test_performance_bookkeeping.py``.
 """
 
 from __future__ import annotations
@@ -240,3 +245,31 @@ def _extend_greedily(assignment: Assignment,
             continue
         assignment.bindings[target] = request
         taken.add(id(request))
+
+
+def family_count(performance, family: str) -> int:
+    """How many members of ``family`` are currently filled."""
+    return sum(1 for role in performance.filled if family_of(role) == family)
+
+
+def all_filled_done(performance) -> bool:
+    """Have all participating roles finished their bodies?"""
+    return set(performance.filled) <= performance.done
+
+
+def critical_covered(performance, critical_sets: Iterable[Iterable[Hashable]],
+                     open_min: Mapping[str, int]) -> bool:
+    """Do the performance's filled roles cover some critical set?"""
+    for critical in critical_sets:
+        covered = True
+        for item in critical:
+            if item in open_min:
+                if family_count(performance, item) < open_min[item]:
+                    covered = False
+                    break
+            elif item not in performance.filled:
+                covered = False
+                break
+        if covered:
+            return True
+    return False

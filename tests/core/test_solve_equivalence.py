@@ -26,7 +26,7 @@ import random
 
 from repro.core.enrollment import EnrollmentRequest, normalize_partners
 from repro.core.matching import consistent_extension, fill_order, solve
-from repro.core.performance import Performance
+from repro.core.performance import CriticalTable, Performance
 
 from . import solve_oracle
 
@@ -124,7 +124,7 @@ def naming(rng, own_role):
 def generate_join(seed: int):
     """A partly filled performance, a joiner and the role it would fill."""
     rng = random.Random(seed)
-    performance = Performance("join", seed)
+    performance = Performance("join", seed, CriticalTable.build((), {}))
     holders: list[str] = []
     for kind in (SINGLETONS, CLOSED, OPEN):
         for role in rng.sample(kind, rng.randint(1, 2)):

@@ -123,6 +123,21 @@ def test_profile_diff_explains_regression(tmp_path, capsys):
     assert "'match' grew 10.0% -> 60.0%" in out
 
 
+def test_profile_diff_compares_directories_of_runs(tmp_path, capsys):
+    # Each side a directory of repeated runs: the medians are compared.
+    for side, dispatch in (("old", (700, 640, 760)), ("new", (500, 440, 560))):
+        (tmp_path / side).mkdir()
+        for run, ms in enumerate(dispatch):
+            (tmp_path / side / f"run{run}.json").write_text(json.dumps(
+                {"scenario": "s", "per_commit": {},
+                 "wall": {"phases": {"dispatch": {"ns": ms * 10**6,
+                                                  "pct": 90.0}}}}))
+    assert main(["profile", "--diff", str(tmp_path / "old"),
+                 str(tmp_path / "new")]) == 0
+    assert "s: phase 'dispatch' fell 700.0 ms -> 500.0 ms" in \
+        capsys.readouterr().out
+
+
 def test_profile_requires_scenario_or_diff(capsys):
     assert main(["profile"]) == 2
     assert "scenario is required" in capsys.readouterr().err

@@ -443,6 +443,43 @@ def test_diff_names_the_phase_that_fell():
                      "dispatch_rounds/commit 3.0 -> 2.0"]
 
 
+def _runs(dispatch_ms, commit_ms):
+    """One planted wall report per (dispatch, commit) pair of timings."""
+    docs = []
+    for dispatch, commit in zip(dispatch_ms, commit_ms):
+        run_ms = dispatch + commit + 10.0
+        docs.append({"scenario": "demo-broadcast",
+                     "per_commit": {"dispatch_rounds": 2.0},
+                     "wall": {"clock": "perf_counter_ns", "phases": {
+                         p: {"ns": int(ms * 1e6),
+                             "pct": round(100 * ms / run_ms, 2)}
+                         for p, ms in (("dispatch", dispatch),
+                                       ("commit", commit))}}})
+    return docs
+
+
+def test_diff_names_only_moves_beyond_the_runs_spread():
+    """Per phase, the medians must differ by more than the larger IQR."""
+    old = _runs([700.0, 640.0, 760.0], [20.0, 21.0, 22.0])
+    # dispatch's median falls 700 -> 500 ms; each side spreads 60 ms.
+    faster = _runs([500.0, 440.0, 560.0], [21.0, 20.0, 22.0])
+    assert diff_attributions(old, faster) == [
+        "demo-broadcast: phase 'dispatch' fell 700.0 ms -> 500.0 ms, "
+        "100.0% of the 200.0 ms the phases saved"]
+    # The same medians 40 ms apart, inside the 60 ms spread: no finding,
+    # although a one-run diff of the same reports names dispatch.
+    noisy = _runs([660.0, 560.0, 760.0], [21.0, 22.0, 20.0])
+    assert diff_attributions(old, noisy) == [
+        "demo-broadcast: no phase moved beyond the runs' spread (largest "
+        "move: 'dispatch' 700.0 ms -> 660.0 ms, spread 100.0 ms)"]
+    assert "fell" in diff_attributions(old[0], noisy[0])[0]
+    # A share that grows within the spread is not named either.
+    same = _runs([700.0, 640.0, 760.0], [21.0, 22.0, 20.0])
+    assert diff_attributions(old, same) == [
+        "demo-broadcast: no phase moved beyond the runs' spread (largest "
+        "move: 'commit' 2.78% -> 2.87%, spread 0.37 pts)"]
+
+
 def test_diff_skips_labels_without_wall():
     old = _report_doc({}, {}, with_wall=False)
     new = _report_doc({"match": 50.0}, {})

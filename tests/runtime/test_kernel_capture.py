@@ -138,6 +138,10 @@ def test_capture_is_decoupled_from_live_state():
     digest_before = Scheduler.digest_of(capture)
     scheduler.spawn("pong", pong(5))
     scheduler.run()
+    # RNG draws between capture and render must not leak in either.
+    rng_before = scheduler.state_digest()["rng"]
+    scheduler.rng.random()
+    assert scheduler.state_digest()["rng"] != rng_before
     assert Scheduler.digest_of(capture) == digest_before
     assert scheduler.state_digest() != digest_before
 

@@ -254,14 +254,15 @@ def test_replay_verb_rejects_non_journal(tmp_path, capsys):
 def test_chaos_kill9_resume_roundtrip(tmp_path, capsys):
     # Full harness through the CLI: oracle run, SIGKILLed child
     # subprocess, torn tail, resume, committed-sequence comparison.
+    journals = tmp_path / "journals"            # created by the harness
     assert main(["chaos", "broadcast", "--kill9", "--torn",
-                 "--seed", "0", "--journal", str(tmp_path)]) == 0
+                 "--seed", "0", "--journal", str(journals)]) == 0
     out = capsys.readouterr().out
     assert "SIGKILL" in out
     assert "identical to oracle" in out
     # --journal keeps the artifacts for inspection.
-    assert (tmp_path / "oracle-broadcast-0.jrnl").exists()
-    assert (tmp_path / "crash-broadcast-0.jrnl").exists()
+    assert (journals / "oracle-broadcast-0.jrnl").exists()
+    assert (journals / "crash-broadcast-0.jrnl").exists()
 
 
 def test_chaos_chatroom_soak(capsys):
