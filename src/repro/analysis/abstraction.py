@@ -1172,10 +1172,11 @@ def _role_atoms(role: ast.RoleDeclNode) -> dict[str, Atom]:
 def _default_value(type_node: ast.TypeNode, constants: dict[str, int]):
     """The interpreter's initial value for a declared local, abstracted.
 
-    Mirrors ``repro.lang.interp._default_for``: booleans start False,
+    Mirrors ``repro.lang.interp.default_factory``: booleans start False,
     integers 0, items/enums ``None``, sets empty, arrays filled with their
-    element default.  Array bounds that do not fold (they mention the
-    size parameter) put the array outside the abstraction.
+    element default (``tests/analysis/test_abstraction.py`` compares the
+    two).  Array bounds that do not fold (they mention the size
+    parameter) put the array outside the abstraction.
     """
     if isinstance(type_node, ast.SimpleType):
         name = type_node.name.lower()

@@ -55,10 +55,14 @@ SNAPSHOT = "snapshot"
 END = "end"
 
 
+#: The one payload encoder.  ``json.dumps`` with these non-default
+#: settings would build a new ``JSONEncoder`` for every frame.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_frame(record: dict[str, Any]) -> bytes:
     """Serialize one record into a length-prefixed, CRC-framed blob."""
-    payload = json.dumps(record, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(record).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise JournalError(f"frame payload of {len(payload)} bytes exceeds "
                            f"the {MAX_FRAME_BYTES}-byte frame limit")

@@ -5,12 +5,16 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.abstraction import (TOP, Atom, Code, Interior, ISyncEach,
-                                        Unsupported, build_abstract_system,
+                                        Unsupported, _default_value,
+                                        build_abstract_system,
                                         build_concrete_system, detect_model,
                                         interval_compare)
 from repro.analysis.graph import Affine
 from repro.lang.analysis import analyze
+from repro.lang.interp import _Array, default_factory
 from repro.lang.parser import parse_script
+
+from ..lang.test_frontend_equivalence import corpus
 
 EXAMPLES = Path(__file__).parent.parent.parent / "examples" / "scripts"
 
@@ -175,3 +179,44 @@ def test_interval_compare_decides_uniform_orders():
     assert interval_compare("=", low, high, 1, floor=2) is None
     # i in [1, n] vs n + 1: never equal.
     assert interval_compare("=", low, high, Affine(1, 1), floor=2) is False
+
+
+def _concrete(value):
+    """An interpreter value in the verifier's terms: arrays as index->value
+    maps, sets as frozensets."""
+    if isinstance(value, _Array):
+        return {index: _concrete(v) for index, v in value.slots.items()}
+    if isinstance(value, set):
+        return frozenset(value)
+    return value
+
+
+NESTED_LOCALS = """
+SCRIPT s;
+  CONST k = 2;
+  ROLE a ();
+  VAR grid : ARRAY [1..k] OF ARRAY [0..k] OF boolean;
+      mode : (idle, busy);
+      marks : ARRAY [1..3] OF SET OF [1..k];
+  BEGIN SKIP END a;
+END s;
+"""
+
+
+def test_verifier_defaults_match_the_interpreters():
+    """``_default_value`` against a fresh activation's, for every local
+    of the front-end corpus (and nested arrays, sets and enums)."""
+    kinds = set()
+    for _, source in corpus() + [("nested", NESTED_LOCALS)]:
+        program = parse_script(source)
+        info = analyze(program)
+        for role in program.roles:
+            for var in role.variables:
+                make = default_factory(var.type, info)
+                fresh = make()
+                assert _concrete(fresh) == _default_value(var.type,
+                                                          info.constants)
+                if isinstance(fresh, (set, _Array)):
+                    assert make() is not fresh   # each activation its own
+                kinds.add(type(var.type).__name__)
+    assert kinds == {"SimpleType", "EnumType", "SetType", "ArrayType"}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Ref
 from repro.errors import InterpreterError, ProcessFailure
-from repro.lang import compile_script
+from repro.lang import compile_script, interp
 from repro.lang.figures import (FIGURE3_STAR_BROADCAST,
                                 FIGURE4_PIPELINE_BROADCAST, FIGURE5_DATABASE)
 from repro.runtime import Delay, Scheduler
@@ -296,3 +296,25 @@ def test_delay_free_deterministic_replay():
         result, _ = run_script(script, enrollments, seed=9)
         outs.append(result.steps)
     assert outs[0] == outs[1]
+
+
+def test_roles_compile_once_at_first_activation(monkeypatch):
+    """``compile_program`` builds no closures; each role compiles when it
+    first runs, and every later performance reuses the closures."""
+    compiled = []
+    real = interp._RoleCompiler
+
+    def counting(role, info):
+        compiled.append(role.name)
+        return real(role, info)
+
+    monkeypatch.setattr(interp, "_RoleCompiler", counting)
+    script = compile_script(FIGURE3_STAR_BROADCAST)
+    assert compiled == []
+    for round_ in range(3):
+        enrollments = [(f"T{round_}", "sender", {"data": round_})]
+        enrollments += [(f"R{round_}.{i}", ("recipient", i), {})
+                        for i in range(1, 6)]
+        result, _ = run_script(script, enrollments, seed=round_)
+        assert result.results[f"R{round_}.1"] == {"data": round_}
+    assert sorted(compiled) == ["recipient", "sender"]

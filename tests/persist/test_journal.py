@@ -1,5 +1,6 @@
 """Journal file format: framing, torn tails, CRC, structural errors."""
 
+import json
 import struct
 import zlib
 
@@ -22,7 +23,8 @@ def write_simple(path, frames=3, fsync_every=None):
 
 
 def test_encode_frame_roundtrips():
-    record = {"k": "event", "seq": 7, "d": {"x": [1, 2]}}
+    record = {"k": "event", "seq": 7, "d": {"x": [1, 2], "é": None,
+                                             "b": (True, 0.5, "☃")}}
     blob = encode_frame(record)
     length, crc = struct.unpack_from("<II", blob)
     payload = blob[8:]
@@ -30,6 +32,8 @@ def test_encode_frame_roundtrips():
     assert crc == zlib.crc32(payload)
     # Canonical form: sorted keys, no whitespace — byte-stable across runs.
     assert payload == encode_frame(record)[8:]
+    assert payload == json.dumps(record, sort_keys=True,
+                                 separators=(",", ":")).encode("utf-8")
 
 
 def test_encode_frame_rejects_oversize():
