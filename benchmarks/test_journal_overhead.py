@@ -11,20 +11,18 @@ interleaved so CPU-frequency drift hits both equally:
 
 - ``run_ms``      — wall time of ``scheduler.run()`` itself: the critical
   path the journal must not slow down.  This is what the <10% overhead
-  floor from the issue is asserted against, for the default lazy
-  (write-behind) recorder.
+  floor is asserted against.
 - ``total_ms``    — run plus the final drain (render + encode + write +
-  fsync).  The lazy recorder moves rendering cost here by design; the
-  number is recorded so the trade stays visible rather than hidden.
+  fsync).  The recorder moves rendering cost here by design; the number
+  is recorded so the trade stays visible rather than hidden.
 - ``overhead_pct`` — median same-rep ratio against the journal-off arm
-  (the three modes of one rep run back to back, so per-rep ratios are
+  (the two modes of one rep run back to back, so per-rep ratios are
   immune to load drift across the measurement, and the median is immune
   to individual outlier reps).
 
-Modes: ``lazy`` is the default recorder (frames buffer as raw event
-references, rendered at durability points); ``eager`` renders and writes
-every frame inline (what ``fsync_every``/the kill -9 harness use) and is
-reported for comparison, not gated.
+Modes: ``off`` runs without a journal; ``lazy`` runs with the recorder,
+whose frames buffer as raw event references and are rendered at
+durability points (write-behind).
 """
 
 import gc
@@ -48,8 +46,8 @@ N = 200
 ROUNDS = int(os.environ.get("BENCH_JOURNAL_ROUNDS", "24"))
 REPS = 10
 
-#: The issue's acceptance floor for the default recorder's critical-path
-#: overhead on this cell.
+#: The acceptance floor for the recorder's critical-path overhead on this
+#: cell.
 MAX_OVERHEAD_PCT = 10.0
 
 
@@ -72,10 +70,10 @@ def build_star(scheduler, n):
 def one_run(work_dir, mode):
     """One star run; returns (run_seconds, total_seconds, journal_stats).
 
-    The previous arm's garbage (an eager run litters thousands of frame
-    dicts and encoded strings) must not be collected inside *this* arm's
-    timed region, so each run collects up front and pauses the collector
-    while the clock is running.
+    The previous arm's garbage (a journaled run litters thousands of
+    frame dicts and encoded strings) must not be collected inside *this*
+    arm's timed region, so each run collects up front and pauses the
+    collector while the clock is running.
     """
     scheduler = Scheduler(seed=0, board=IndexedBoard(), max_steps=10_000_000)
     comms = build_star(scheduler, N)
@@ -83,10 +81,7 @@ def one_run(work_dir, mode):
     if mode != "off":
         recorder = JournalRecorder(
             os.path.join(work_dir, "bench.journal"), seed=0,
-            scenario="bench-star",
-            # A bound no sane run reaches: forces eager per-frame
-            # rendering without any mid-run fsync stalls.
-            fsync_every=1 << 30 if mode == "eager" else None)
+            scenario="bench-star")
         recorder.attach(scheduler)
     gc.collect()
     gc.disable()
@@ -107,9 +102,9 @@ def one_run(work_dir, mode):
 
 
 def measure():
-    """Interleaved best-of-REPS for off/lazy/eager; returns the report."""
+    """Interleaved best-of-REPS for off/lazy; returns the report."""
     with tempfile.TemporaryDirectory() as work_dir:
-        modes = ("off", "lazy", "eager")
+        modes = ("off", "lazy")
         for mode in modes:  # warm-up: imports, allocator, page cache
             one_run(work_dir, mode)
         best_run = {mode: float("inf") for mode in modes}
@@ -118,9 +113,10 @@ def measure():
         ratios = {mode: [] for mode in modes}
         for rep in range(REPS):
             pair_run = {}
-            # Rotate arm order per rep: whichever arm follows the eager
-            # arm's allocation spike pays an allocator-locality tax, and
-            # a fixed order turns that tax into a consistent bias.
+            # Rotate arm order per rep: whichever arm follows the
+            # journaled arm's allocation spike pays an allocator-locality
+            # tax, and a fixed order turns that tax into a consistent
+            # bias.
             order = modes[rep % len(modes):] + modes[:rep % len(modes)]
             for mode in order:
                 run_elapsed, total, run_stats = one_run(work_dir, mode)
@@ -129,7 +125,7 @@ def measure():
                 best_total[mode] = min(best_total[mode], total)
                 if run_stats:
                     stats[mode] = run_stats
-            # Per-rep ratios: the three arms of one rep run back to back
+            # Per-rep ratios: the two arms of one rep run back to back
             # under the same machine conditions, so each rep's ratio
             # cancels load drift that min-over-all-reps cannot.  The
             # *median* ratio is the gated statistic — the min would just
@@ -180,7 +176,3 @@ def test_journal_overhead(capsys):
     assert overhead < MAX_OVERHEAD_PCT, (
         f"lazy journal recording costs {overhead}% on the scheduler "
         f"critical path (floor {MAX_OVERHEAD_PCT}%)")
-    # The lazy recorder must actually beat inline rendering on the
-    # critical path, or the write-behind machinery is dead weight.
-    assert (report["modes"]["lazy"]["run_ms"]
-            <= report["modes"]["eager"]["run_ms"])

@@ -8,15 +8,15 @@ scripts for many performances under such plans and asserts that every run
 finishes residue-free (empty board, no waiters, no timers, no aliases);
 the scenario catalogue (:mod:`repro.scenarios`) names them for every tool.
 :mod:`repro.faults.explore` explores the fault space *systematically*: it
-enumerates injection points from a fault-free run's instrumentation
-stream, generates schedules anchored at them under a budget, judges each
-run with every oracle, and delta-debugs any failure down to a minimal,
+journals a fault-free run and reads injection points from its frames,
+generates schedules anchored at them under a budget, judges each run
+with every oracle, and delta-debugs any failure down to a minimal,
 replayable counterexample.
 """
 
 from .explore import (ORACLES, Counterexample, ExploreReport, FaultSchedule,
-                      InjectionPoint, InjectionProbe, check_saved_schedule,
-                      explore)
+                      InjectionPoint, check_saved_schedule, explore,
+                      injection_points)
 from .plan import (BITFLIP, CORRUPTION_MODES, CRASH, DROP, GARBAGE, HEAL,
                    KINDS, PARTITION, SLOW, TRUNCATE, FaultEvent, FaultPlan,
                    JournalCorruptionPlan)
@@ -38,7 +38,6 @@ __all__ = [
     "GARBAGE",
     "HEAL",
     "InjectionPoint",
-    "InjectionProbe",
     "JournalCorruptionPlan",
     "KINDS",
     "ORACLES",
@@ -50,6 +49,7 @@ __all__ = [
     "chatroom_plan",
     "check_saved_schedule",
     "explore",
+    "injection_points",
     "lock_plan",
     "make_chaos_broadcast",
     "make_chatroom",

@@ -4,12 +4,10 @@ The chaos soak (:mod:`repro.faults.soak`) samples fault schedules from a
 seed — good at volume, blind to structure.  This module explores the
 fault space *systematically*:
 
-1. **Probe.**  Run the scenario once fault-free with an
-   :class:`InjectionProbe` attached (the same duck-typed ``journal``
-   protocol the durable recorder uses), enumerating injection points
-   from the instrumentation stream: every rendezvous commit, enrollment
-   step, recovery decision, and timer fire — the exact frame boundaries
-   the journal would record.
+1. **Probe.**  Run the scenario once fault-free, journaled like every
+   schedule, and read the injection points from the journal's frames
+   (:func:`injection_points`): every rendezvous commit, enrollment step,
+   recovery decision, and timer fire.
 
 2. **Enumerate.**  Generate fault schedules anchored at those points —
    crash-at-point × process, partition windows with and without heal,
@@ -26,7 +24,7 @@ fault space *systematically*:
    :func:`~repro.scenarios.check_residue`), ``abort`` (critical-crash
    abort semantics), ``convergence`` (the run must terminate without
    kernel errors), and ``replay`` (the journal must resume
-   byte-identically through :class:`~repro.persist.resume.ReplayValidator`).
+   byte-identically through :func:`~repro.persist.resume.resume`).
 
 4. **Shrink.**  On the first failure, delta-debug the schedule down to a
    locally minimal counterexample: repeated ddmin passes over the fault
@@ -49,38 +47,42 @@ import os
 import random
 import tempfile
 from collections import Counter
-from typing import Any, Hashable, Iterator
+from typing import Any, Iterator
 
 from ..errors import ChaosInvariantError, FaultPlanError, ReproError
-from ..persist.record import SNAPSHOT_EVERY, JournalRecorder
+from ..persist.chaos import record_run
+from ..persist.journal import DECISION, EVENT, read_journal
 from ..persist.resume import resume
 from ..reporting import kv_lines
-from ..runtime import EventKind, Scheduler, Sink
-from ..runtime.instrument import stack_sink
 from ..scenarios import FaultContract, Run, Scenario, lookup
 from .plan import CORRUPTION_MODES, FaultPlan, JournalCorruptionPlan
 
-#: Injection-point kinds, in the order the probe reports them.
+#: Injection-point kinds.
 POINT_COMMIT = "commit"
 POINT_ENROLL = "enroll"
 POINT_RECOVERY = "recovery"
 POINT_TIMER = "timer"
+
+#: The trace-event kinds whose journal frames are injection points.
+_EVENT_POINTS = {"comm": POINT_COMMIT, "enroll_request": POINT_ENROLL,
+                 "enroll_accept": POINT_ENROLL, "recovery": POINT_RECOVERY}
 
 #: The oracles that judge every explored run, in report order.
 ORACLES = ("residue", "abort", "convergence", "replay")
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: probing a fault-free run for injection points
+# Phase 1: reading injection points from a fault-free run's journal
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class InjectionPoint:
-    """One instant the instrumentation stream exposes for injection.
+    """One instant the journal exposes for injection.
 
-    ``subject`` is the ``repr`` of the acting process (or committed pair)
-    — repr, not the object, so points are hashable and totally ordered
-    regardless of what process names a scenario uses.
+    ``subject`` names the acting process as its frame does (the ``repr``
+    of its name), or a committed pair as ``sender -> receiver`` — strings,
+    so points are hashable and totally ordered regardless of what process
+    names a scenario uses.
     """
 
     time: float
@@ -88,63 +90,27 @@ class InjectionPoint:
     subject: str
 
 
-class InjectionProbe(Sink):
-    """Instrumentation sink that enumerates a run's injection points.
+def injection_points(frames: list[dict[str, Any]]) -> list[InjectionPoint]:
+    """The distinct injection points of a journal's frames, sorted.
 
-    Duck-types the scenario runners' ``journal`` protocol
-    (``attach(scheduler)`` / ``finish(outcome)``), so it attaches at the
-    exact spot the durable recorder would — the probe sees the same
-    stream the journal records, and its ``frames`` estimate counts the
-    frame boundaries that stream would produce (header and end frames
-    included, one snapshot per :data:`~repro.persist.record.SNAPSHOT_EVERY`
-    commits).
+    Points come from comm, enrollment and recovery event frames and from
+    timer decision frames, ordered by ``(time, kind, subject)`` so the
+    anchor list never depends on set iteration order.
     """
-
-    def __init__(self) -> None:
-        self.points: list[InjectionPoint] = []
-        self._seen: set[tuple[float, str, str]] = set()
-        self.frames = 2  # header + end
-        self.commits = 0
-        self.outcome: str | None = None
-        self.scheduler: Scheduler | None = None
-
-    def attach(self, scheduler: Scheduler) -> "InjectionProbe":
-        if self.scheduler is not None:
-            raise FaultPlanError("this injection probe is already attached")
-        self.scheduler = scheduler
-        scheduler.sink = stack_sink(scheduler.sink, self)
-        scheduler.tracer.add_listener(self.on_event)
-        return self
-
-    def _note(self, kind: str, time: float, subject: Any) -> None:
-        key = (time, kind, repr(subject))
-        if key not in self._seen:
-            self._seen.add(key)
-            self.points.append(InjectionPoint(time=time, kind=kind,
-                                              subject=key[2]))
-
-    def on_commit(self, time: float, sender: Hashable, receiver: Hashable,
-                  board_size: int, waiter_count: int) -> None:
-        self.commits += 1
-        self._note(POINT_COMMIT, time, (sender, receiver))
-
-    def on_decision(self, time: float, kind: str, subject: Hashable,
-                    payload: Any) -> None:
-        self.frames += 1
-        if kind == "timer":
-            self._note(POINT_TIMER, time, subject)
-
-    def on_event(self, event: Any) -> None:
-        self.frames += 1
-        if event.kind in (EventKind.ENROLL_REQUEST, EventKind.ENROLL_ACCEPT):
-            self._note(POINT_ENROLL, event.time, event.process)
-        elif event.kind is EventKind.RECOVERY:
-            self._note(POINT_RECOVERY, event.time, event.process)
-
-    def finish(self, outcome: str) -> None:
-        self.outcome = outcome
-        self.frames += self.commits // SNAPSHOT_EVERY
-        self.points.sort(key=lambda p: (p.time, p.kind, p.subject))
+    points = set()
+    for frame in frames:
+        if frame["k"] == EVENT and frame["kind"] in _EVENT_POINTS:
+            kind = _EVENT_POINTS[frame["kind"]]
+            subject = frame["p"]
+            if kind == POINT_COMMIT:
+                subject = f"{subject} -> {frame['d']['receiver']!r}"
+        elif frame["k"] == DECISION and frame["kind"] == "timer":
+            kind, subject = POINT_TIMER, frame["subject"]
+        else:
+            continue
+        points.add(InjectionPoint(time=frame["t"], kind=kind,
+                                  subject=subject))
+    return sorted(points, key=lambda p: (p.time, p.kind, p.subject))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +155,8 @@ class FaultSchedule:
 def _candidate_singles(contract: FaultContract,
                        points: list[InjectionPoint]
                        ) -> dict[tuple[str, str], list[FaultSchedule]]:
-    """Single-fault candidates anchored at the probe's points, grouped
-    by ``(family, target)`` for stratified frontier ordering."""
+    """Single-fault candidates anchored at the base run's points,
+    grouped by ``(family, target)`` for stratified frontier ordering."""
     times = sorted({p.time for p in points})
     timer_times = sorted({p.time for p in points
                           if p.kind == POINT_TIMER and p.time > 0})
@@ -297,14 +263,11 @@ def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
     outcome = RunOutcome(schedule=schedule)
     plan = schedule.plan if schedule.plan is not None else FaultPlan()
     path = os.path.join(workdir, f"{tag}.journal")
-    recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
-                               options={"plan": plan.to_jsonable(), **sizes})
     outcome.runs = 1
     try:
-        outcome.run = scenario.run(seed, plan=plan, journal=recorder,
-                                   **sizes)
+        outcome.run = record_run(scenario.name, seed, path, options={
+            "plan": plan.to_jsonable(), **sizes})
     except ReproError as err:
-        recorder.close()
         outcome.error = err
         return outcome
     if schedule.corruption is not None:
@@ -509,28 +472,31 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             workdir: str | None = None, **sizes: Any) -> ExploreReport:
     """Systematically explore ``scenario``'s fault space at ``seed``.
 
-    Runs the probe, then up to ``budget`` candidate schedules, stopping
+    Records a fault-free base run, then runs up to ``budget`` candidate
+    schedules anchored at the injection points of its journal, stopping
     at the first oracle violation, shrunk to a locally minimal
-    counterexample.  ``sizes`` reach the runner on every run — probe,
-    schedules, replays and shrinking — and the probe run's
+    counterexample.  ``sizes`` reach the runner on every run — base,
+    schedules, replays and shrinking — and the base run's
     :class:`~repro.scenarios.FaultContract` shapes the frontier.
     ``workdir`` keeps the run journals (default: a temporary directory).
     Deterministic: same arguments, same report.
     """
     sc = lookup(scenario, explorable=True)
     report = ExploreReport(scenario=scenario, seed=seed, budget=budget)
-
-    probe = InjectionProbe()
-    base = sc.run(seed, plan=FaultPlan(), journal=probe, **sizes)
-    report.runs += 1
-    report.base_trace = base.trace
-    report.frames = probe.frames
-    report.points = Counter(point.kind for point in probe.points)
-
-    rng = random.Random(seed)
-    frontier = _frontier(base.contract, probe.points, rng, budget)
     with (tempfile.TemporaryDirectory(prefix="repro-explore-")
           if workdir is None else contextlib.nullcontext(workdir)) as workdir:
+        path = os.path.join(workdir, "base.journal")
+        base = record_run(scenario, seed, path, options={
+            "plan": FaultPlan().to_jsonable(), **sizes})
+        report.runs += 1
+        report.base_trace = base.trace
+        frames = read_journal(path).frames
+        points = injection_points(frames)
+        report.frames = len(frames) + 1  # header included
+        report.points = Counter(point.kind for point in points)
+
+        rng = random.Random(seed)
+        frontier = _frontier(base.contract, points, rng, budget)
         for index, schedule in enumerate(itertools.islice(frontier, budget)):
             outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
                                        workdir=workdir, tag=f"run-{index}")

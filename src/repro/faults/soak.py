@@ -308,8 +308,8 @@ def run_chaos_broadcast(seed: int, *, n: int = 4,
     chaos finding), recipient crashes at any time, one hub-leaf partition
     window, and optional latency/drop windows.
 
-    ``journal`` is the run's hook (see :mod:`repro.scenarios`): a
-    recorder, replay validator, probe or metrics bundle, attached before
+    ``journal`` is the run's hook (see :mod:`repro.scenarios`): a frame
+    sink (journal recorder or resume) or metrics bundle, attached before
     any process exists.
     """
     placement: dict[Hashable, Any] = {"S": "hub"}

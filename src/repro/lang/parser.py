@@ -520,10 +520,10 @@ class Parser:
     def _postfix(self) -> ast.Expr:
         node = self._primary()
         while True:
-            if self._match(_LBRACK):
+            if (bracket := self._match(_LBRACK)) is not None:
                 index = self._expression()
                 self._expect(_RBRACK, "']'")
-                node = ast.Index(node, index)
+                node = ast.Index(node, index, bracket.line)
             elif (self._check(_DOT)
                   and (name := self._peek(1)).type is _IDENT
                   and name.value == "terminated"):

@@ -8,17 +8,19 @@ property into durability:
 * :mod:`~repro.persist.journal` — the on-disk format: an append-only,
   CRC32-framed, length-prefixed write-ahead log whose only possible
   crash damage is a detectable (and droppable) torn tail;
-* :mod:`~repro.persist.record` — :class:`JournalRecorder`, an
-  instrumentation sink that writes every nondeterminism-resolving
+* :mod:`~repro.persist.record` — :class:`FrameSink`, the one path by
+  which a run's frames are captured: every nondeterminism-resolving
   scheduler action (trace events, RNG choices, timer fires) plus
-  periodic state-digest snapshots into a journal;
+  periodic state-digest snapshots, rendered at durability points;
+  :class:`JournalRecorder` writes them into a journal;
 * :mod:`~repro.persist.resume` — :func:`resume`: re-run the header's
-  recipe with a :class:`ReplayValidator` attached, verifying the fresh
-  run frame-by-frame against the journal and then *continuing past the
-  crash point*;
+  recipe with a :class:`FrameSink` attached, compare its frames with the
+  journal's once the run is over, and report the frames past the crash
+  point as the continuation;
 * :mod:`~repro.persist.chaos` — :func:`kill9_resume`, a subprocess
-  harness that SIGKILLs a journaled run mid-performance for real and
-  proves the resumed run commits the identical rendezvous sequence.
+  harness that SIGKILLs a journaled run for real once it has written a
+  chosen number of frames, and proves the resumed run commits the
+  identical rendezvous sequence.
 
 See DESIGN.md §12 for the format and the replay-validation argument.
 """
@@ -30,7 +32,7 @@ from .journal import (DECISION, END, EVENT, HEADER, MAGIC, SNAPSHOT,
                       read_journal)
 from .record import (FORMAT_VERSION, SNAPSHOT_EVERY, FrameSink,
                      JournalRecorder, header_record)
-from .resume import ReplayValidator, ResumeReport, commit_summary, resume
+from .resume import ResumeReport, commit_summary, resume
 
 __all__ = [
     "COMPLETED_BEFORE_KILL",
@@ -45,7 +47,6 @@ __all__ = [
     "JournalWriter",
     "Kill9Report",
     "MAGIC",
-    "ReplayValidator",
     "ResumeReport",
     "SNAPSHOT",
     "SNAPSHOT_EVERY",

@@ -8,9 +8,12 @@ harness does it for real:
    journal holds the complete frame stream and committed-rendezvous
    sequence of an uninterrupted run;
 2. spawn a **child** Python process (``python -m repro _kill9-child``)
-   that runs the same scenario with a recorder armed to SIGKILL itself
-   after N synced frames — a genuine, unhandled ``kill -9`` mid-run,
-   leaving a journal that is durable exactly up to the kill point;
+   that runs the same scenario with a recorder armed to sync and SIGKILL
+   itself once it has written N frames — a genuine, unhandled
+   ``kill -9``, leaving a journal that is durable exactly up to the kill
+   point.  The recorder writes frames at durability points, so the child
+   dies inside the spill that writes frame N: at a recovery barrier
+   (``recover``) or at the end of the run;
 3. with ``torn``, truncate the journal mid-frame (:func:`tear_tail`, the
    classic torn final write);
 4. :func:`~repro.persist.resume.resume` the child's journal and check the
@@ -35,7 +38,7 @@ from typing import Any
 from ..errors import PersistError
 from ..scenarios import Run, lookup
 from .journal import read_journal
-from .record import SNAPSHOT_EVERY, JournalRecorder
+from .record import JournalRecorder
 from .resume import ResumeReport, commit_summary, resume
 
 #: Child exit code meaning "the run finished before the kill point fired".
@@ -47,8 +50,6 @@ CHILD_TIMEOUT = 120.0
 
 def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
                options: dict[str, Any] | None = None,
-               snapshot_every: int = SNAPSHOT_EVERY,
-               fsync_every: int | None = None,
                kill_after_frames: int | None = None) -> Run:
     """Run ``scenario`` at ``seed`` with a journal recorder attached.
 
@@ -58,10 +59,9 @@ def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
     exactly this).
     """
     entry = lookup(scenario, error=PersistError)
-    recorder = JournalRecorder(
-        path, seed=seed, scenario=scenario, options=options,
-        snapshot_every=snapshot_every, fsync_every=fsync_every,
-        kill_after_frames=kill_after_frames)
+    recorder = JournalRecorder(path, seed=seed, scenario=scenario,
+                               options=options,
+                               kill_after_frames=kill_after_frames)
     try:
         return entry.run(seed, journal=recorder, **(options or {}))
     except BaseException:
@@ -79,7 +79,7 @@ def run_kill9_child(scenario: str, seed: int, path: str, kill_after: int,
     before ``kill_after`` frames were written — a harness configuration
     error the parent turns into a failure.
     """
-    record_run(scenario, seed, path, options=options, fsync_every=1,
+    record_run(scenario, seed, path, options=options,
                kill_after_frames=kill_after)
     return COMPLETED_BEFORE_KILL
 

@@ -18,11 +18,9 @@ began.  Anything wrong *before* the tail (bad magic, unreadable header,
 unsupported version) is structural and raises
 :class:`~repro.errors.JournalError` instead.
 
-Durability knobs: the writer buffers through a regular file object;
-``flush()`` pushes to the OS, ``sync()`` additionally ``fsync``\\ s.  The
-``fsync_every`` constructor argument syncs automatically every N frames
-(None: only on close/explicit sync).  The writer counts the frames, bytes
-and fsyncs it wrote.
+Durability: the writer buffers through a regular file object;
+``sync()`` flushes and ``fsync``\\ s it, and ``close()`` syncs.  The
+writer counts the frames, bytes and fsyncs it wrote.
 """
 
 from __future__ import annotations
@@ -77,12 +75,8 @@ class JournalWriter:
     manager or call :meth:`close` explicitly.
     """
 
-    def __init__(self, path: str | os.PathLike, *,
-                 fsync_every: int | None = None):
-        if fsync_every is not None and fsync_every < 1:
-            raise JournalError("fsync_every must be >= 1 (or None)")
+    def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
-        self.fsync_every = fsync_every
         self._handle = open(self.path, "wb")
         self._handle.write(MAGIC)
         self.frames_written = 0
@@ -99,15 +93,7 @@ class JournalWriter:
         self._handle.write(blob)
         self.frames_written += 1
         self.bytes_written += len(blob)
-        if (self.fsync_every is not None
-                and self.frames_written % self.fsync_every == 0):
-            self.sync()
         return len(blob)
-
-    def flush(self) -> None:
-        """Push buffered frames to the OS (no fsync)."""
-        if self._handle is not None:
-            self._handle.flush()
 
     def sync(self) -> None:
         """Flush and ``fsync``: frames so far survive a machine crash."""

@@ -4,19 +4,22 @@ The kernel is a pure function of ``(scenario, seed, options)`` — every
 draw of nondeterminism goes through the seeded RNG or the virtual-time
 timer wheel, and the journal records each one.  Resume therefore does not
 patch scheduler state back in from snapshots; it *re-runs* the recorded
-scenario from its header recipe with a :class:`ReplayValidator` attached,
-which checks every freshly produced frame against the journal, frame by
-frame.  Three things can happen per frame:
+scenario from its header recipe with a
+:class:`~repro.persist.record.FrameSink` attached — the same capture path
+the recorder uses — and, once the run is over, compares the captured
+frames with the journal's, frame by frame:
 
-* it matches the recorded frame — the replay is still on the recorded
-  trajectory (this covers events, RNG/timer decisions, and the periodic
-  state-digest snapshots, so divergence is caught within one snapshot
-  interval at worst, usually at the exact decision);
-* it differs — :class:`~repro.errors.ResumeMismatch` pinpoints the first
-  divergent frame with both sides attached;
-* the journal is exhausted — the run has passed the crash point and the
-  remaining frames are *fresh*: the continuation the crashed run never
-  got to write.
+* every journal frame must equal the replayed frame at its index (events,
+  RNG/timer decisions, and the periodic state-digest snapshots), or
+  :class:`~repro.errors.ResumeMismatch` names the first divergent frame
+  with both sides attached;
+* the replayed run must reach the journal's last frame, or resume
+  reports where it ended;
+* replayed frames past the journal's end are *fresh*: the continuation
+  the crashed run never got to write.
+
+A run that raises is compared too, before its error propagates, so a
+divergence it reached first is still what resume reports.
 
 A torn tail (see :mod:`repro.persist.journal`) just shortens the
 validated prefix; the replay still runs the scenario to completion, which
@@ -34,7 +37,7 @@ from ..errors import PersistError, ResumeMismatch
 from ..scenarios import Run, lookup
 from . import journal as journal_format
 from .journal import JournalDocument, read_journal
-from .record import FORMAT_VERSION, FrameSink
+from .record import FORMAT_VERSION, SNAPSHOT_EVERY, FrameSink
 
 
 def commit_summary(frames: list[dict[str, Any]]) -> list[tuple[int, str]]:
@@ -49,44 +52,14 @@ def commit_summary(frames: list[dict[str, Any]]) -> list[tuple[int, str]]:
             and frame.get("kind") == "comm"]
 
 
-class ReplayValidator(FrameSink):
-    """Frame sink that checks a fresh run against recorded frames.
-
-    Attach to the replaying scheduler exactly where the recorder was
-    attached.  ``position`` counts validated frames; once the journal is
-    exhausted, further frames are counted as ``fresh`` (the continuation)
-    and collected in ``frames`` alongside the validated ones, so the
-    caller sees the full frame stream of the resumed run.
-    """
-
-    def __init__(self, expected: list[dict[str, Any]], *,
-                 snapshot_every: int):
-        super().__init__(snapshot_every=snapshot_every)
-        self.expected = expected
-        self.position = 0
-        self.fresh = 0
-        self.frames: list[dict[str, Any]] = []
-        self.finished = False
-
-    def _note_frame(self, record: dict[str, Any]) -> None:
-        self.frames.append(record)
-        if self.position < len(self.expected):
-            want = self.expected[self.position]
-            if record != want:
-                raise ResumeMismatch(
-                    "replayed run diverged from the journal",
-                    frame_index=self.position, expected=want,
-                    observed=record)
-            self.position += 1
-        else:
-            self.fresh += 1
-
-    def finish(self, status: str) -> None:
-        self._note_frame(self._end_record(status))
-        self.finished = True
-
-    def barrier(self) -> None:
-        """Durability is the recorder's concern; validation needs none."""
+def _check_frames(recorded: list[dict[str, Any]],
+                  replayed: list[dict[str, Any]]) -> None:
+    """Raise at the first index where the two frame lists disagree."""
+    for index, (want, got) in enumerate(zip(recorded, replayed)):
+        if want != got:
+            raise ResumeMismatch("replayed run diverged from the journal",
+                                 frame_index=index, expected=want,
+                                 observed=got)
 
 
 @dataclasses.dataclass(slots=True)
@@ -122,7 +95,7 @@ class ResumeReport:
 
 def _check_header(doc: JournalDocument, *, expect_seed: int | None,
                   expect_scenario: str | None) -> tuple[int, str,
-                                                        dict[str, Any], int]:
+                                                        dict[str, Any]]:
     header = doc.header
     if header.get("version") != FORMAT_VERSION:
         raise ResumeMismatch(
@@ -142,10 +115,12 @@ def _check_header(doc: JournalDocument, *, expect_seed: int | None,
     options = header.get("options") or {}
     if not isinstance(options, dict):
         raise ResumeMismatch("journal header options are not a mapping")
-    snapshot_every = header.get("snapshot_every")
-    if not isinstance(snapshot_every, int) or snapshot_every < 1:
-        raise ResumeMismatch("journal header lacks the snapshot cadence")
-    return seed, scenario, options, snapshot_every
+    cadence = header.get("snapshot_every")
+    if cadence != SNAPSHOT_EVERY:
+        raise ResumeMismatch(
+            f"journal header's snapshot cadence {cadence!r} is not this "
+            f"library's {SNAPSHOT_EVERY}")
+    return seed, scenario, options
 
 
 def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
@@ -160,25 +135,31 @@ def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
     frames.
     """
     doc = read_journal(path)
-    seed, scenario, options, snapshot_every = _check_header(
+    seed, scenario, options = _check_header(
         doc, expect_seed=expect_seed, expect_scenario=expect_scenario)
     entry = lookup(scenario, error=ResumeMismatch)
-    validator = ReplayValidator(doc.frames, snapshot_every=snapshot_every)
-    run = entry.run(seed, journal=validator, **options)
-    if not validator.finished:
+    sink = FrameSink()
+    try:
+        run = entry.run(seed, journal=sink, **options)
+    finally:
+        # Also when the run raised: a divergence it reached first is
+        # what resume reports, in place of the run's own error.
+        sink.barrier()
+        _check_frames(doc.frames, sink.frames)
+    if not sink.frames or sink.frames[-1]["k"] != journal_format.END:
         raise PersistError(
             f"scenario {scenario!r} never called journal.finish(); its "
             f"runner does not support journaling")
-    if validator.position < len(validator.expected):
+    recorded, replayed = len(doc.frames), len(sink.frames)
+    if replayed < recorded:
         raise ResumeMismatch(
-            f"replayed run ended after {validator.position} frame(s) but "
-            f"the journal holds {len(validator.expected)}",
-            frame_index=validator.position,
-            expected=validator.expected[validator.position])
+            f"replayed run ended after {replayed} frame(s) but the journal "
+            f"holds {recorded}",
+            frame_index=replayed, expected=doc.frames[replayed])
     return ResumeReport(
         path=os.fspath(path), scenario=scenario, seed=seed, options=options,
         torn=doc.torn, complete=doc.complete,
-        journal_frames=len(doc.frames), replayed=validator.position,
-        fresh=validator.fresh,
+        journal_frames=recorded, replayed=recorded,
+        fresh=replayed - recorded,
         outcome=run.outcome,
-        committed=commit_summary(validator.frames), run=run)
+        committed=commit_summary(sink.frames), run=run)

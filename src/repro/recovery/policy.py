@@ -112,9 +112,9 @@ class RestartPolicy:
         restart_scheduled, restart, and quarantine — so a host-process
         kill -9 *between* the decision and its effect finds the decision
         already durable and :func:`~repro.persist.resume.resume` replays
-        it instead of losing it.  A replay validator's no-op ``barrier``
-        keeps resume symmetric.  Without a journal the policy restarts
-        in-world and nothing more.
+        it instead of losing it.  Resume's frame sink only renders at a
+        barrier, so the replayed frames are the same.  Without a journal
+        the policy restarts in-world and nothing more.
     """
 
     def __init__(self, scheduler: "Scheduler",

@@ -11,9 +11,10 @@ Each runner has one signature, ``run(seed, *, journal=None, **sizes)``
 builds its world with :func:`world`, runs it with :func:`run_checked`,
 and returns the :class:`Run` that :func:`finish` builds.  ``journal`` is
 the one instrumentation hook: any object with ``attach(scheduler)``,
-``finish(outcome)`` and ``barrier()``.  The journal recorder and replay
-validator, the explorer's injection probe and the metrics/profiler bundle
-of :func:`~repro.obs.scenarios.run_scenario` all ride it.
+``finish(outcome)`` and ``barrier()``.  The journal's frame sink (which
+records, resumes and gives the explorer its injection points) and the
+metrics/profiler bundle of :func:`~repro.obs.scenarios.run_scenario`
+ride it.
 """
 
 from __future__ import annotations

@@ -5,38 +5,47 @@ import json
 import pytest
 
 from repro.core.supervision import Supervisor
-from repro.faults.explore import (ORACLES, FaultSchedule, InjectionProbe,
-                                  check_saved_schedule, explore)
+from repro.faults.explore import (ORACLES, FaultSchedule,
+                                  check_saved_schedule, explore,
+                                  injection_points)
 from repro.faults.plan import FaultPlan
 from repro.faults.soak import run_chaos_broadcast
+from repro.persist import JournalRecorder, read_journal
 from repro.scenarios import names
 
 
 # ---------------------------------------------------------------------------
-# The probe: injection points come from the instrumentation stream
+# The probe: injection points come from a fault-free run's journal
 # ---------------------------------------------------------------------------
 
-def test_probe_enumerates_points_from_a_fault_free_run():
-    probe = InjectionProbe()
-    run_chaos_broadcast(0, plan=FaultPlan(), journal=probe)
-    kinds = {point.kind for point in probe.points}
+def probe(tmp_path, seed):
+    """Journal a fault-free broadcast; its frames and their points."""
+    path = tmp_path / f"base-{seed}.jrnl"
+    recorder = JournalRecorder(path, seed=seed, scenario="broadcast")
+    run_chaos_broadcast(seed, plan=FaultPlan(), journal=recorder)
+    frames = read_journal(path).frames
+    return frames, injection_points(frames)
+
+
+def test_probe_enumerates_points_from_a_fault_free_run(tmp_path):
+    frames, points = probe(tmp_path, 0)
+    kinds = {point.kind for point in points}
     assert kinds <= {"commit", "enroll", "recovery", "timer"}
     assert {"commit", "enroll", "timer"} <= kinds
     # Points arrive sorted and deduplicated — the frontier's anchor order
     # must not depend on dict/set iteration.
-    assert probe.points == sorted(
-        probe.points, key=lambda p: (p.time, p.kind, p.subject))
-    assert len(set(probe.points)) == len(probe.points)
-    assert probe.frames > 2           # header + end + real traffic
-    assert probe.outcome == "completed"
+    assert points == sorted(
+        points, key=lambda p: (p.time, p.kind, p.subject))
+    assert len(set(points)) == len(points)
+    assert len(frames) + 1 > 2        # header + end + real traffic
+    assert frames[-1]["status"] == "completed"
 
 
-def test_probe_is_deterministic_per_seed():
-    first, second = InjectionProbe(), InjectionProbe()
-    run_chaos_broadcast(5, plan=FaultPlan(), journal=first)
-    run_chaos_broadcast(5, plan=FaultPlan(), journal=second)
-    assert first.points == second.points
-    assert first.frames == second.frames
+def test_probe_is_deterministic_per_seed(tmp_path):
+    first_frames, first = probe(tmp_path, 5)
+    second_frames, second = probe(tmp_path, 5)
+    assert first == second
+    assert len(first_frames) == len(second_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +81,7 @@ def test_explorer_green_on_unmodified_runtime(scenario):
     assert report.schedules == 12
     assert report.verdicts["pass"] == 12
     assert report.verdicts.get("fail", 0) == 0
-    # The probe run, then every schedule journaled and resumed.
+    # The base run, then every schedule journaled and resumed.
     assert report.runs == 1 + 2 * report.schedules
 
 

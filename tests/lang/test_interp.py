@@ -216,6 +216,23 @@ END s;
     assert isinstance(excinfo.value.original, InterpreterError)
 
 
+def test_indexing_a_non_array_names_the_line():
+    source = """
+SCRIPT s;
+  ROLE a (VAR out : integer);
+  VAR x : integer;
+  BEGIN
+    x := 5;
+    out := x[1]
+  END a;
+END s;
+"""
+    script = compile_script(source)
+    with pytest.raises(ProcessFailure) as excinfo:
+        run_script(script, [("P", "a", {})])
+    assert str(excinfo.value.original) == "cannot index into 5 at line 7"
+
+
 def test_guarded_do_pure_boolean_countdown():
     source = """
 SCRIPT s;

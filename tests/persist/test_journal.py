@@ -11,9 +11,9 @@ from repro.persist.journal import (END, HEADER, MAGIC, MAX_FRAME_BYTES,
                                    JournalWriter, encode_frame, read_journal)
 
 
-def write_simple(path, frames=3, fsync_every=None):
+def write_simple(path, frames=3):
     """A header plus ``frames`` event frames; returns the writer's stats."""
-    with JournalWriter(path, fsync_every=fsync_every) as writer:
+    with JournalWriter(path) as writer:
         writer.append({"k": HEADER, "version": 1, "seed": 0,
                        "scenario": "t", "options": {}, "snapshot_every": 64})
         for i in range(frames):
@@ -55,11 +55,6 @@ def test_writer_rejects_append_after_close(tmp_path):
     writer.close()
     with pytest.raises(JournalError, match="closed"):
         writer.append({"k": HEADER})
-
-
-def test_writer_rejects_bad_fsync_cadence(tmp_path):
-    with pytest.raises(JournalError, match="fsync_every"):
-        JournalWriter(tmp_path / "j.jrnl", fsync_every=0)
 
 
 def test_read_journal_roundtrips(tmp_path):
@@ -145,10 +140,16 @@ def test_missing_header_is_structural(tmp_path):
 
 
 def test_fsync_cadence_counts_syncs(tmp_path):
+    # Appends never sync; sync() and close() do, and each one counts.
     path = tmp_path / "j.jrnl"
-    with JournalWriter(path, fsync_every=1) as writer:
+    with JournalWriter(path) as writer:
         writer.append({"k": HEADER, "version": 1, "seed": 0,
-                       "scenario": "t", "options": {}, "snapshot_every": 1})
+                       "scenario": "t", "options": {}, "snapshot_every": 64})
         writer.append({"k": "event", "seq": 0})
-        mid = writer.fsyncs
-    assert mid >= 2                               # one per frame so far
+        assert writer.fsyncs == 0
+        writer.sync()
+        writer.sync()
+        assert writer.fsyncs == 2
+    assert writer.fsyncs == 3                     # close syncs once more
+    writer.sync()                                 # closed: nothing to sync
+    assert writer.fsyncs == 3

@@ -39,7 +39,8 @@ def test_kill9_journal_is_durable_up_to_the_kill_point(tmp_path):
     report = kill9_resume("broadcast", 0, tmp_path, kill_after=10)
     child = tmp_path / "crash-broadcast-0.jrnl"
     doc = read_journal(child)
-    # fsync_every=1 in the child: every appended frame survived SIGKILL.
+    # The child syncs before it SIGKILLs itself: every frame it wrote
+    # survived.
     assert len(doc.frames) + 1 == 10              # header included
     assert report.ok
 

@@ -1,15 +1,18 @@
-"""Record → resume round-trips: validation, mismatches, lazy/eager parity."""
+"""Record → resume round-trips: validation, mismatches, snapshots."""
 
 import pytest
 
 from repro.errors import PersistError, ResumeMismatch
 from repro.obs import RuntimeMetrics
 from repro.persist import JournalRecorder, record_run, resume
-from repro.persist.journal import DECISION, EVENT, SNAPSHOT, read_journal
-from repro.persist.record import FrameSink
+from repro.persist.journal import (DECISION, EVENT, HEADER, SNAPSHOT,
+                                   JournalWriter, read_journal)
+from repro.persist.record import SNAPSHOT_EVERY
 from repro.persist.resume import commit_summary
 from repro.runtime import Scheduler
 from repro.scenarios import lookup
+
+from .test_resume_divergence import alter_and_resume
 
 
 @pytest.mark.parametrize("scenario,seed", [
@@ -38,23 +41,29 @@ def test_journal_covers_every_nondeterminism_source(tmp_path):
 
 def test_snapshot_frames_follow_commit_cadence(tmp_path):
     path = tmp_path / "b.jrnl"
-    record_run("lock", 3, path, snapshot_every=5)
+    record_run("demo-broadcast", 0, path, options={"n": 40})
     doc = read_journal(path)
+    assert doc.header["snapshot_every"] == SNAPSHOT_EVERY
     snapshots = doc.of_kind(SNAPSHOT)
-    assert snapshots, "a lock run commits enough to cross the cadence"
-    assert all(snap["commits"] % 5 == 0 for snap in snapshots)
+    assert snapshots, "80 commits cross the cadence"
+    assert all(snap["commits"] % SNAPSHOT_EVERY == 0 for snap in snapshots)
     digests = [snap["digest"] for snap in snapshots]
     assert all({"now", "steps", "rng"} <= set(d) for d in digests)
+    report = resume(path, expect_seed=0, expect_scenario="demo-broadcast")
+    assert report.complete and report.fresh == 0
+    assert report.replayed == report.journal_frames == len(doc.frames)
 
 
-def test_lazy_and_eager_recorders_write_identical_journals(tmp_path):
-    # The write-behind buffer is a pure performance trade: deferring the
-    # render must never change what lands on disk.
-    lazy = tmp_path / "lazy.jrnl"
-    eager = tmp_path / "eager.jrnl"
-    record_run("broadcast", 4, lazy)
-    record_run("broadcast", 4, eager, fsync_every=1)
-    assert lazy.read_bytes() == eager.read_bytes()
+def test_divergence_names_the_replayed_frame_at_its_index(tmp_path):
+    # An enroll_request is traced inside the enrolling process's step.
+    # Resume compares after the run, so the process runs on unharmed and
+    # the error carries the frame the replay produced at that index.
+    def alter(frame):
+        frame["p"] = repr("someone else")
+        return frame
+    error, original = alter_and_resume(tmp_path, "broadcast", 0, None,
+                                       EVENT, "enroll_request", alter)
+    assert error.observed == original
 
 
 def test_metrics_attached_over_a_journal_keep_its_frames(tmp_path):
@@ -146,20 +155,6 @@ def test_recorder_rejects_double_attach(tmp_path):
     recorder.close()
 
 
-def test_recorder_rejects_bad_snapshot_cadence(tmp_path):
-    with pytest.raises(PersistError, match="snapshot_every"):
-        JournalRecorder(tmp_path / "j.jrnl", seed=0, scenario="x",
-                        snapshot_every=0)
-
-
-def test_frame_sink_base_hooks_are_abstract():
-    sink = FrameSink()
-    with pytest.raises(NotImplementedError):
-        sink._note_frame({"k": "event"})
-    with pytest.raises(NotImplementedError):
-        sink.finish("ok")
-
-
 def test_header_without_cadence_is_rejected(tmp_path):
     from repro.persist.journal import HEADER, JournalWriter
     path = tmp_path / "old.jrnl"
@@ -167,6 +162,18 @@ def test_header_without_cadence_is_rejected(tmp_path):
         writer.append({"k": HEADER, "version": 1, "seed": 0,
                        "scenario": "broadcast", "options": {}})
     with pytest.raises(ResumeMismatch, match="cadence"):
+        resume(path)
+
+
+def test_header_with_another_cadence_is_rejected(tmp_path):
+    # Snapshot frames sample every SNAPSHOT_EVERY-th commit; a journal
+    # sampled at another cadence could never replay frame for frame.
+    path = tmp_path / "five.jrnl"
+    with JournalWriter(path) as writer:
+        writer.append({"k": HEADER, "version": 1, "seed": 0,
+                       "scenario": "broadcast", "options": {},
+                       "snapshot_every": 5})
+    with pytest.raises(ResumeMismatch, match="cadence 5"):
         resume(path)
 
 
