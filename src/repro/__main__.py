@@ -8,7 +8,8 @@ Commands:
 * ``analyze <files>``    — full static analysis: index-aware communication
   graph, guaranteed-deadlock detection, critical-set feasibility; stable
   ``SCRnnn`` diagnostic codes, ``--json`` for deterministic JSON,
-  ``--strict`` to fail on warnings, ``--figures`` for the paper corpus;
+  ``--strict`` to fail on warnings, ``--figures`` for the paper corpus,
+  ``--parameterized`` to prove the script safe for every family size;
 * ``format <file>``      — pretty-print a script file (round-trippable);
 * ``demo broadcast``     — run a broadcast and print the delivery table;
 * ``demo lock``          — run the Figure 5 lock-manager workload;
@@ -30,8 +31,7 @@ Commands:
   and continue past the crash point;
 * ``trace <scenario>``   — run an instrumented scenario and export its
   span tree as Chrome trace-event JSON (plus optional JSONL);
-* ``stats <scenario>``   — run a scenario and print its metrics summary
-  (``stats analysis`` summarizes a static-analysis run over the figures);
+* ``stats <scenario>``   — run a scenario and print its metrics summary;
 * ``profile <scenario>`` — attribute a scenario's run time to kernel
   phases.
 
@@ -104,8 +104,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """Run the full static analysis over script files."""
     from .analysis import analyze_source, dump_report_json, figure_corpus
     from .analysis.diagnostics import summary_lines
-    parameterized = getattr(args, "parameterized", False) \
-        or args.command == "verify"
     targets: list[tuple[str, str]] = []
     if args.figures:
         targets.extend(figure_corpus())
@@ -124,8 +122,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for label, source in targets:
         try:
             reports.append(analyze_source(
-                source, label=label, parameterized=parameterized,
-                max_states=getattr(args, "max_states", None)))
+                source, label=label, parameterized=args.parameterized,
+                max_states=args.max_states))
         except ScriptLangError as error:
             print(f"{label}: {error}", file=sys.stderr)
             return 2
@@ -371,21 +369,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     import json
 
     from .obs import jsonable, run_scenario
-    if args.scenario == "analysis":
-        from .analysis import analyze_corpus, record_analysis
-        # Parameterized verification included: the registry carries the
-        # model checker's state-space counters alongside the finding
-        # counts (analysis_param_*).
-        reports = analyze_corpus(parameterized=True)
-        registry = record_analysis(reports)
-        if args.json:
-            print(json.dumps(jsonable(registry.to_dict()), sort_keys=True,
-                             indent=2))
-            return 0
-        print(f"analysis: {len(reports)} figure source(s) analyzed")
-        print()
-        print(registry.render_text())
-        return 0
     run = run_scenario(args.scenario, seed=args.seed, n=args.n)
     if args.json:
         print(json.dumps(jsonable(run.metrics.to_dict()), sort_keys=True,
@@ -503,22 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "checker reports inconclusive")
     analyze_cmd.set_defaults(handler=cmd_analyze)
 
-    verify = sub.add_parser(
-        "verify", help="parameterized verification of script files "
-                       "(analyze --parameterized)")
-    verify.add_argument("files", nargs="*",
-                        help="script-language source files")
-    verify.add_argument("--figures", action="store_true",
-                        help="also verify the shipped paper figures")
-    verify.add_argument("--strict", action="store_true",
-                        help="exit nonzero on warnings, not only errors")
-    verify.add_argument("--json", action="store_true",
-                        help="emit deterministic diagnostics JSON")
-    verify.add_argument("--max-states", type=int, default=None,
-                        help="state bound before the checker reports "
-                             "inconclusive")
-    verify.set_defaults(handler=cmd_analyze)
-
     fmt = sub.add_parser("format", help="pretty-print a script file")
     fmt.add_argument("file")
     fmt.set_defaults(handler=cmd_format)
@@ -617,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="run a scenario and print its "
                                          "metrics summary")
-    stats.add_argument("scenario", choices=[*names(), "analysis"])
+    stats.add_argument("scenario", choices=names())
     stats.add_argument("--seed", type=int, default=0)
     stats.add_argument("--n", type=int, default=5, help=size_help)
     stats.add_argument("--json", action="store_true",

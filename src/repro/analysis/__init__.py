@@ -24,8 +24,7 @@ must analyze error-free (see ``tests/analysis/test_differential.py`` and
 DESIGN.md §11).
 """
 
-from .analyzer import (analyze_corpus, analyze_program, analyze_source,
-                       figure_corpus)
+from .analyzer import analyze_program, analyze_source, figure_corpus
 from .deadlock import (Prefix, PrefixOp, analyze_deadlocks, collect_prefixes,
                        guaranteed_prefix)
 from .diagnostics import (CATALOG, Finding, Report, Severity,
@@ -33,7 +32,6 @@ from .diagnostics import (CATALOG, Finding, Report, Severity,
                           report_document, summary_lines)
 from .graph import (CommSite, Instance, collect_sites, instance_label,
                     role_instances, static_eval, terminated_partners)
-from .metrics_bridge import record_analysis
 
 __all__ = [
     "CATALOG",
@@ -44,7 +42,6 @@ __all__ = [
     "PrefixOp",
     "Report",
     "Severity",
-    "analyze_corpus",
     "analyze_deadlocks",
     "analyze_program",
     "analyze_source",
@@ -55,7 +52,6 @@ __all__ = [
     "figure_corpus",
     "guaranteed_prefix",
     "instance_label",
-    "record_analysis",
     "report_document",
     "role_instances",
     "static_eval",

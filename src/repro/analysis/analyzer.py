@@ -1,8 +1,8 @@
 """The analyzer entry points: run every check, produce a :class:`Report`.
 
 :func:`analyze_program` is the library API; :func:`analyze_source` adds
-parsing, and :func:`analyze_corpus` runs the shipped figure sources (plus
-any extra labeled sources) — the CLI and CI both build on these.
+parsing, and :func:`figure_corpus` lists the shipped figure sources — the
+CLI and CI both build on these.
 
 Check inventory (codes in :mod:`repro.analysis.diagnostics`):
 
@@ -177,12 +177,3 @@ def figure_corpus() -> list[tuple[str, str]]:
     """The shipped paper figures as (label, source) pairs."""
     return [(key, source) for key, (_title, source) in FIGURES.items()]
 
-
-def analyze_corpus(extra: list[tuple[str, str]] | None = None, *,
-                   parameterized: bool = False) -> list[Report]:
-    """Analyze the shipped figures plus any extra (label, source) pairs."""
-    reports = []
-    for label, source in figure_corpus() + list(extra or ()):
-        reports.append(analyze_source(source, label=label,
-                                      parameterized=parameterized))
-    return reports

@@ -180,10 +180,10 @@ def dump_report_json(reports: Iterable[Report]) -> str:
 
 
 def summary_lines(reports: Iterable[Report]) -> list[str]:
-    """The ``analyze`` / ``verify`` summary in the shared report layout.
+    """The ``analyze`` summary in the shared report layout.
 
     Rendered with :func:`repro.reporting.kv_lines` so every CLI report
-    (soak, explore, replay, analyze, verify) shares one look.  When any
+    (soak, explore, replay, analyze) shares one look.  When any
     report carries a parameterized section, its aggregate counters are
     appended as extra rows.
     """

@@ -12,10 +12,10 @@ exploration records
   configuration is reachable at all (a liveness violation under *any*
   fair schedule — computed by backward reachability from the terminal
   set);
-* the state/frontier counters surfaced through ``repro stats analysis``.
+* the state/frontier counters summed in ``repro analyze``'s summary.
 
 :func:`run_parameterized` is the orchestration behind ``repro analyze
---parameterized`` / ``repro verify``: classify the script
+--parameterized``: classify the script
 (:func:`~repro.analysis.abstraction.detect_model`), sweep the small
 concrete sizes exactly, run the counter abstraction (symmetric regime) or
 the cutoff sweep (ring regime), and concretize every abstract
@@ -843,7 +843,7 @@ def run_parameterized(program, info: ProgramInfo, report,
 
     Fills and returns ``report.parameterized`` — a JSON-able summary with
     the verdict ("safe" | "unsafe" | "inconclusive"), the strategy used,
-    and the state-space counters surfaced by ``repro stats analysis``.
+    and the state-space counters summed in ``repro analyze``'s summary.
     """
     from .witness import confirm_livelock, find_deadlock_witness
     stats = {"verdict": "safe", "strategy": "fixed", "covers": None,

@@ -53,14 +53,6 @@ def normalize_partners(partners: Mapping[RoleId, Any] | None
     return normalised
 
 
-class RequestState:
-    """Lifecycle of an enrollment request."""
-
-    PENDING = "pending"      # pooled, waiting to join a performance
-    ASSIGNED = "assigned"    # bound to a role of a performance
-    WITHDRAWN = "withdrawn"  # cancelled before assignment
-
-
 @dataclasses.dataclass(eq=False)
 class EnrollmentRequest:
     """One attempt by a process to enroll in a role of a script instance.
@@ -75,18 +67,17 @@ class EnrollmentRequest:
     actuals: dict[str, Any]
     partners: PartnerConstraints
     seq: int = dataclasses.field(default_factory=lambda: next(_request_counter))
-    state: str = RequestState.PENDING
     # Filled in at assignment:
     performance: Any = None
     assigned_role: RoleId | None = None
-    #: Set when the request is bound to a role; the enrolling process
-    #: waits on it.
+    #: Set when the request is bound to a role — the one record of the
+    #: binding; the enrolling process waits on it.
     accepted: Latch = dataclasses.field(default_factory=Latch)
 
     @property
     def assigned(self) -> bool:
         """True once this request is bound to a role of a performance."""
-        return self.state == RequestState.ASSIGNED
+        return self.accepted.is_set
 
     def accepts_binding(self, role_id: RoleId, process: Hashable) -> bool:
         """Does this request allow ``process`` to fill ``role_id``?"""
@@ -95,4 +86,4 @@ class EnrollmentRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<EnrollmentRequest #{self.seq} {self.process!r} as "
-                f"{self.role_id!r} [{self.state}]>")
+                f"{self.role_id!r}>")

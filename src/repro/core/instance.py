@@ -34,7 +34,7 @@ from typing import Any, Generator, Hashable, Mapping
 from ..errors import PerformanceError
 from ..runtime import DropAlias, EventKind, GetName, Scheduler, WaitUntil
 from .context import RoleContext
-from .enrollment import (EnrollmentRequest, RequestState, normalize_partners)
+from .enrollment import EnrollmentRequest, normalize_partners
 from .matching import consistent_extension, fill_order, solve
 from .params import bind_formals, copy_back, validate_actuals
 from .performance import CriticalTable, Performance
@@ -165,7 +165,6 @@ class ScriptInstance:
         return copy_back(declaration.params, bound, actuals)
 
     def _withdraw(self, request: EnrollmentRequest) -> None:
-        request.state = RequestState.WITHDRAWN
         if request in self.pool:
             self.pool.remove(request)
         self._emit(EventKind.ENROLL_REQUEST, request.process,
@@ -318,7 +317,6 @@ class ScriptInstance:
 
     def _assign(self, performance: Performance, role_id: RoleId,
                 request: EnrollmentRequest) -> None:
-        request.state = RequestState.ASSIGNED
         request.accepted.set()
         request.performance = performance
         request.assigned_role = role_id

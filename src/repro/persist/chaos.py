@@ -129,7 +129,7 @@ class Kill9Report:
         """True when the resumed run reproduced the oracle exactly."""
         return (self.committed_match
                 and self.child_signal == signal.SIGKILL
-                and self.resume_report.replayed > 0)
+                and self.resume_report.journal_frames > 0)
 
     def lines(self) -> list[str]:
         """Human-readable summary for the CLI."""
@@ -140,8 +140,8 @@ class Kill9Report:
             f"frame(s) (oracle run: {self.oracle_frames})",
             f"  journal       {report.journal_frames} intact frame(s)"
             + (", torn tail dropped" if self.torn else ""),
-            f"  resume        {report.replayed} validated + "
-            f"{report.fresh} fresh frame(s); outcome {report.outcome}",
+            f"  resume        {report.fresh} fresh frame(s); "
+            f"outcome {report.outcome}",
             f"  rendezvous    {len(report.committed)}/"
             f"{len(self.oracle_committed)} committed, "
             f"{'identical to oracle' if self.committed_match else 'DIVERGED'}",

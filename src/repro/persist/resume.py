@@ -72,8 +72,7 @@ class ResumeReport:
     options: dict[str, Any]
     torn: bool                   # journal ended in a torn (dropped) frame
     complete: bool               # journal held an intact ``end`` frame
-    journal_frames: int          # intact recorded frames (header excluded)
-    replayed: int                # frames validated against the journal
+    journal_frames: int          # intact frames, all replayed identically
     fresh: int                   # frames produced past the journal's end
     outcome: str                 # resumed run's outcome
     committed: list[tuple[int, str]]  # full committed-rendezvous sequence
@@ -85,8 +84,8 @@ class ResumeReport:
             "complete" if self.complete else "no end frame (crashed run)")
         return [
             f"resume: {self.scenario} seed {self.seed} from {self.path}",
-            f"  journal       {self.journal_frames} frame(s), {tail}",
-            f"  validated     {self.replayed} frame(s) replayed identically",
+            f"  journal       {self.journal_frames} frame(s) replayed "
+            f"identically, {tail}",
             f"  continuation  {self.fresh} fresh frame(s) past the journal",
             f"  rendezvous    {len(self.committed)} committed",
             f"  outcome       {self.outcome}",
@@ -159,7 +158,6 @@ def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
     return ResumeReport(
         path=os.fspath(path), scenario=scenario, seed=seed, options=options,
         torn=doc.torn, complete=doc.complete,
-        journal_frames=recorded, replayed=recorded,
-        fresh=replayed - recorded,
+        journal_frames=recorded, fresh=replayed - recorded,
         outcome=run.outcome,
         committed=commit_summary(sink.frames), run=run)

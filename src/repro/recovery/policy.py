@@ -141,7 +141,6 @@ class RestartPolicy:
         self.restarts = 0
         self.quarantined: set[Hashable] = set()
         self._history: dict[Hashable, list[float]] = {}
-        self._stopped = False
         scheduler.on_kill(self._crashed)
 
     def _barrier(self) -> None:
@@ -155,8 +154,7 @@ class RestartPolicy:
 
     def _crashed(self, process: Process) -> None:
         name = process.name
-        if (self._stopped or name not in self.bodies
-                or name in self.quarantined):
+        if name not in self.bodies or name in self.quarantined:
             return
         if self.only_while is not None and not self.only_while():
             return
@@ -182,13 +180,13 @@ class RestartPolicy:
                               attempt=attempt, delay=delay)
         self._barrier()
         # Ownerless timer: it must fire even though its subject is dead.
-        # A late firing after stop()/goal-met is a traced no-op, so the
+        # A late firing after the goal is met is a traced no-op, so the
         # timer never counts as residue and never wedges quiescence.
         scheduler.schedule_at(now + delay, lambda n=name: self._respawn(n))
 
     def _respawn(self, name: Hashable) -> None:
         scheduler = self.scheduler
-        if (self._stopped or name in self.quarantined
+        if (name in self.quarantined
                 or (self.only_while is not None and not self.only_while())):
             scheduler.tracer.emit(scheduler.now, EventKind.RECOVERY, name,
                                   action="restart_abandoned")
@@ -206,14 +204,6 @@ class RestartPolicy:
                               total_restarts=self.restarts)
         self._barrier()
         scheduler.respawn(name, self.bodies[name]())
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def stop(self) -> None:
-        """Stop managing crashes; pending restart timers become no-ops."""
-        self._stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RestartPolicy {len(self.bodies)} managed "

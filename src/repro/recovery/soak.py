@@ -19,11 +19,10 @@ a backstop; a given plan that crashes one recipient more often than the
 cap allows reaches it.
 
 Its soak is ``soak("recover")``, which sums each run's liveness counters
-(completed performances, restarts, retries, recoveries, quarantined
-names).  Everything stays deterministic: the plan, the backoff jitter,
-and every recovery decision derive from the run's seed, so
-``verify_determinism("recover")`` can demand byte-identical formatted
-traces — RECOVERY events included.
+(completed performances, restarts, retries, recoveries).  Everything
+stays deterministic: the plan, the backoff jitter, and every recovery
+decision derive from the run's seed, so ``verify_determinism("recover")``
+can demand byte-identical formatted traces — RECOVERY events included.
 """
 
 from __future__ import annotations
@@ -98,13 +97,14 @@ def run_recover_broadcast(seed: int, *, n: int = 3,
     run must deliver the asked-for rounds, leave zero kernel residue,
     and — when the plan managed to abort a sealed performance — show the
     retry accounting in the trace; otherwise it raises
-    :class:`~repro.errors.ChaosInvariantError`.  The run's ``counters``
-    are ``completed``, ``restarts``, ``retries``, ``recovered`` and
-    ``quarantined`` (names left down).  ``journal`` is the run's hook
-    (see :mod:`repro.scenarios`); with any hook attached the policy
-    calls ``journal.barrier()`` before every recovery decision acts — so
-    a recorder has each decision on disk first.  Barriers do not touch
-    the run, so the trace is the same either way.
+    :class:`~repro.errors.ChaosInvariantError` before finishing, so its
+    outcome is always ``"recovered"``.  The run's ``counters`` are
+    ``completed``, ``restarts``, ``retries`` and ``recovered``.
+    ``journal`` is the run's hook (see :mod:`repro.scenarios`); with any
+    hook attached the policy calls ``journal.barrier()`` before every
+    recovery decision acts — so a recorder has each decision on disk
+    first.  Barriers do not touch the run, so the trace is the same
+    either way.
     """
     placement: dict[Hashable, Any] = {"S": "hub"}
     placement.update({("R", i): ("leaf", i) for i in range(1, n + 1)})
@@ -195,32 +195,24 @@ def run_recover_broadcast(seed: int, *, n: int = 3,
     result = run_checked(scheduler, seed, instance)
     completed = completed_count()
     if quarantined:
-        outcome = "quarantined"
-    elif completed < RECOVER_ROUNDS or retry.exhausted:
-        outcome = "incomplete"
-    else:
-        outcome = "recovered"
-    run = finish(
-        seed, result, journal, outcome,
-        f"recovery run {outcome}: {completed} performance(s) completed of "
+        _fail(seed, f"intensity cap escalated "
+                    f"{sorted(quarantined, key=repr)!r}"
+                    f" despite a covering budget")
+    if completed < RECOVER_ROUNDS:
+        _fail(seed, f"only {completed}/{RECOVER_ROUNDS} performances "
+                    f"completed under recovery")
+    if retry.exhausted:
+        _fail(seed, "retry budget exhausted despite covering the "
+                    "crash plan")
+    if supervisor.aborts and not retry.retries:
+        _fail(seed, "performance aborted but no retry was granted")
+    return finish(
+        seed, result, journal, "recovered",
+        f"recovery run recovered: {completed} performance(s) completed of "
         f"{RECOVER_ROUNDS} asked for, {policy.restarts} restart(s), "
         f"t={result.time:g}",
         performances=instance.performance_count,
         crashes=supervisor.crashes, aborts=supervisor.aborts,
         faults=plan.describe(),
         counters={"completed": completed, "restarts": policy.restarts,
-                  "retries": retry.retries, "recovered": retry.recovered,
-                  "quarantined": len(quarantined)})
-    if completed < RECOVER_ROUNDS and not quarantined:
-        _fail(seed, f"only {completed}/{RECOVER_ROUNDS} performances "
-                    f"completed under recovery")
-    if quarantined:
-        _fail(seed, f"intensity cap escalated "
-                    f"{sorted(quarantined, key=repr)!r}"
-                    f" despite a covering budget")
-    if retry.exhausted:
-        _fail(seed, "retry budget exhausted despite covering the "
-                    "crash plan")
-    if supervisor.aborts and not retry.retries:
-        _fail(seed, "performance aborted but no retry was granted")
-    return run
+                  "retries": retry.retries, "recovered": retry.recovered})

@@ -2,8 +2,7 @@
 
 Every report-style CLI command renders as a one-line header followed by
 aligned ``label  value`` rows: the chaos soak, exploration and
-``--replay-plan`` reports, and the ``repro analyze`` / ``repro verify``
-summaries.
+``--replay-plan`` reports, and the ``repro analyze`` summary.
 """
 
 from __future__ import annotations

@@ -294,9 +294,6 @@ class RendezvousBoard:
     def on_alias_released(self, alias: Hashable, process: "Process") -> None:
         """``process`` no longer owns ``alias`` (no-op here)."""
 
-    def compact(self) -> None:
-        """Release any internal bookkeeping memory (no-op here)."""
-
     @property
     def needs_settle(self) -> bool:
         """Could a settle commit anything right now?

@@ -154,15 +154,13 @@ class IndexedBoard(RendezvousBoard):
         self._cache_hits = 0
         self._cache_misses = 0
         self._resumed_pairs = 0   # pairs reused across cache-hit re-posts
-        self._swept_pairs = 0     # suspended pairs torn down on miss/compact
+        self._swept_pairs = 0     # suspended pairs torn down on a miss
         # Buckets are deliberately kept when they empty: rendezvous churn
         # reuses the same alias/name keys over and over, and allocating a
         # fresh container per round both costs time and — because dicts
         # and sets are GC-tracked — drags extra cyclic-GC passes into the
         # hot path.  The exception is a released alias, whose empty
-        # buckets :meth:`on_alias_released` drops.  :meth:`compact`
-        # (called from ``Scheduler.reap``) prunes the rest when the caller
-        # wants memory back.
+        # buckets :meth:`on_alias_released` drops.
 
     # ------------------------------------------------------------------
     # Wiring and introspection
@@ -197,28 +195,6 @@ class IndexedBoard(RendezvousBoard):
     @property
     def swept_pairs(self) -> int:
         return self._swept_pairs
-
-    def compact(self) -> None:
-        """Sweep the re-post cache and drop empty index buckets.
-
-        The event handlers leave empty buckets in place (see ``__init__``)
-        and withdrawn groups parked in the re-post cache; long-running
-        hosts reclaim both here, e.g. via ``Scheduler.reap``.  Sweeping a
-        cache entry tears down its suspended pairs too — an orphaned
-        suspended pair would collide with a later rediscovery.
-        """
-        for old in list(self._suspended.values()):
-            self._sweep_stale(old)
-        self._suspended.clear()
-        # With no suspended entries left, no outstanding stamp references
-        # the send-arrival counters — safe to reset them (they must never
-        # be trimmed while a stamped entry could compare against them).
-        self._target_act.clear()
-        for registry in (self._sends_to, self._recvs_from,
-                         self._send_pairs, self._recv_pairs,
-                         self._pairs_by_alias):
-            for key in [k for k, bucket in registry.items() if not bucket]:
-                del registry[key]
 
     @property
     def dirty_events(self) -> int:

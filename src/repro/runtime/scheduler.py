@@ -77,18 +77,18 @@ class RunResult:
         self.time = scheduler.now
         self.steps = scheduler.total_steps
         self.tracer = scheduler.tracer
-        # Start from the snapshots of processes reaped mid-run (see
-        # Scheduler.reap); live records override on a name collision.
-        self.results: dict[Hashable, Any] = dict(scheduler._reaped_results)
+        # Start from the outcomes of records replaced by Scheduler.respawn;
+        # live records override on a name collision.
+        self.results: dict[Hashable, Any] = dict(scheduler._past_results)
         self.results.update({
             p.name: p.result for p in scheduler.processes.values()
             if p.state is ProcessState.DONE and not p.killed})
         self.failures: dict[Hashable, BaseException] = dict(
-            scheduler._reaped_failures)
+            scheduler._past_failures)
         self.failures.update({
             p.name: p.error for p in scheduler.processes.values()
             if p.state is ProcessState.FAILED})
-        self.killed: list[Hashable] = list(scheduler._reaped_killed) + [
+        self.killed: list[Hashable] = list(scheduler._past_killed) + [
             p.name for p in scheduler.processes.values() if p.killed]
 
     @property
@@ -184,8 +184,8 @@ class Scheduler:
         "processes", "alias_owner", "_ready", "_board", "_waiters",
         "_polled", "_fired", "_park_seq", "_timers", "_timer_seq",
         "_armed_timers", "_cancelled_in_heap",
-        "_process_timers", "_reaped_results", "_reaped_failures",
-        "_reaped_killed", "_first_failure", "_kill_listeners",
+        "_process_timers", "_past_results", "_past_failures",
+        "_past_killed", "_first_failure", "_kill_listeners",
         "_board_dirty", "commit_count", "_cadence_every", "_cadence_hook",
         "prof_clock", "_prof_timer_ops", "_prof_journal_ns", "_prof_polls",
         "_sink", "_sink_offer", "_sink_index", "_sink_commit",
@@ -227,10 +227,10 @@ class Scheduler:
         self._cancelled_in_heap = 0
         # Armed timers owned by a process, withdrawn when it dies.
         self._process_timers: dict[Hashable, set[TimerHandle]] = {}
-        # Snapshots of reaped (finished, dropped) process records.
-        self._reaped_results: dict[Hashable, Any] = {}
-        self._reaped_failures: dict[Hashable, BaseException] = {}
-        self._reaped_killed: list[Hashable] = []
+        # Outcomes of finished records that respawn replaced.
+        self._past_results: dict[Hashable, Any] = {}
+        self._past_failures: dict[Hashable, BaseException] = {}
+        self._past_killed: list[Hashable] = []
         self._first_failure: ProcessFailure | None = None
         self._kill_listeners: list[Callable[[Process], None]] = []
         # Set whenever an event that can change matchability happens
@@ -404,9 +404,9 @@ class Scheduler:
         """Re-register a finished process name with a fresh body.
 
         Restart policies use this to bring a crashed process back: the old
-        record's outcome is snapshotted first (exactly as :meth:`reap` would
-        have), so a later :class:`RunResult` still reports the kill/failure
-        that triggered the restart.  Raises if the name is still running.
+        record's outcome is snapshotted first, so a later
+        :class:`RunResult` still reports the kill/failure that triggered
+        the restart.  Raises if the name is still running.
         """
         old = self.processes.get(name)
         if old is not None:
@@ -414,18 +414,17 @@ class Scheduler:
                 raise RuntimeKernelError(
                     f"cannot respawn {name!r}: process still running")
             if old.killed:
-                self._reaped_killed.append(name)
+                self._past_killed.append(name)
             elif old.state is ProcessState.FAILED:
-                self._reaped_failures[name] = old.error
+                self._past_failures[name] = old.error
             else:
-                self._reaped_results[name] = old.result
-            self._process_timers.pop(name, None)
+                self._past_results[name] = old.result
             # Release any aliases the finished record still holds *before*
-            # spawn re-claims the name.  Every normal finish path already
-            # released them, but a stale extra alias (role address) left
-            # behind by an exotic path would otherwise keep routing
-            # rendezvous to the dead record — and claiming over it would
-            # leave the registry inconsistent with ``old.aliases``.
+            # spawn re-claims the name.  Retiring released them, but an
+            # extra alias added to the finished record afterwards (via
+            # add_alias) would otherwise keep routing rendezvous to the
+            # dead record — and claiming over it would leave the registry
+            # inconsistent with ``old.aliases``.
             self._release_aliases(old)
             del self.processes[name]
         return self.spawn(name, body)
@@ -445,13 +444,7 @@ class Scheduler:
         if process.finished:
             return
         process.killed = True
-        process.state = ProcessState.DONE
-        self._board.withdraw(name)
-        self._board_dirty = True
-        self._unpark(name)
-        self._withdraw_process_timers(name)
-        self._release_aliases(process)
-        self.tracer.emit(self.now, EventKind.PROC_DONE, name, killed=True)
+        self._retire(process)
         for listener in list(self._kill_listeners):
             listener(process)
 
@@ -474,12 +467,45 @@ class Scheduler:
             raise UnknownProcessError(f"no process named {name!r}")
         if process.finished:
             return
+        self._cancel_waits(name)
+        self.tracer.emit(self.now, EventKind.INTERRUPT, name, error=repr(exc))
+        self._throw(process, exc)
+
+    def _cancel_waits(self, name: Hashable) -> None:
+        """Withdraw whatever ``name`` is blocked on: offers, waiter, timers."""
         self._board.withdraw(name)
         self._board_dirty = True
         self._unpark(name)
         self._withdraw_process_timers(name)
-        self.tracer.emit(self.now, EventKind.INTERRUPT, name, error=repr(exc))
-        self._throw(process, exc)
+
+    def _retire(self, process: Process,
+                error: BaseException | None = None) -> None:
+        """End ``process``: the one way out of the kernel.
+
+        A return, a raise (``error``), a yield :meth:`_handle_effect`
+        rejects (``error``) and a kill (``process.killed`` already set)
+        all come here.  Whatever the process waits on is withdrawn, its
+        aliases are released, and its one ``proc_done`` or ``proc_fail``
+        is traced.  A running process has no offers and no waiter, and
+        releasing its name already marks the board dirty, so for it the
+        withdrawals change nothing.
+        """
+        name = process.name
+        process.state = (ProcessState.DONE if error is None
+                         else ProcessState.FAILED)
+        process.error = error
+        self._cancel_waits(name)
+        self._release_aliases(process)
+        if error is not None:
+            self.tracer.emit(self.now, EventKind.PROC_FAIL, name,
+                             error=repr(error))
+            if self._first_failure is None:
+                self._first_failure = ProcessFailure(name, error)
+        elif process.killed:
+            self.tracer.emit(self.now, EventKind.PROC_DONE, name,
+                             killed=True)
+        else:
+            self.tracer.emit(self.now, EventKind.PROC_DONE, name)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> "TimerHandle":
         """Run ``action()`` at virtual time ``time``.
@@ -494,31 +520,6 @@ class Scheduler:
     def kill_at(self, time: float, name: Hashable) -> None:
         """Schedule a process crash at virtual time ``time``."""
         self.schedule_at(time, lambda: self.kill(name))
-
-    def reap(self) -> int:
-        """Drop finished process records; returns how many were dropped.
-
-        Soak runs that spawn short-lived processes would otherwise grow
-        ``processes`` without bound.  Each reaped record's outcome
-        (result, failure, or kill) is snapshotted first, so a later
-        :class:`RunResult` still reports it.  If a reaped name is later
-        reused by :meth:`spawn`, the new process's outcome wins.
-        """
-        reaped = 0
-        for name, process in list(self.processes.items()):
-            if not process.finished:
-                continue
-            if process.killed:
-                self._reaped_killed.append(name)
-            elif process.state is ProcessState.FAILED:
-                self._reaped_failures[name] = process.error
-            else:
-                self._reaped_results[name] = process.result
-            self._process_timers.pop(name, None)
-            del self.processes[name]
-            reaped += 1
-        self._board.compact()
-        return reaped
 
     # ------------------------------------------------------------------
     # Alias registry
@@ -773,38 +774,18 @@ class Scheduler:
         try:
             effect = process.advance()
         except StopIteration as stop:
-            process.state = ProcessState.DONE
             process.result = stop.value
-            self._withdraw_process_timers(process.name)
-            self._release_aliases(process)
-            self.tracer.emit(self.now, EventKind.PROC_DONE, process.name)
+            self._retire(process)
             return
         except BaseException as exc:  # noqa: BLE001 - report any failure
-            process.state = ProcessState.FAILED
-            process.error = exc
-            self._withdraw_process_timers(process.name)
-            self._release_aliases(process)
-            self.tracer.emit(self.now, EventKind.PROC_FAIL, process.name,
-                             error=repr(exc))
-            failure = ProcessFailure(process.name, exc)
-            if self._first_failure is None:
-                self._first_failure = failure
+            self._retire(process, exc)
             return
         try:
             self._handle_effect(process, effect)
         except (InvalidEffectError, TypeError, ValueError) as exc:
             # A malformed yield is the yielding process's bug: record it as
             # that process's failure rather than crashing the scheduler.
-            process.state = ProcessState.FAILED
-            process.error = exc
-            self._board.withdraw(process.name)
-            self._board_dirty = True
-            self._withdraw_process_timers(process.name)
-            self._release_aliases(process)
-            self.tracer.emit(self.now, EventKind.PROC_FAIL, process.name,
-                             error=repr(exc))
-            if self._first_failure is None:
-                self._first_failure = ProcessFailure(process.name, exc)
+            self._retire(process, exc)
 
     def _post_group(self, process: Process, group: OfferGroup,
                     timeout: float | None = None) -> None:

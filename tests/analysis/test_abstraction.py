@@ -1,4 +1,5 @@
-"""Unit tests for the counter-abstraction layer behind ``verify``."""
+"""Unit tests for the counter-abstraction layer behind
+``analyze --parameterized``."""
 
 from pathlib import Path
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import (CATALOG, Report, analyze_source,
                             counts_by_code, dump_report_json,
-                            figure_corpus, record_analysis, report_document)
+                            figure_corpus, report_document)
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -77,19 +77,3 @@ def test_report_document_summary():
     # out-of-bounds diagnostics.
     assert {"SCR002", "SCR003", "SCR005", "SCR006", "SCR007"} \
         <= set(summary["findings_by_code"])
-
-
-def test_metrics_bridge_counts_reports():
-    reports = [analyze_source(src, label=label) for label, src in corpus()]
-    registry = record_analysis(reports)
-    snapshot = registry.to_dict()
-    assert snapshot["analysis_files_total"]["value"] == len(reports)
-    # The figures, plus family_gap: its planted bug only bites at family
-    # sizes above the declared one, so fixed-N analysis sees it clean.
-    assert snapshot["analysis_files_clean"]["value"] == 4
-    assert snapshot["analysis_errors_total"]["value"] == \
-        sum(r.error_count for r in reports)
-    by_code = counts_by_code(reports)
-    for code, count in by_code.items():
-        key = f"analysis_findings_total{{{code}}}"
-        assert snapshot[key]["value"] == count

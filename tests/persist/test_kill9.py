@@ -19,7 +19,7 @@ def test_kill9_resume_reproduces_oracle(tmp_path, scenario, seed):
     assert report.committed_match
     # The kill landed mid-run: some frames were validated, some are the
     # continuation the crashed process never wrote.
-    assert report.resume_report.replayed > 0
+    assert report.resume_report.journal_frames > 0
     assert report.resume_report.fresh > 0
     assert report.resume_report.committed == report.oracle_committed
 

@@ -24,7 +24,6 @@ def test_roundtrip_validates_every_frame(tmp_path, scenario, seed):
     report = resume(path, expect_seed=seed, expect_scenario=scenario)
     # A complete journal replays end to end: nothing fresh, no tear.
     assert report.complete and not report.torn
-    assert report.replayed == report.journal_frames
     assert report.fresh == 0
     assert report.committed == commit_summary(read_journal(path).frames)
 
@@ -51,7 +50,7 @@ def test_snapshot_frames_follow_commit_cadence(tmp_path):
     assert all({"now", "steps", "rng"} <= set(d) for d in digests)
     report = resume(path, expect_seed=0, expect_scenario="demo-broadcast")
     assert report.complete and report.fresh == 0
-    assert report.replayed == report.journal_frames == len(doc.frames)
+    assert report.journal_frames == len(doc.frames)
 
 
 def test_divergence_names_the_replayed_frame_at_its_index(tmp_path):
@@ -134,7 +133,6 @@ def test_torn_tail_resumes_and_continues(tmp_path):
     report = resume(path, expect_seed=0)
     assert report.torn and not report.complete
     assert report.journal_frames < intact
-    assert report.replayed == report.journal_frames
     # The replay runs past the tear: the dropped frames come back fresh.
     assert report.fresh > 0
 
@@ -187,4 +185,4 @@ def test_resume_is_idempotent(tmp_path):
     second = resume(path)
     assert path.read_bytes() == before
     assert first.committed == second.committed
-    assert first.replayed == second.replayed
+    assert first.journal_frames == second.journal_frames

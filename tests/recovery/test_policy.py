@@ -179,11 +179,13 @@ def test_crash_ignored_when_only_while_already_false():
 
 def test_unmanaged_and_stopped_crashes_are_ignored():
     scheduler = Scheduler(seed=0)
-    policy = RestartPolicy(scheduler, {"W": forever}, seed=0)
+    # The policy stops managing at t=2, the way a harness whose goal is
+    # met stops it.
+    policy = RestartPolicy(scheduler, {"W": forever}, seed=0,
+                           only_while=lambda: scheduler.now < 2.0)
     scheduler.spawn("other", forever())
     scheduler.spawn("W", forever())
     scheduler.kill_at(1.0, "other")   # not managed
-    scheduler.schedule_at(2.0, policy.stop)
     scheduler.kill_at(3.0, "W")       # managed, but policy stopped
     scheduler.run()
     assert not recovery_events(scheduler)

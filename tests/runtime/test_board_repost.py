@@ -315,19 +315,6 @@ def test_producer_death_keeps_other_entries_valid():
     assert [c.sender.name for c in fx.assert_agree()] == ["s2"]
 
 
-def test_compact_sweeps_cache_and_resets_counters():
-    fx, s1, s2, r = suspended_hub()
-    fx.indexed.compact()
-    assert fx.indexed.index_size == 0
-    assert fx.indexed.swept_pairs == 2
-    assert fx.indexed._suspended == {}
-    # Counter reset is only safe once no stamped entry remains — pin it.
-    assert fx.indexed._target_act == {}
-    fx.post(r, [Receive()])                    # from-scratch rediscovery
-    assert fx.indexed.introspect()["cache_hits"] == 0
-    assert [c.sender.name for c in fx.assert_agree()] == ["s1", "s2"]
-
-
 def test_oracle_board_reports_no_cache():
     board = OracleBoard()
     assert board.cache_hits == 0

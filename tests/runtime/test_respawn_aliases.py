@@ -37,15 +37,24 @@ def test_respawn_releases_stale_extra_alias():
     scheduler.run()
 
 
+def failing():
+    yield Delay(1.0)
+    raise ValueError("first life")
+
+
 def test_respawn_snapshots_old_outcome():
-    scheduler = Scheduler(seed=0)
+    scheduler = Scheduler(seed=0, fail_fast=False)
     scheduler.spawn("W", finite("first"))
+    scheduler.spawn("F", failing())
     scheduler.run()
     scheduler.respawn("W", finite("second"))
+    scheduler.respawn("F", finite("second"))
     result = scheduler.run()
     # The new life's outcome wins the name, but the respawn snapshotted
-    # the first life's result on the way (reap semantics).
+    # the first life's outcome on the way: a failure stays reported.
     assert result.results["W"] == "second"
+    assert result.results["F"] == "second"
+    assert isinstance(result.failures["F"], ValueError)
 
 
 def test_respawn_rejects_running_process():

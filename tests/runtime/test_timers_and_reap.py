@@ -1,4 +1,4 @@
-"""Timer accounting, dead-process timer withdrawal, and process reaping."""
+"""Timer accounting and dead-process timer withdrawal."""
 
 import pytest
 
@@ -115,46 +115,6 @@ def test_kill_mid_transit_withdraws_receiver_resume():
     assert result.killed == ["r"]
     assert result.time == 10.0  # the sender's own resume still lands
     assert scheduler.pending_timer_count == 0
-
-
-# ---------------------------------------------------------------------------
-# Reaping finished processes
-# ---------------------------------------------------------------------------
-
-def test_reap_drops_records_and_preserves_outcomes():
-    scheduler = Scheduler(fail_fast=False)
-
-    def ok():
-        yield Delay(1.0)
-        return "fine"
-
-    def boom():
-        yield Delay(1.0)
-        raise ValueError("boom")
-
-    scheduler.spawn("ok", ok())
-    scheduler.spawn("boom", boom())
-    scheduler.spawn("victim", idle(50.0))
-    scheduler.kill_at(2.0, "victim")
-    scheduler.run()
-    assert scheduler.reap() == 3
-    assert not scheduler.processes
-    # A fresh wave runs on the same scheduler; old outcomes survive.
-    scheduler.spawn("late", ok())
-    result = scheduler.run()
-    assert result.results == {"ok": "fine", "late": "fine"}
-    assert set(result.failures) == {"boom"}
-    assert result.killed == ["victim"]
-    assert scheduler.reap() == 1
-
-
-def test_reap_skips_live_processes():
-    scheduler = Scheduler()
-    scheduler.spawn("sleeper", idle(5.0))
-    scheduler.run(until=1.0)
-    assert scheduler.reap() == 0
-    assert "sleeper" in scheduler.processes
-    scheduler.run()
 
 
 # ---------------------------------------------------------------------------

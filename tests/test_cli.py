@@ -188,22 +188,6 @@ def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "nope.script" in capsys.readouterr().err
 
 
-def test_stats_analysis_summarizes_run(capsys):
-    assert main(["stats", "analysis"]) == 0
-    out = capsys.readouterr().out
-    assert "analysis_files_total" in out
-    assert "analysis_files_clean" in out
-
-
-def test_stats_analysis_json(capsys):
-    import json
-
-    assert main(["stats", "analysis", "--json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["analysis_files_total"]["value"] == 3
-    assert document["analysis_errors_total"]["value"] == 0
-
-
 def test_module_entry_point_via_subprocess():
     import subprocess
     import sys
