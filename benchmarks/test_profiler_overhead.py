@@ -1,10 +1,10 @@
 """Disabled-profiler overhead: instrumented kernel vs the pre-PR kernel.
 
 The profiler's zero-cost claim is architectural — every timing site is
-behind a ``self._sink_phase`` / ``self._sink_settle`` capability flag
-that a falsy or non-profiling sink leaves False — but architecture is
-not measurement.  This benchmark pits the instrumented scheduler with
-*no sink installed* against :class:`PreProfilerScheduler`, whose hot
+behind a ``self._phase_hooks`` / ``self._settle_hooks`` capability test
+that stays false until a profiling observer attaches — but architecture
+is not measurement.  This benchmark pits the instrumented scheduler with
+*no observer attached* against :class:`PreProfilerScheduler`, whose hot
 methods are the pre-PR bodies verbatim (no flag checks at all), on the
 star broadcast shape at N=200, and asserts the flag checks cost under
 ``MAX_OVERHEAD_PCT`` on the run's critical path.
@@ -120,8 +120,9 @@ class PreProfilerScheduler(Scheduler):
                 continue
             self._armed_timers -= 1
             self._unregister_timer(handle)
-            if self._sink_decision:
-                self._sink.on_decision(self.now, "timer", handle.owner, seq)
+            if self._decision_hooks:
+                for hook in self._decision_hooks:
+                    hook(self.now, "timer", handle.owner, seq)
             handle.action()
         self._prune_timers()
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Hashable, Mapping, TYPE_CHECKING
+from typing import Callable, Hashable, Mapping, TYPE_CHECKING
 
-from ..runtime.instrument import NULL_SINK, Sink
+from ..runtime.instrument import Sink, defined
 from .topology import Topology, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,19 +85,27 @@ class NetworkTransport:
     partitions
         :meth:`partition` / :meth:`heal` cut and restore topology links;
         :meth:`match_filter` turns the cut into a matching-time barrier.
+
+    Observers attached with :meth:`observe` hear of every charged message.
     """
 
     def __init__(self, topology: Topology,
                  placement: Mapping[Hashable, Node],
-                 default_node: Node | None = None,
-                 sink: Sink | None = None):
+                 default_node: Node | None = None):
         self.topology = topology
         self.placement = dict(placement)
         self.default_node = default_node
         self.stats = MessageStats()
         self.latency_factor = 1.0
         self.drop_retries = 0
-        self.sink = sink if sink is not None else NULL_SINK
+        self._message_hooks: list[Callable[..., None]] = []
+
+    def observe(self, sink: Sink) -> None:
+        """Call ``sink.on_message`` for every message, if its class
+        defines it (after the observers attached before it)."""
+        callback = defined(sink, "on_message")
+        if callback is not None:
+            self._message_hooks.append(callback)
 
     def node_of(self, process: Hashable) -> Node:
         node = self.placement.get(process, self.default_node)
@@ -153,6 +161,7 @@ class NetworkTransport:
                 self.stats.dropped += retries
                 latency *= 1 + retries
         self.stats.record(src, dst, latency)
-        if self.sink:
-            self.sink.on_message(scheduler.now, src, dst, latency)
+        if self._message_hooks:
+            for hook in self._message_hooks:
+                hook(scheduler.now, src, dst, latency)
         return latency

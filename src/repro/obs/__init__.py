@@ -13,7 +13,7 @@ Three parts:
   derived from :class:`~repro.runtime.tracing.TraceEvent` streams, exported
   to Chrome trace-event JSON (Perfetto-loadable) and JSONL;
 * :mod:`~repro.obs.metrics` — a counter/gauge/histogram registry plus
-  :class:`RuntimeMetrics`, the standard scheduler/transport sink;
+  :class:`RuntimeMetrics`, the standard scheduler/transport observer;
 * :mod:`~repro.obs.scenarios` — instrumented runs of any catalogue
   scenario behind the ``python -m repro trace``, ``stats`` and
   ``profile`` commands.

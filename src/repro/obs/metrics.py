@@ -6,9 +6,9 @@ deltas are meaningful across machines.  The registry renders to aligned
 plain text (for the ``python -m repro stats`` command) and to a plain dict
 (for JSON export and the benchmark harness).
 
-:class:`RuntimeMetrics` is the standard instrumentation sink: attached to a
-scheduler (and optionally a transport) it populates the registry's
-well-known metric families — see DESIGN.md §8 for the full name catalogue.
+:class:`RuntimeMetrics` is the standard observer: attached to a scheduler
+(and optionally a transport) it populates the registry's well-known
+metric families — see DESIGN.md §8 for the full name catalogue.
 It also works *post hoc*: feeding a recorded event stream through
 :meth:`RuntimeMetrics.replay` recovers every event-derived metric (only the
 hook-derived ones — match latency, board/waiter depth samples, transport
@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Hashable, Iterable, Mapping
 
-from ..runtime.instrument import Sink, stack_sink
+from ..runtime.instrument import Sink
 from ..runtime.scheduler import Scheduler
 from ..runtime.tracing import EventKind, TraceEvent
 
@@ -228,7 +228,7 @@ class MetricsRegistry:
 
 
 class RuntimeMetrics(Sink):
-    """The standard sink: populates a registry from kernel hooks + events.
+    """The standard observer: fills a registry from kernel hooks + events.
 
     Attach with :meth:`attach` before running; or build one after the fact
     and :meth:`replay` a recorded event stream (hook-derived metrics are
@@ -243,20 +243,22 @@ class RuntimeMetrics(Sink):
         self._posted_at: dict[Hashable, float] = {}
         self._enroll_at: dict[tuple[str, Hashable], float] = {}
         self._perf_start: dict[str, float] = {}
+        self._scheduler: Scheduler | None = None
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, scheduler: Scheduler,
                transport: Any = None) -> "RuntimeMetrics":
-        """Install on ``scheduler`` (and optionally its transport).
+        """Observe ``scheduler`` (and optionally its transport).
 
-        Stacks on any sink already installed, so a journal recorder
-        attached first keeps recording.
+        Observers already attached, a journal recorder say, keep
+        observing.
         """
-        scheduler.sink = stack_sink(scheduler.sink, self)
+        self._scheduler = scheduler
+        scheduler.observe(self)
         scheduler.tracer.add_listener(self.on_event)
         if transport is not None:
-            transport.sink = stack_sink(transport.sink, self)
+            transport.observe(self)
         return self
 
     def replay(self, events: Iterable[TraceEvent]) -> "RuntimeMetrics":
@@ -270,22 +272,23 @@ class RuntimeMetrics(Sink):
     def on_offer_posted(self, time: float, process: Hashable) -> None:
         self._posted_at[process] = time
 
-    def on_commit(self, time: float, sender: Hashable, receiver: Hashable,
-                  board_size: int, waiter_count: int) -> None:
-        latency = self.registry.histogram("rendezvous_match_latency")
+    def on_commit(self, time: float, sender: Hashable,
+                  receiver: Hashable) -> None:
+        registry = self.registry
+        latency = registry.histogram("rendezvous_match_latency")
         for party in (sender, receiver):
             posted = self._posted_at.pop(party, None)
             if posted is not None:
                 latency.observe(time - posted)
-        self.registry.gauge("board_size").set(board_size)
-        self.registry.gauge("waiter_depth").set(waiter_count)
-
-    def on_index(self, time: float, pairs: int, dirty_events: int,
-                 cache_hits: int, swept_pairs: int) -> None:
-        self.registry.gauge("match_index_pairs").set(pairs)
-        self.registry.gauge("match_index_dirty_events").set(dirty_events)
-        self.registry.gauge("match_cache_hits").set(cache_hits)
-        self.registry.gauge("match_swept_pairs").set(swept_pairs)
+        # Depth and index gauges, sampled at each commit.
+        scheduler = self._scheduler
+        board = scheduler.board
+        registry.gauge("board_size").set(scheduler.board_size)
+        registry.gauge("waiter_depth").set(scheduler.waiter_count)
+        registry.gauge("match_index_pairs").set(board.index_size)
+        registry.gauge("match_index_dirty_events").set(board.dirty_events)
+        registry.gauge("match_cache_hits").set(board.cache_hits)
+        registry.gauge("match_swept_pairs").set(board.swept_pairs)
 
     def on_message(self, time: float, src: Any, dst: Any,
                    latency: float) -> None:

@@ -2,8 +2,8 @@
 
 The scheduler's scaling behavior (``BENCH_scheduler.json``) can only be
 argued about with attribution: *which* phase of the commit loop absorbs
-the cycles as N grows.  :class:`Profiler` is a standard instrumentation
-:class:`~repro.runtime.instrument.Sink` that collects the kernel's phase
+the cycles as N grows.  :class:`Profiler` is a kernel observer (a
+:class:`~repro.runtime.instrument.Sink`) that collects the kernel's phase
 timers (``on_phase``) and per-settle work counters (``on_settle``) — see
 DESIGN.md §13 for the phase taxonomy — and renders them as a
 :class:`ProfileReport` with three export shapes:
@@ -33,7 +33,7 @@ import statistics
 from itertools import count
 from typing import Any, Callable, Hashable
 
-from ..runtime.instrument import Sink, stack_sink
+from ..runtime.instrument import Sink
 from ..runtime.scheduler import Scheduler
 
 #: Phase names in canonical report order.  "run" is the attribution
@@ -68,12 +68,11 @@ def tick_clock() -> Callable[[], int]:
 class Profiler(Sink):
     """Accumulates kernel phase times and settle work counters.
 
-    Attach with :meth:`attach`, which stacks on top of any sink already
-    installed (a :class:`~repro.obs.metrics.RuntimeMetrics`, a journal
-    recorder) via :class:`~repro.runtime.instrument.TeeSink`, then build
-    a :class:`ProfileReport` with :meth:`report` after the run.  The
-    profiler only *observes* — it never touches the RNG or the trace —
-    so a profiled run's trace is byte-identical to an unprofiled one.
+    Attach with :meth:`attach`, beside any observer already attached (a
+    :class:`~repro.obs.metrics.RuntimeMetrics`, a journal recorder), then
+    build a :class:`ProfileReport` with :meth:`report` after the run.
+    The profiler only *observes* — it never touches the RNG or the trace
+    — so a profiled run's trace is byte-identical to an unprofiled one.
     """
 
     def __init__(self, clock: Callable[[], int] | None = None):
@@ -89,18 +88,15 @@ class Profiler(Sink):
         self.candidates_seen = 0
         self.waiters_polled = 0
         self.timer_heap_ops = 0        # cumulative gauge: last sample wins
-        self.index_pairs_last = 0
         self.index_pairs_max = 0
         self.index_dirty_events = 0    # cumulative gauge: last sample wins
-        self.cache_hits = 0            # cumulative gauge: last sample wins
-        self.swept_pairs = 0           # cumulative gauge: last sample wins
         self.board_depth_max = 0
         self.waiter_depth_max = 0
         self._scheduler: Scheduler | None = None
 
     def attach(self, scheduler: Scheduler) -> "Profiler":
-        """Install on ``scheduler``, stacking on its existing sink."""
-        scheduler.sink = stack_sink(scheduler.sink, self)
+        """Observe ``scheduler`` beside any observer already attached."""
+        scheduler.observe(self)
         if self.clock is not None:
             scheduler.prof_clock = self.clock
         self._scheduler = scheduler
@@ -125,25 +121,22 @@ class Profiler(Sink):
         self.candidate_queries += queries
         self.candidates_seen += candidates
         self.waiters_polled += waiters_polled
-        self.index_pairs_last = index_pairs
         if index_pairs > self.index_pairs_max:
             self.index_pairs_max = index_pairs
         self.timer_heap_ops = timer_ops
 
-    def on_commit(self, time: float, sender: Hashable, receiver: Hashable,
-                  board_size: int, waiter_count: int) -> None:
-        if board_size > self.board_depth_max:
-            self.board_depth_max = board_size
-        if waiter_count > self.waiter_depth_max:
-            self.waiter_depth_max = waiter_count
-
-    def on_index(self, time: float, pairs: int, dirty_events: int,
-                 cache_hits: int, swept_pairs: int) -> None:
-        self.index_dirty_events = dirty_events
-        self.cache_hits = cache_hits
-        self.swept_pairs = swept_pairs
-        if pairs > self.index_pairs_max:
-            self.index_pairs_max = pairs
+    def on_commit(self, time: float, sender: Hashable,
+                  receiver: Hashable) -> None:
+        # Depths and index counters, sampled at each commit.
+        scheduler = self._scheduler
+        board = scheduler.board
+        if scheduler.board_size > self.board_depth_max:
+            self.board_depth_max = scheduler.board_size
+        if scheduler.waiter_count > self.waiter_depth_max:
+            self.waiter_depth_max = scheduler.waiter_count
+        if board.index_size > self.index_pairs_max:
+            self.index_pairs_max = board.index_size
+        self.index_dirty_events = board.dirty_events
 
     # -- reporting ---------------------------------------------------------
 
@@ -159,11 +152,6 @@ class Profiler(Sink):
             candidates_per_query=_rate(self.candidates_seen,
                                        self.candidate_queries),
         )
-        # Board introspection already carries the cache counters for the
-        # indexed board; fall back to the on_index samples when the
-        # profiler outlived the scheduler (or the board predates them).
-        matcher.setdefault("cache_hits", self.cache_hits)
-        matcher.setdefault("swept_pairs", self.swept_pairs)
         counters = {
             "settles": self.settles,
             "settle_rounds": self.settle_rounds,
@@ -521,8 +509,8 @@ def profile_scenario(name: str, seed: int = 0, n: int = 5,
     """Run one instrumented scenario under the profiler.
 
     Returns ``(run, report)``: the
-    :class:`~repro.obs.scenarios.ScenarioRun` (metrics sink included —
-    the profiler tees on top of it) and the built
+    :class:`~repro.obs.scenarios.ScenarioRun` (metrics included — the
+    profiler observes beside them) and the built
     :class:`ProfileReport`.  ``deterministic`` swaps the phase clock for
     :func:`tick_clock`, making every export byte-stable.
     """

@@ -2,7 +2,7 @@
 commands, plus the three demo workloads of the scenario catalogue.
 
 :func:`run_scenario` runs any :mod:`repro.scenarios` entry with a
-:class:`~repro.obs.metrics.RuntimeMetrics` sink (and optionally a
+:class:`~repro.obs.metrics.RuntimeMetrics` observer (and optionally a
 profiler) riding the runner's ``journal`` hook, so an instrumented run is
 the same run as a plain one.  The demo workloads reuse the script library
 the demos and benchmarks exercise, on placement-aware networks (so spans
@@ -46,11 +46,8 @@ class ScenarioRun:
 
 
 class _Instruments:
-    """The metrics sink, plus an optional profiler on top, as a run hook.
-
-    Order matters: the profiler tees onto whatever sink is already
-    installed, so metrics keep flowing while phase timing is armed.
-    """
+    """The metrics observer, plus an optional profiler beside it, as a
+    run hook."""
 
     def __init__(self, profiler: Any = None):
         self.profiler = profiler
@@ -64,7 +61,7 @@ class _Instruments:
             self.profiler.attach(scheduler)
 
     def finish(self, outcome: str) -> None:
-        """Nothing to close: the sinks hold everything they observed."""
+        """Nothing to close: the observers hold everything they saw."""
 
     def barrier(self) -> None:
         """Nothing to make durable."""
@@ -76,7 +73,7 @@ def run_scenario(name: str, seed: int = 0, n: int = 5,
 
     ``n`` sets the entry's sizing keyword (entries of fixed size ignore
     it).  ``profiler`` (a :class:`~repro.obs.profile.Profiler`) is
-    attached on top of the metrics sink when given; it observes only, so
+    attached beside the metrics when given; it observes only, so
     the run's trace is identical either way.
     """
     scenario = lookup(name, error=ValueError)

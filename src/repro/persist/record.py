@@ -1,8 +1,8 @@
 """Journal frame capture: one path from kernel callbacks to frames.
 
 :class:`FrameSink` is the only way a run's frames are captured, for
-recording and for resume alike.  It is an instrumentation sink whose hot
-path does three things: it appends each
+recording and for resume alike.  It is a kernel observer whose hot path
+does three things: it appends each
 :class:`~repro.runtime.tracing.TraceEvent` to a pending list (the list's
 own ``append`` is the tracer listener), it appends each RNG/timer
 decision as a tuple, and every :data:`SNAPSHOT_EVERY` commits it
@@ -35,7 +35,7 @@ from typing import Any, Hashable
 
 from ..errors import PersistError
 from ..obs.export import jsonable
-from ..runtime.instrument import Sink, stack_sink
+from ..runtime.instrument import Sink
 from ..runtime.scheduler import Scheduler
 from ..runtime.tracing import TraceEvent
 from . import journal as journal_format
@@ -116,11 +116,11 @@ class FrameSink(Sink):
         self.frames: list[dict[str, Any]] = []
 
     def attach(self, scheduler: Scheduler) -> "FrameSink":
-        """Install on ``scheduler``, composing with any existing sink."""
+        """Observe ``scheduler`` beside any observer already attached."""
         if self.scheduler is not None:
             raise PersistError("this frame sink is already attached")
         self.scheduler = scheduler
-        scheduler.sink = stack_sink(scheduler.sink, self)
+        scheduler.observe(self)
         # The pending list's own C-level append is the event listener;
         # _spill drains the list in place, so the callable stays valid.
         scheduler.tracer.add_listener(self._pending.append)

@@ -14,7 +14,7 @@ from .effects import (ELSE_BRANCH, TIMED_OUT, TIMED_OUT_BRANCH, AddAlias,
                       Choice, Delay, DropAlias, Effect, GetName, GetTime,
                       Latch, QueryProcesses, Receive, ReceivedMessage,
                       Select, SelectResult, Send, Spawn, Trace, WaitUntil)
-from .instrument import NULL_SINK, NullSink, Sink, TeeSink
+from .instrument import Sink
 from .process import Process, ProcessState
 from .scheduler import MatchFilter, RunResult, Scheduler, run_processes
 from .tracing import EventKind, TraceEvent, Tracer, format_trace
@@ -27,8 +27,6 @@ __all__ = [
     "DropAlias",
     "ELSE_BRANCH",
     "MatchFilter",
-    "NULL_SINK",
-    "NullSink",
     "Sink",
     "TIMED_OUT",
     "TIMED_OUT_BRANCH",
@@ -51,7 +49,6 @@ __all__ = [
     "SelectResult",
     "Send",
     "Spawn",
-    "TeeSink",
     "Trace",
     "TraceEvent",
     "Tracer",

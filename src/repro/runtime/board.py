@@ -294,6 +294,9 @@ class RendezvousBoard:
     def on_alias_released(self, alias: Hashable, process: "Process") -> None:
         """``process`` no longer owns ``alias`` (no-op here)."""
 
+    def on_retired(self, process: "Process") -> None:
+        """``process`` finished and its aliases are released (no-op here)."""
+
     @property
     def needs_settle(self) -> bool:
         """Could a settle commit anything right now?

@@ -12,7 +12,9 @@ can change matchability —
   ``AddAlias``), which can route pending sends to a new target and
   authorize named receives,
 * :meth:`on_alias_released` — an address lost its owner (role vacation,
-  process death), which invalidates every pair routed through it.
+  process death), which invalidates every pair routed through it,
+* :meth:`on_retired` — a process finished, so its re-post cache entry
+  goes.
 
 Match-filter partitions (see ``Scheduler.match_filter``) are deliberately
 *not* index events: a pair blocked by a partition stays in the live set
@@ -42,23 +44,22 @@ treats withdraw as *suspension*:
   senders' stamps, which did not move), and only its send offers re-run
   discovery.  Any other event ordering misses the cache and sweeps the
   stale pairs before a from-scratch discovery.
-* The stamp is deliberately *precise*, not a single global generation:
-  it is ``_claim_gen`` (bumped by every alias claim — rare, and the one
-  event that can silently re-route an existing posted send into a cached
-  receive's match set) plus ``_target_act[name]`` — a per-process
-  counter bumped each time a send offer enters the routing buckets whose
-  addressed alias the process owns (send discovery resolves that owner
-  anyway, so the bump is one dict update on an already-fetched name).
-  Both terms are monotonic non-decreasing, so the stamp is unchanged iff
-  no claim happened and no send arrived that a fresh discovery for this
-  receiver could see.  Events that involve only *other* processes (a
-  fan-in producer dying, a star hub re-targeting a different leaf) leave
-  the stamp alone, which is what lets hub/leaf re-posts keep hitting
-  under concurrent traffic.  A release of one of the suspended process's
-  *own* aliases invalidates its entry directly (the stamp is forced to
-  ``-1``, which no live stamp equals), and a claim of one is covered by
-  the global claim bump — so the owned-alias set is pinned between
-  suspension and hit, making the comparison sound.
+* The stamp is ``_claim_gen`` at suspension (the counter is bumped by
+  every alias claim — rare, and the one event that can silently re-route
+  an existing posted send into a cached receive's match set, or grow the
+  suspended process's own alias set).  The two events that concern one
+  suspended process alone invalidate its entry directly, forcing the
+  stamp to ``-1``, which no claim count equals: a send offer entering
+  the routing buckets addressed to one of its aliases (send discovery
+  resolves that owner anyway, so this is one dict lookup on an
+  already-fetched name), and a release of one of its own aliases.  So
+  the stamp is unchanged iff no claim happened, no send arrived that a
+  fresh discovery for this receiver could see, and the owned-alias set
+  did not shrink.  Events that involve only *other* processes (a fan-in
+  producer dying, a star hub re-targeting a different leaf) leave the
+  entry alone, which is what lets hub/leaf re-posts keep hitting under
+  concurrent traffic.  The entry is the cache's only record of the
+  process, and it goes when the process retires.
 * Alias claims and releases keep working on suspended pairs directly —
   they are still filed under ``_pairs_by_alias`` — so a cache hit can
   never resurrect a pair whose routing died while it was suspended.
@@ -138,18 +139,16 @@ class IndexedBoard(RendezvousBoard):
         # Sorted mirror of _pairs' keys: the maintained candidate order.
         self._order: list[PairKey] = []
         # Re-post cache: suspended groups keyed by process name, each
-        # stamped (``cache_gen`` slot) with its cache stamp at
-        # suspension.  See the module docstring.
+        # stamped (``cache_gen`` slot) with the alias claim count at
+        # suspension, or -1 once invalidated.  See the module docstring.
         self._suspended: dict[Hashable, OfferGroup] = {}
         # Resident pairs whose receiver is currently suspended (each such
         # pair counted exactly once — see the visibility invariant).
         self._suspended_pairs = 0
-        # The cache-stamp ingredients (module docstring): a global alias
-        # claim counter plus per-target-process send-arrival counters.
-        # Removal events (withdrawals, releases) edit resident pairs
-        # directly and need no counter.
+        # The cache stamp (module docstring): the global alias claim
+        # count.  Removal events (withdrawals, releases) edit resident
+        # pairs directly and need no counter.
         self._claim_gen = 0
-        self._target_act: dict[Hashable, int] = {}
         self._dirty_events = 0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -317,12 +316,13 @@ class IndexedBoard(RendezvousBoard):
         target = owner.get(send.partner_alias)
         if target is None:
             return
-        # The cache-stamp bump (module docstring): this send is now
-        # visible to ``target``, whose suspended entry — if it has one,
-        # or ever gets one before this send leaves — must not hit.
-        act = self._target_act
+        # This send is now visible to ``target``, whose suspended entry,
+        # if it has one, must not hit (module docstring).  An entry it
+        # gets later is stamped after this send arrived.
         name = target.name
-        act[name] = act.get(name, 0) + 1
+        entry = self._suspended.get(name)
+        if entry is not None:
+            entry.cache_gen = -1
         peer_group = self._groups.get(name)
         if peer_group is None or peer_group is send.group:
             return
@@ -359,14 +359,6 @@ class IndexedBoard(RendezvousBoard):
     # ------------------------------------------------------------------
     # The re-post cache
     # ------------------------------------------------------------------
-
-    # The cache-validity stamp for a process is ``_claim_gen +
-    # _target_act.get(name, 0)``, computed inline at the two hot call
-    # sites (withdraw stamps it, post compares it).  Both terms are
-    # monotonic non-decreasing, and a release of an owned alias
-    # force-invalidates the cache entry while a claim bumps the global
-    # term — so an unchanged stamp proves no claim happened and no new
-    # send a fresh discovery for the process could see arrived.
 
     @staticmethod
     def _equivalent(old: OfferGroup, new: OfferGroup) -> bool:
@@ -460,7 +452,6 @@ class IndexedBoard(RendezvousBoard):
         old = self._suspended.pop(name, None)
         if old is not None:
             if old.cache_gen == self._claim_gen \
-                    + self._target_act.get(name, 0) \
                     and self._equivalent(old, group):
                 self._cache_hits += 1
                 return self._resume(old, group)
@@ -528,8 +519,7 @@ class IndexedBoard(RendezvousBoard):
         recv_bucket = self._recv_pairs.get(process_name)
         if recv_bucket:
             self._suspended_pairs += len(recv_bucket)
-        group.cache_gen = self._claim_gen \
-            + self._target_act.get(process_name, 0)
+        group.cache_gen = self._claim_gen
         self._suspended[process_name] = group
         return group
 
@@ -540,11 +530,10 @@ class IndexedBoard(RendezvousBoard):
         reach ``process``'s posted receives, and receives naming ``alias``
         as their source now accept ``process``'s posted sends.  A claim
         bumps ``_claim_gen`` — it can re-route a posted send into a
-        suspended receiver's match set without touching any send-arrival
-        counter.  The bump also covers the claimer's own cache entry:
-        every stamp term is non-negative and non-decreasing, so growing
-        the owned-alias set under a strictly larger claim counter can
-        never reproduce the suspension-time stamp.
+        suspended receiver's match set without any send being
+        discovered.  The bump also covers the claimer's own cache entry:
+        the counter only grows, so no entry stamped before the claim
+        matches it again.
         """
         self._dirty_events += 1
         self._claim_gen += 1
@@ -572,7 +561,7 @@ class IndexedBoard(RendezvousBoard):
         release reaches into the re-post cache exactly as it reaches the
         visible set — which is what makes cache hits provably safe.  The
         former owner's own cache entry is force-invalidated (its
-        owned-alias set shrank, which the stamp sum cannot express);
+        owned-alias set shrank, which the claim count cannot express);
         everyone else's stamps are untouched, so e.g. a fan-in hub keeps
         hitting its cache across producer deaths.
 
@@ -589,6 +578,16 @@ class IndexedBoard(RendezvousBoard):
         for registry in (self._sends_to, self._recvs_from):
             if alias in registry and not registry[alias]:
                 del registry[alias]
+
+    def on_retired(self, process: "Process") -> None:
+        """Drop a finished process's re-post cache entry.
+
+        No later post can adopt it (a respawn is a new process, which
+        :meth:`_equivalent` rejects).  The process's aliases are released
+        before this, and with them every pair routed to it, so the entry
+        holds no resident pair.
+        """
+        self._suspended.pop(process.name, None)
 
     # ------------------------------------------------------------------
     # Queries

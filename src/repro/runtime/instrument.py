@@ -1,55 +1,43 @@
-"""Kernel instrumentation: the sink interface the scheduler reports into.
+"""Kernel instrumentation: the observer interface the scheduler reports into.
 
 The kernel stays observability-agnostic: it knows only this tiny interface.
 A :class:`Sink` receives low-level callbacks the trace alone cannot carry —
 when a process *posted* its rendezvous offers (so match latency is
-measurable), when a commit happened (with board/waiter depth at that
-instant), and when the transport charged a message.  Everything derivable
-from :class:`~repro.runtime.tracing.TraceEvent` streams reaches a consumer
+measurable), when a commit happened, and when the transport charged a
+message.  Levels and counters an observer wants at those instants
+(board depth, waiter depth, index counters) it reads from the scheduler
+and board it attached to.  Everything derivable from
+:class:`~repro.runtime.tracing.TraceEvent` streams reaches a consumer
 through the tracer listener it registers itself
 (:meth:`~repro.runtime.tracing.Tracer.add_listener`) instead.
 
-The default sink is :data:`NULL_SINK`, a null object that is *falsy*: hot
-paths guard each callback with ``if self.sink:``, so an uninstrumented
-scheduler pays one truthiness check per call site and nothing more.
-Concrete sinks live in :mod:`repro.obs`; the kernel never imports them.
+Observers attach with ``Scheduler.observe`` and ``NetworkTransport.observe``,
+which file each callback the observer's class defines (:func:`defined`)
+in one list per callback.  Hot paths guard each call site with a test of
+that list, so an unobserved scheduler pays one emptiness check per site
+and nothing more.  Concrete observers live in :mod:`repro.obs` and
+:mod:`repro.persist`; the kernel never imports them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 
 class Sink:
-    """Base instrumentation sink: every callback is a no-op.
+    """Base observer: every callback is a no-op.
 
-    Subclass and override what you need; unknown data must be tolerated
-    (the kernel may grow new callbacks).  A real sink is truthy, which is
-    what arms the kernel's ``if self.sink:`` guards.
+    Subclass and define what you need; a callback the class does not
+    define is never called.  Unknown data must be tolerated (the kernel
+    may grow new callbacks).
     """
-
-    def __bool__(self) -> bool:
-        return True
 
     def on_offer_posted(self, time: float, process: Hashable) -> None:
         """``process`` just blocked on a group of rendezvous offers."""
 
-    def on_commit(self, time: float, sender: Hashable, receiver: Hashable,
-                  board_size: int, waiter_count: int) -> None:
-        """A rendezvous committed; depths are sampled after the removal."""
-
-    def on_index(self, time: float, pairs: int, dirty_events: int,
-                 cache_hits: int, swept_pairs: int) -> None:
-        """Matcher-index depth sample, taken at each commit.
-
-        ``pairs`` is the number of resident candidate pairs the
-        incremental board holds (the suspended re-post cache included);
-        ``dirty_events`` the cumulative count of index maintenance events
-        (posts, withdrawals, alias claims/releases); ``cache_hits`` the
-        cumulative re-post pair-cache hits and ``swept_pairs`` the
-        cumulative suspended pairs torn down by stale-cache sweeps.  All
-        are 0 when the scheduler runs the full-scan oracle board.
-        """
+    def on_commit(self, time: float, sender: Hashable,
+                  receiver: Hashable) -> None:
+        """A rendezvous committed; its offers have left the board."""
 
     def on_message(self, time: float, src: Any, dst: Any,
                    latency: float) -> None:
@@ -81,7 +69,7 @@ class Sink:
         percentage-of-wall attribution).  Readings come from the
         scheduler's ``prof_clock`` (``time.perf_counter_ns`` by default;
         tests install a deterministic tick counter).  Only emitted while
-        an installed sink overrides this method — an uninstrumented
+        an attached observer defines this method — an unobserved
         scheduler never reads the clock.
         """
 
@@ -104,90 +92,13 @@ class Sink:
         """
 
 
-class TeeSink(Sink):
-    """Fan every callback out to several sinks, in order.
+def defined(sink: Sink, name: str) -> Callable[..., None] | None:
+    """``sink``'s callback ``name`` if its class defines one, else ``None``.
 
-    Lets two consumers — say a metrics sink and a journal recorder —
-    share one scheduler without either knowing about the other.  Falsy
-    sinks are dropped at construction, and a tee over nothing is itself
-    falsy, so the kernel's ``if self.sink:`` guards keep working.
+    Class-level detection: a callback set on the instance is not seen,
+    and a class that inherits the no-op is never called for it — a
+    journal recorder that wants decisions alone pays no per-offer call.
     """
-
-    def __init__(self, *sinks: Sink):
-        self.sinks: list[Sink] = [sink for sink in sinks if sink]
-
-    def __bool__(self) -> bool:
-        return bool(self.sinks)
-
-    def on_offer_posted(self, time: float, process: Hashable) -> None:
-        for sink in self.sinks:
-            sink.on_offer_posted(time, process)
-
-    def on_commit(self, time: float, sender: Hashable, receiver: Hashable,
-                  board_size: int, waiter_count: int) -> None:
-        for sink in self.sinks:
-            sink.on_commit(time, sender, receiver, board_size, waiter_count)
-
-    def on_index(self, time: float, pairs: int, dirty_events: int,
-                 cache_hits: int, swept_pairs: int) -> None:
-        for sink in self.sinks:
-            sink.on_index(time, pairs, dirty_events, cache_hits,
-                          swept_pairs)
-
-    def on_message(self, time: float, src: Any, dst: Any,
-                   latency: float) -> None:
-        for sink in self.sinks:
-            sink.on_message(time, src, dst, latency)
-
-    def on_decision(self, time: float, kind: str, subject: Hashable,
-                    payload: Any) -> None:
-        for sink in self.sinks:
-            sink.on_decision(time, kind, subject, payload)
-
-    def on_phase(self, phase: str, ns: int) -> None:
-        for sink in self.sinks:
-            sink.on_phase(phase, ns)
-
-    def on_settle(self, time: float, commits: int, rounds: int,
-                  queries: int, candidates: int, waiters_polled: int,
-                  index_pairs: int, timer_ops: int) -> None:
-        for sink in self.sinks:
-            sink.on_settle(time, commits, rounds, queries, candidates,
-                           waiters_polled, index_pairs, timer_ops)
-
-
-def stack_sink(existing: Sink, sink: Sink) -> Sink:
-    """``sink`` installed on top of ``existing``, which keeps reporting.
-
-    Every attacher goes through this rule, so attaching one consumer
-    never silently detaches another (a journal recorder under a metrics
-    sink keeps every decision frame).  Alone, ``sink`` is installed
-    directly: a tee over the null sink would re-dispatch every callback
-    through a one-element loop.
-    """
-    return TeeSink(existing, sink) if existing else sink
-
-
-def sink_overrides(sink: Sink, name: str) -> bool:
-    """Does ``sink`` actually implement callback ``name``?
-
-    Class-level detection (per-instance monkeypatches are not seen), the
-    basis of the scheduler's capability flags: a hot-path call site only
-    dispatches callbacks the installed sink's class overrides.  A
-    :class:`TeeSink` claims a callback iff any member does, so wrapping a
-    commit-only recorder in a tee does not suddenly arm every hook.
-    """
-    if isinstance(sink, TeeSink):
-        return any(sink_overrides(member, name) for member in sink.sinks)
-    return getattr(type(sink), name) is not getattr(Sink, name)
-
-
-class NullSink(Sink):
-    """The no-op sink; falsy so guarded call sites skip the call entirely."""
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Shared null object installed on every uninstrumented scheduler/transport.
-NULL_SINK = NullSink()
+    if getattr(type(sink), name) is getattr(Sink, name):
+        return None
+    return getattr(sink, name)

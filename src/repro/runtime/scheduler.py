@@ -35,7 +35,7 @@ from .effects import (TIMED_OUT_BRANCH, AddAlias, Choice, Delay, DropAlias,
                       Effect, GetName, GetTime, Latch, QueryProcesses,
                       Receive, Select, SelectResult, Send, Spawn, Trace,
                       WaitUntil)
-from .instrument import NULL_SINK, Sink, sink_overrides
+from .instrument import Sink, defined
 from .process import (_FINISHED_STATES, Process, ProcessBody,
                       ProcessState)
 from .tracing import EventKind, Tracer
@@ -163,10 +163,6 @@ class Scheduler:
         aborts the run immediately with :class:`ProcessFailure`.
     transport:
         Optional latency hook applied to every committed rendezvous.
-    sink:
-        Optional instrumentation :class:`~repro.runtime.instrument.Sink`;
-        defaults to the falsy :data:`~repro.runtime.instrument.NULL_SINK`,
-        so every callback site is guarded by one truthiness check.
     board:
         Optional rendezvous board.  Defaults to the incremental
         :class:`~repro.runtime.board_index.IndexedBoard`; pass a
@@ -188,19 +184,17 @@ class Scheduler:
         "_past_killed", "_first_failure", "_kill_listeners",
         "_board_dirty", "commit_count", "_cadence_every", "_cadence_hook",
         "prof_clock", "_prof_timer_ops", "_prof_journal_ns", "_prof_polls",
-        "_sink", "_sink_offer", "_sink_index", "_sink_commit",
-        "_sink_decision", "_sink_phase", "_sink_settle",
+        "_offer_hooks", "_commit_hooks", "_decision_hooks", "_phase_hooks",
+        "_settle_hooks",
     )
 
     def __init__(self, seed: int = 0, tracer: Tracer | None = None,
                  max_steps: int = 1_000_000, fail_fast: bool = True,
                  transport: Transport | None = None,
-                 sink: Sink | None = None,
                  board: RendezvousBoard | None = None):
         self.seed = seed
         self.rng = random.Random(seed)
         self.tracer = tracer if tracer is not None else Tracer()
-        self.sink = sink if sink is not None else NULL_SINK  # via property
         self.max_steps = max_steps
         self.fail_fast = fail_fast
         self.transport = transport
@@ -240,16 +234,23 @@ class Scheduler:
         self._board_dirty = True
         # Total committed rendezvous, kept live by _commit; the cadence
         # hook (see set_commit_cadence) fires every N-th commit without
-        # any sink-dispatch cost on the other N-1.
+        # any observer-dispatch cost on the other N-1.
         self.commit_count = 0
         self._cadence_every = 1
         self._cadence_hook: Callable[[], None] | None = None
-        # Hot-path profiling (armed only while the installed sink
-        # overrides on_phase/on_settle — see the sink setter).  The clock
-        # is swappable so tests can install a deterministic tick counter;
-        # the accumulators carry timer-heap op counts, the current
-        # settle's journal (cadence-hook) time and the waiters examined
-        # by wake passes out to the settle's timed seams.
+        # Observer callbacks, one list per callback (see observe); each
+        # call site tests its list, so an unobserved run makes no call.
+        self._offer_hooks: list[Callable[..., None]] = []
+        self._commit_hooks: list[Callable[..., None]] = []
+        self._decision_hooks: list[Callable[..., None]] = []
+        self._phase_hooks: list[Callable[..., None]] = []
+        self._settle_hooks: list[Callable[..., None]] = []
+        # Hot-path profiling (armed only while an observer defines
+        # on_phase or on_settle).  The clock is swappable so tests can
+        # install a deterministic tick counter; the accumulators carry
+        # timer-heap op counts, the current settle's journal (cadence-hook)
+        # time and the waiters examined by wake passes out to the
+        # settle's timed seams.
         self.prof_clock: Callable[[], int] = perf_counter_ns
         self._prof_timer_ops = 0
         self._prof_journal_ns = 0
@@ -259,14 +260,14 @@ class Scheduler:
                            hook: Callable[[], None] | None) -> None:
         """Invoke ``hook()`` after every ``every``-th committed rendezvous.
 
-        A single slot, deliberately cheaper than a :class:`Sink`: the
-        scheduler pays two integer operations per commit instead of a
-        Python method call, which is what lets the journal recorder keep
-        its snapshot cadence while staying within its overhead budget.
-        The hook fires right after the commit's trace event and sink
-        callbacks, so anything it emits lands after the COMM frame —
-        replay relies on that ordering being identical on both sides.
-        Pass ``hook=None`` to clear.
+        A single slot, deliberately cheaper than an observer's
+        ``on_commit``: the scheduler pays two integer operations per
+        commit instead of a Python method call, which is what lets the
+        journal recorder keep its snapshot cadence while staying within
+        its overhead budget.  The hook fires right after the commit's
+        trace event and observer callbacks, so anything it emits lands
+        after the COMM frame — replay relies on that ordering being
+        identical on both sides.  Pass ``hook=None`` to clear.
         """
         if every < 1:
             raise RuntimeKernelError("commit cadence must be >= 1")
@@ -277,27 +278,22 @@ class Scheduler:
         self._cadence_every = every
         self._cadence_hook = hook
 
-    @property
-    def sink(self) -> Sink:
-        """The installed instrumentation sink (``NULL_SINK`` when off)."""
-        return self._sink
+    def observe(self, sink: Sink) -> None:
+        """Attach observer ``sink`` to this scheduler's callbacks.
 
-    @sink.setter
-    def sink(self, sink: Sink | None) -> None:
-        # Capability flags, recomputed on every install: hot-path call
-        # sites only dispatch callbacks the sink's class actually
-        # overrides, so a sink interested in commits alone (a journal
-        # recorder, say) never pays per-offer no-op calls.  Class-level
-        # detection: per-instance monkeypatched callbacks are not seen.
-        sink = sink if sink is not None else NULL_SINK
-        self._sink = sink
-        armed = bool(sink)
-        self._sink_offer = armed and sink_overrides(sink, "on_offer_posted")
-        self._sink_index = armed and sink_overrides(sink, "on_index")
-        self._sink_commit = armed and sink_overrides(sink, "on_commit")
-        self._sink_decision = armed and sink_overrides(sink, "on_decision")
-        self._sink_phase = armed and sink_overrides(sink, "on_phase")
-        self._sink_settle = armed and sink_overrides(sink, "on_settle")
+        Each callback the sink's class defines (see
+        :func:`~repro.runtime.instrument.defined`) joins that callback's
+        list, after the observers attached before it; the others are
+        never called.
+        """
+        for name, hooks in (("on_offer_posted", self._offer_hooks),
+                            ("on_commit", self._commit_hooks),
+                            ("on_decision", self._decision_hooks),
+                            ("on_phase", self._phase_hooks),
+                            ("on_settle", self._settle_hooks)):
+            callback = defined(sink, name)
+            if callback is not None:
+                hooks.append(callback)
 
     # ------------------------------------------------------------------
     # Residue introspection (public: soak tests and supervisors use these)
@@ -485,10 +481,10 @@ class Scheduler:
         A return, a raise (``error``), a yield :meth:`_handle_effect`
         rejects (``error``) and a kill (``process.killed`` already set)
         all come here.  Whatever the process waits on is withdrawn, its
-        aliases are released, and its one ``proc_done`` or ``proc_fail``
-        is traced.  A running process has no offers and no waiter, and
-        releasing its name already marks the board dirty, so for it the
-        withdrawals change nothing.
+        aliases are released, the board forgets it, and its one
+        ``proc_done`` or ``proc_fail`` is traced.  A running process has
+        no offers and no waiter, and releasing its name already marks
+        the board dirty, so for it the withdrawals change nothing.
         """
         name = process.name
         process.state = (ProcessState.DONE if error is None
@@ -496,6 +492,7 @@ class Scheduler:
         process.error = error
         self._cancel_waits(name)
         self._release_aliases(process)
+        self._board.on_retired(process)
         if error is not None:
             self.tracer.emit(self.now, EventKind.PROC_FAIL, name,
                              error=repr(error))
@@ -577,7 +574,7 @@ class Scheduler:
         :class:`ProcessFailure` (with ``fail_fast``) on the first uncaught
         process exception.
         """
-        if not self._sink_phase:
+        if not self._phase_hooks:
             return self._run(until)
         # Profiled entry: the whole run is timed so phase shares have a
         # denominator; "run" is emitted last (even on deadlock/failure),
@@ -587,7 +584,12 @@ class Scheduler:
         try:
             return self._run(until)
         finally:
-            self._sink.on_phase("run", clk() - started)
+            self._phase("run", clk() - started)
+
+    def _phase(self, phase: str, ns: int) -> None:
+        """Report ``ns`` clock units spent in ``phase`` to every observer."""
+        for hook in self._phase_hooks:
+            hook(phase, ns)
 
     def _run(self, until: float | None = None) -> RunResult:
         while True:
@@ -619,11 +621,11 @@ class Scheduler:
             process = self._ready.popleft()
             if process.state in _FINISHED_STATES:  # inlined Process.finished
                 continue
-            if self._sink_phase:
+            if self._phase_hooks:
                 clk = self.prof_clock
                 step_start = clk()
                 self._step(process)
-                self._sink.on_phase("dispatch", clk() - step_start)
+                self._phase("dispatch", clk() - step_start)
             else:
                 self._step(process)
             # Dirty-set settling: a step that neither posted nor withdrew
@@ -652,15 +654,16 @@ class Scheduler:
             _, _, handle = heapq.heappop(self._timers)
             handle._in_heap = False
             self._cancelled_in_heap -= 1
-            if self._sink_settle:
+            if self._settle_hooks:
                 self._prof_timer_ops += 1
 
     def _advance_clock(self, to_time: float) -> None:
-        timed = self._sink_phase
+        # A snapshot: the finally below must agree with this on started.
+        timed = bool(self._phase_hooks)
         started = self.prof_clock() if timed else 0
         try:
             self.now = to_time
-            count_ops = self._sink_settle
+            count_ops = self._settle_hooks
             while self._timers and self._timers[0][0] <= self.now:
                 _, seq, handle = heapq.heappop(self._timers)
                 handle._in_heap = False
@@ -671,14 +674,14 @@ class Scheduler:
                     continue
                 self._armed_timers -= 1
                 self._unregister_timer(handle)
-                if self._sink_decision:
-                    self._sink.on_decision(self.now, "timer", handle.owner,
-                                           seq)
+                if self._decision_hooks:
+                    for hook in self._decision_hooks:
+                        hook(self.now, "timer", handle.owner, seq)
                 handle.action()
             self._prune_timers()
         finally:
             if timed:
-                self._sink.on_phase("timers", self.prof_clock() - started)
+                self._phase("timers", self.prof_clock() - started)
 
     def _push_timer(self, time: float, action: Callable[[], None],
                     owner: Hashable | None = None) -> "TimerHandle":
@@ -686,7 +689,7 @@ class Scheduler:
         handle = TimerHandle(action, scheduler=self, owner=owner)
         heapq.heappush(self._timers, (time, self._timer_seq, handle))
         self._armed_timers += 1
-        if self._sink_settle:
+        if self._settle_hooks:
             self._prof_timer_ops += 1
         if owner is not None:
             self._process_timers.setdefault(owner, set()).add(handle)
@@ -771,14 +774,20 @@ class Scheduler:
         if self.total_steps > self.max_steps:
             raise StepLimitExceeded(
                 f"exceeded {self.max_steps} steps; livelock suspected")
+        # A body that killed itself was retired by the kill: what it
+        # returns, raises or yields after that is no outcome.
         try:
             effect = process.advance()
         except StopIteration as stop:
-            process.result = stop.value
-            self._retire(process)
+            if not process.killed:
+                process.result = stop.value
+                self._retire(process)
             return
         except BaseException as exc:  # noqa: BLE001 - report any failure
-            self._retire(process, exc)
+            if not process.killed:
+                self._retire(process, exc)
+            return
+        if process.killed:
             return
         try:
             self._handle_effect(process, effect)
@@ -805,8 +814,9 @@ class Scheduler:
         group = self._board.post(group)
         process._blocked_reason = group.describe  # rendered lazily on read
         self._board_dirty = True
-        if self._sink_offer:
-            self._sink.on_offer_posted(self.now, process.name)
+        if self._offer_hooks:
+            for hook in self._offer_hooks:
+                hook(self.now, process.name)
         if timeout is None:
             return
 
@@ -864,9 +874,9 @@ class Scheduler:
             self._make_ready(process, process.name)
         elif isinstance(effect, Choice):
             picked = self.rng.choice(effect.options)
-            if self._sink_decision:
-                self._sink.on_decision(self.now, "choice", process.name,
-                                      picked)
+            if self._decision_hooks:
+                for hook in self._decision_hooks:
+                    hook(self.now, "choice", process.name, picked)
             self._make_ready(process, picked)
         elif isinstance(effect, QueryProcesses):
             statuses = {}
@@ -921,7 +931,7 @@ class Scheduler:
         polled predicates once and wakes the waiters of fired latches; the
         drain repeats only after a pass that woke someone.
 
-        A profiling sink gets the same loop over timed stand-ins for
+        A profiling observer gets the same loop over timed stand-ins for
         ``pick`` and ``commit`` (:meth:`_timed_seams`), so a profiled run
         makes the identical decisions and its trace is byte-identical.
         """
@@ -930,7 +940,7 @@ class Scheduler:
                 else self._pick_filtered)
         commit = self._commit
         finish = None
-        if self._sink_phase or self._sink_settle:
+        if self._phase_hooks or self._settle_hooks:
             pick, commit, finish = self._timed_seams(pick)
         rng = self.rng
         polled = self._polled
@@ -961,8 +971,8 @@ class Scheduler:
         board's candidate count, then the pick and its match-filter pass),
         ``commit`` the commits minus cadence-hook time (split out as
         ``journal``), and ``settle`` the pass's residual: loop bookkeeping
-        and wake passes.  Phases are sent only while the sink overrides
-        ``on_phase``, the work counters only while it overrides
+        and wake passes.  Phases are sent only while an observer defines
+        ``on_phase``, the work counters only while one defines
         ``on_settle``.
         """
         clk = self.prof_clock
@@ -995,19 +1005,18 @@ class Scheduler:
             commits += 1
 
         def finish() -> None:
-            sink = self._sink
-            if self._sink_phase:
+            if self._phase_hooks:
                 journal_ns = self._prof_journal_ns
-                sink.on_phase("match", match_ns)
-                sink.on_phase("commit", commit_ns - journal_ns)
+                self._phase("match", match_ns)
+                self._phase("commit", commit_ns - journal_ns)
                 if journal_ns:
-                    sink.on_phase("journal", journal_ns)
+                    self._phase("journal", journal_ns)
                 residual = clk() - started - match_ns - commit_ns
-                sink.on_phase("settle", residual if residual > 0 else 0)
-            if self._sink_settle:
-                sink.on_settle(self.now, commits, rounds, queries, seen,
-                               self._prof_polls - polls_before, peak,
-                               self._prof_timer_ops)
+                self._phase("settle", residual if residual > 0 else 0)
+            for hook in self._settle_hooks:
+                hook(self.now, commits, rounds, queries, seen,
+                     self._prof_polls - polls_before, peak,
+                     self._prof_timer_ops)
 
         return timed_pick, timed_commit, finish
 
@@ -1083,18 +1092,13 @@ class Scheduler:
             receiver=receiver.name, to=send.partner_alias,
             sender_alias=sender_identity, tag=send.tag,
             value=send.value)
-        if self._sink_commit:
-            self._sink.on_commit(self.now, sender.name, receiver.name,
-                                 len(self._board), len(self._waiters))
-        if self._sink_index:
-            board = self._board
-            self._sink.on_index(self.now, board.index_size,
-                                board.dirty_events, board.cache_hits,
-                                board.swept_pairs)
+        if self._commit_hooks:
+            for hook in self._commit_hooks:
+                hook(self.now, sender.name, receiver.name)
         self.commit_count += 1
         if (self._cadence_hook is not None
                 and self.commit_count % self._cadence_every == 0):
-            if self._sink_phase:
+            if self._phase_hooks:
                 clk = self.prof_clock
                 hook_start = clk()
                 self._cadence_hook()

@@ -8,8 +8,8 @@ The contracts under test, in the order the module promises them:
 - attaching the profiler never perturbs the run — the trace of a
   profiled run is byte-identical to an unprofiled one, on the indexed
   and the full-scan board, with and without a match filter;
-- a sink receives ``on_phase`` / ``on_settle`` exactly when its class
-  overrides them;
+- an observer receives ``on_phase`` / ``on_settle`` exactly when its
+  class defines them;
 - the exports are well-formed for their consumers (speedscope collapsed
   stacks, Perfetto trace events);
 - the diff explainer names the phase whose share grew.
@@ -26,7 +26,7 @@ from repro.obs import (PHASES, Profiler, build_spans, diff_attributions,
                        dump_chrome_trace, profile_scenario, tick_clock)
 from repro.runtime import (EventKind, IndexedBoard, OracleBoard, Receive,
                            Scheduler, Select, Send, format_trace)
-from repro.runtime.instrument import Sink, TeeSink, sink_overrides
+from repro.runtime.instrument import Sink
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -103,31 +103,31 @@ def test_profiled_scenario_trace_matches_unprofiled():
             == format_trace(plain.scheduler.tracer))
 
 
-def test_attach_tees_on_existing_sink():
+def test_attach_joins_existing_observers():
     from repro.obs import run_scenario
-    run = run_scenario("demo-broadcast", seed=0, n=5, profiler=Profiler())
-    # The metrics sink underneath still saw the run.
+    profiler = Profiler()
+    run = run_scenario("demo-broadcast", seed=0, n=5, profiler=profiler)
+    # The metrics attached first still saw the run, and hear each
+    # commit before the profiler does.
     assert run.metrics.to_dict()["metrics"]["comms_total"]["value"] > 0
-    assert isinstance(run.scheduler.sink, TeeSink)
+    assert [hook.__self__ for hook in run.scheduler._commit_hooks] == [
+        run.metrics, profiler]
+    assert profiler.report().commits > 0
 
 
 def test_capability_flags_only_arm_for_profiling_sinks():
     scheduler = Scheduler(seed=0, board=IndexedBoard())
 
     class CommitsOnly(Sink):
-        def on_commit(self, time, sender, receiver, board, waiters):
+        def on_commit(self, time, sender, receiver):
             pass
 
-    scheduler.sink = CommitsOnly()
-    assert scheduler._sink_commit and not scheduler._sink_phase
-    # Wrapping in a tee with a profiler arms the phase hooks; the
-    # recursion sees through nested tees.
-    tee = TeeSink(CommitsOnly(), Profiler())
-    assert sink_overrides(tee, "on_phase")
-    assert sink_overrides(tee, "on_commit")
-    assert not sink_overrides(TeeSink(CommitsOnly()), "on_phase")
-    scheduler.sink = tee
-    assert scheduler._sink_phase and scheduler._sink_settle
+    scheduler.observe(CommitsOnly())
+    assert scheduler._commit_hooks and not scheduler._phase_hooks
+    # A profiler attached beside it arms the phase and settle hooks.
+    Profiler().attach(scheduler)
+    assert len(scheduler._commit_hooks) == 2
+    assert scheduler._phase_hooks and scheduler._settle_hooks
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +246,9 @@ def test_match_filtered_profiled_trace_matches_unprofiled(name):
 
 
 class SettleOnly(Sink):
-    """Overrides ``on_settle`` alone.  Its instance-level ``on_phase`` is
-    invisible to the class-level capability check, so it records any
-    phase the kernel sends without the sink asking for it."""
+    """Defines ``on_settle`` alone.  Its instance-level ``on_phase`` is
+    invisible to the class-level check ``observe`` makes, so it records
+    any phase the kernel sends without the observer asking for it."""
 
     def __init__(self):
         self.settles = []
@@ -256,14 +256,14 @@ class SettleOnly(Sink):
         self.on_phase = lambda phase, ns: self.phases.append(phase)
 
     def attach(self, scheduler):
-        scheduler.sink = self
+        scheduler.observe(self)
 
     def on_settle(self, time, commits, *counters):
         self.settles.append(commits)
 
 
 class PhaseOnly(Sink):
-    """The mirror image: ``on_phase`` overridden, ``on_settle`` caught."""
+    """The mirror image: ``on_phase`` defined, ``on_settle`` caught."""
 
     def __init__(self):
         self.settles = []
@@ -272,7 +272,7 @@ class PhaseOnly(Sink):
                           self.settles.append(commits))
 
     def attach(self, scheduler):
-        scheduler.sink = self
+        scheduler.observe(self)
 
     def on_phase(self, phase, ns):
         self.phases.append(phase)
@@ -281,7 +281,7 @@ class PhaseOnly(Sink):
 def test_settle_only_sink_gets_one_call_per_settle():
     sink = SettleOnly()
     scheduler = run_pingpong(sink)
-    assert scheduler._sink_settle and not scheduler._sink_phase
+    assert scheduler._settle_hooks and not scheduler._phase_hooks
     profiler = Profiler()
     run_pingpong(profiler)
     assert len(sink.settles) == profiler.settles == 6
@@ -292,7 +292,7 @@ def test_settle_only_sink_gets_one_call_per_settle():
 def test_phase_only_sink_gets_no_settle_counters():
     sink = PhaseOnly()
     scheduler = run_pingpong(sink)
-    assert scheduler._sink_phase and not scheduler._sink_settle
+    assert scheduler._phase_hooks and not scheduler._settle_hooks
     assert sink.settles == []
     assert {"dispatch", "match", "commit", "settle", "run"} <= set(sink.phases)
 

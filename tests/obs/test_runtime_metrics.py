@@ -3,8 +3,7 @@
 from repro.faults import FaultPlan
 from repro.net import NetworkTransport, star
 from repro.obs import RuntimeMetrics, run_scenario
-from repro.runtime import NULL_SINK, Scheduler
-from repro.runtime.instrument import NullSink
+from repro.runtime import Scheduler
 from repro.scripts import make_star_broadcast
 
 
@@ -34,11 +33,18 @@ def run_instrumented(seed=0, n=3, transport=False):
     return scheduler, metrics
 
 
-def test_scheduler_defaults_to_null_sink():
+def test_scheduler_starts_with_no_observers():
+    # Empty hook lists: every guarded call site skips its callbacks.
     scheduler = Scheduler(seed=0)
-    assert scheduler.sink is NULL_SINK
-    assert isinstance(scheduler.sink, NullSink)
-    assert not scheduler.sink  # falsy: hot paths skip the hook calls
+    assert not (scheduler._offer_hooks or scheduler._commit_hooks
+                or scheduler._decision_hooks or scheduler._phase_hooks
+                or scheduler._settle_hooks)
+    net = NetworkTransport(star(2), {"T": "hub"})
+    assert not net._message_hooks
+    RuntimeMetrics().attach(scheduler, net)
+    assert scheduler._offer_hooks and scheduler._commit_hooks
+    assert scheduler._decision_hooks and net._message_hooks
+    assert not (scheduler._phase_hooks or scheduler._settle_hooks)
 
 
 def test_event_derived_counters():
@@ -60,6 +66,12 @@ def test_match_latency_and_board_gauges_from_hooks():
     assert latency.count > 0
     assert metrics.registry.gauge("board_size").samples > 0
     assert metrics.registry.gauge("waiter_depth").samples > 0
+    # Every depth and index gauge is sampled at the same commits.
+    samples = {metrics.registry.gauge(name).samples
+               for name in ("board_size", "waiter_depth",
+                            "match_index_pairs", "match_index_dirty_events",
+                            "match_cache_hits", "match_swept_pairs")}
+    assert samples == {metrics.registry.counter("comms_total").value}
 
 
 def test_transport_message_metrics():

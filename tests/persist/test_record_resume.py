@@ -66,8 +66,9 @@ def test_divergence_names_the_replayed_frame_at_its_index(tmp_path):
 
 
 def test_metrics_attached_over_a_journal_keep_its_frames(tmp_path):
-    # A sink attached after the recorder stacks on it: the journal keeps
-    # its timer decisions and resumes, and the metrics see every comm.
+    # Metrics attached after the recorder observe beside it: the journal
+    # keeps every decision frame and resumes, and the metrics see every
+    # comm.
     path = tmp_path / "b.jrnl"
     recorder = JournalRecorder(path, seed=3, scenario="broadcast",
                                options={"n": 4})

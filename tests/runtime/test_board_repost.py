@@ -15,7 +15,8 @@ Two layers of evidence here:
   at sizes up to N=200.
 * Board-level unit tests pinning each invalidation rule individually:
   hit, shape-change miss, new-send miss, claim miss, release
-  force-invalidation, producer-death survival, and compact's sweep.
+  force-invalidation, producer-death survival, and the entry's death
+  with its process.
 """
 
 import pytest
@@ -55,8 +56,8 @@ def build_churn(scheduler, n):
 
     Every expiry withdraws the receiver and every retry re-posts an
     equivalent group — a hit while nothing changed, a miss right after a
-    send arrived (the send bumps the receiver's arrival counter even when
-    it commits immediately).  Senders arrive in staggered waves so both
+    send arrived while the receiver was suspended (the send invalidates
+    the receiver's cache entry).  Senders arrive in staggered waves so both
     cases occur throughout the run.
     """
     def receiver(i):
@@ -256,7 +257,7 @@ def test_send_arriving_while_suspended_invalidates_entry():
     fx.post(s1, [Send("r", 1)])
     fx.post(r, [Receive()])
     fx.withdraw("r")
-    fx.post(s2, [Send("r", 2)])                # bumps r's arrival counter
+    fx.post(s2, [Send("r", 2)])                # invalidates r's entry
     fx.post(r, [Receive()])                    # equivalent, but stale
     info = fx.indexed.introspect()
     assert info["cache_hits"] == 0
@@ -313,6 +314,18 @@ def test_producer_death_keeps_other_entries_valid():
     assert info["cache_hits"] == 1
     assert info["resumed_pairs"] == 1
     assert [c.sender.name for c in fx.assert_agree()] == ["s2"]
+
+
+def test_finished_run_leaves_no_suspended_group():
+    # Every process of the star broadcast withdraws a group at its last
+    # commit; each entry goes when its process retires.
+    from repro.obs import run_scenario
+    run = run_scenario("demo-broadcast", seed=1, n=300)
+    assert len(run.scheduler.processes) == 301
+    assert all(p.finished for p in run.scheduler.processes.values())
+    info = run.scheduler.board.introspect()
+    assert info["suspended_groups"] == 0
+    assert info["suspended_pairs"] == info["pairs"] == 0
 
 
 def test_oracle_board_reports_no_cache():

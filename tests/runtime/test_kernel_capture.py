@@ -1,10 +1,10 @@
-"""Kernel facilities behind the journal: commit cadence, sink capability
-flags, and the cheap state capture / deferred digest split."""
+"""Kernel facilities behind the journal: commit cadence, observer
+attachment, and the cheap state capture / deferred digest split."""
 
 import pytest
 
 from repro.errors import RuntimeKernelError
-from repro.runtime import NULL_SINK, Receive, Scheduler, Send, Sink
+from repro.runtime import Choice, Receive, Scheduler, Send, Sink
 
 
 def ping(n):
@@ -71,14 +71,19 @@ def test_cadence_rearming_same_hook_adjusts_interval():
 
 
 # ---------------------------------------------------------------------------
-# Sink capability flags
+# Observers
 # ---------------------------------------------------------------------------
+
+def never(*args):
+    raise AssertionError("an instance attribute was called as a callback")
+
 
 class CommitOnly(Sink):
     def __init__(self):
         self.commits = 0
+        self.on_offer_posted = never              # not seen: not the class's
 
-    def on_commit(self, time, sender, receiver, board, waiters):
+    def on_commit(self, time, sender, receiver):
         self.commits += 1
 
 
@@ -90,32 +95,87 @@ class OfferOnly(Sink):
         self.offers += 1
 
 
-def test_sink_flags_track_what_the_class_overrides():
+def hook_lists(scheduler):
+    return {"offer": scheduler._offer_hooks,
+            "commit": scheduler._commit_hooks,
+            "decision": scheduler._decision_hooks,
+            "phase": scheduler._phase_hooks,
+            "settle": scheduler._settle_hooks}
+
+
+def test_observe_files_only_what_the_class_defines():
     scheduler = Scheduler(seed=0)
-    assert not scheduler._sink_commit and not scheduler._sink_offer
-    scheduler.sink = CommitOnly()
-    assert scheduler._sink_commit
-    assert not (scheduler._sink_offer or scheduler._sink_index
-                or scheduler._sink_decision)
-    scheduler.sink = OfferOnly()
-    assert scheduler._sink_offer and not scheduler._sink_commit
-    scheduler.sink = None                         # back to the null sink
-    assert scheduler.sink is NULL_SINK
-    assert not scheduler._sink_offer
+    assert not any(hook_lists(scheduler).values())
+    scheduler.observe(Sink())                     # defines nothing
+    assert not any(hook_lists(scheduler).values())
+    commit_only = CommitOnly()
+    scheduler.observe(commit_only)
+    offer_only = OfferOnly()
+    scheduler.observe(offer_only)
+    assert hook_lists(scheduler) == {
+        "offer": [offer_only.on_offer_posted],
+        "commit": [commit_only.on_commit],
+        "decision": [], "phase": [], "settle": []}
 
 
 def test_overridden_callbacks_still_dispatch():
     scheduler = Scheduler(seed=0)
     commit_sink = CommitOnly()
-    scheduler.sink = commit_sink
+    scheduler.observe(commit_sink)
+    offer_sink = OfferOnly()
+    scheduler.observe(offer_sink)
     run_pairs(scheduler, n=6)
     assert commit_sink.commits == 6
-
-    scheduler = Scheduler(seed=0)
-    offer_sink = OfferOnly()
-    scheduler.sink = offer_sink
-    run_pairs(scheduler, n=6)
     assert offer_sink.offers > 0
+
+
+class Log(Sink):
+    """Writes every callback it hears into a shared log, under its tag."""
+
+    def __init__(self, tag, log):
+        self.tag = tag
+        self.log = log
+
+    def on_offer_posted(self, time, process):
+        self.log.append(("offer", process, self.tag))
+
+    def on_commit(self, time, sender, receiver):
+        self.log.append(("commit", sender, self.tag))
+
+    def on_decision(self, time, kind, subject, payload):
+        self.log.append(("decision", subject, self.tag))
+
+
+def test_observers_hear_every_callback_in_attach_order():
+    scheduler = Scheduler(seed=0)
+    log = []
+    scheduler.observe(Log("first", log))
+    scheduler.observe(Log("second", log))
+
+    def chooser():
+        yield Choice(("a", "b"))
+
+    scheduler.spawn("chooser", chooser())
+    run_pairs(scheduler, n=3)
+    # Each callback reaches the first observer, then the second.
+    assert log and len(log) % 2 == 0
+    for first, second in zip(log[0::2], log[1::2]):
+        assert (first[2], second[2]) == ("first", "second")
+        assert first[:2] == second[:2]
+    assert {kind for kind, *_ in log} == {"offer", "commit", "decision"}
+    assert sum(kind == "commit" for kind, *_ in log) == 2 * 3
+
+
+@pytest.mark.parametrize("observer", [None, CommitOnly],
+                         ids=["none", "commit-only"])
+def test_scheduler_without_phase_observers_never_reads_the_clock(observer):
+    scheduler = Scheduler(seed=0)
+    reads = []
+    scheduler.prof_clock = lambda: reads.append(None) or 0
+    if observer is not None:
+        scheduler.observe(observer())
+    run_pairs(scheduler, n=4)
+    assert reads == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Every way a process leaves the kernel, in one table.
 
 A process ends by returning, by raising, by yielding something the
-scheduler rejects, or by being killed; an interrupt throws into it
-without ending it.  Whichever way it goes, the run must leave nothing
-of it behind — no board group, no waiter (polled or latch-parked), no
-armed timer, no alias — and trace exactly one ``proc_done`` or
-``proc_fail`` for it.  Kill listeners run once per kill and never
-otherwise.  Each case runs on the indexed board and on the full-scan
-oracle.
+scheduler rejects, or by being killed — by another party or by itself,
+in its own step; an interrupt throws into it without ending it.
+Whichever way it goes, the run must leave nothing of it behind — no
+board group, no waiter (polled or latch-parked), no armed timer, no
+alias — and trace exactly one ``proc_done`` or ``proc_fail`` for it.
+Kill listeners run once per kill and never otherwise.  Each case runs
+on the indexed board and on the full-scan oracle.
 """
 
 import pytest
@@ -100,6 +100,24 @@ def killed_mid_transit(scheduler):
     return seen
 
 
+def kills_itself_then_returns(scheduler):
+    def body():
+        yield AddAlias("extra")
+        scheduler.kill("p")
+        return "after the kill"
+
+    scheduler.spawn("p", body())
+
+
+def kills_itself_then_yields(scheduler):
+    def body():
+        yield AddAlias("extra")
+        scheduler.kill("p")
+        yield Receive("nobody")
+
+    scheduler.spawn("p", body())
+
+
 def interrupted(scheduler):
     seen = []
 
@@ -139,6 +157,12 @@ CASES = {
                           {"killed": True}, None),
     "killed mid-transit": (killed_mid_transit, EventKind.PROC_DONE,
                            {"killed": True}, None),
+    "kills itself then returns": (kills_itself_then_returns,
+                                  EventKind.PROC_DONE, {"killed": True},
+                                  None),
+    "kills itself then yields": (kills_itself_then_yields,
+                                 EventKind.PROC_DONE, {"killed": True},
+                                 None),
     "interrupted": (interrupted, EventKind.PROC_DONE, {}, None),
 }
 
@@ -197,6 +221,7 @@ def test_a_process_leaves_nothing_behind(case, board_cls):
     if details.get("killed"):
         assert result.killed == ["p"]
         assert "p" not in result.results
+        assert process.result is None
         assert killed_seen == ["p"]
     else:
         assert result.killed == []
