@@ -194,23 +194,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Soak or explore a scenario under deterministic fault injection."""
     if args.describe_plan:
-        return _chaos_mode(args, _chaos_describe_plan, planned=True)
+        return _chaos_mode(args, _chaos_describe_plan)
     if args.kill9:
         return _chaos_kill9(args)
     if args.replay_plan:
         return _chaos_replay_plan(args)
-    if args.explore:
-        return _chaos_mode(args, _chaos_explore, explorable=True)
-    return _chaos_mode(args, _chaos_soak, planned=True)
+    return _chaos_mode(args, _chaos_explore if args.explore else _chaos_soak)
 
 
-def _chaos_mode(args: argparse.Namespace, handler, **needs: bool) -> int:
-    """Run ``handler`` if the scenario has what the mode ``needs``;
-    otherwise exit 2 naming the scenarios that do."""
+def _chaos_mode(args: argparse.Namespace, handler) -> int:
+    """Run ``handler`` if the scenario has a fault contract; otherwise
+    exit 2 naming the scenarios that do."""
     from .errors import ChaosInvariantError
     from .scenarios import lookup
     try:
-        lookup(args.script, **needs)
+        lookup(args.script, faulted=True)
     except ChaosInvariantError as error:
         print(f"chaos: {error}", file=sys.stderr)
         return 2
@@ -505,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
                                          "seeded fault injection")
     chaos.add_argument("script", nargs="?", default="broadcast",
                        choices=names(),
-                       help="scenario (soak, --verify and --describe-plan "
-                            "need a fault plan; --explore a fault "
-                            "contract; --kill9 takes any)")
+                       help="scenario (soak, --verify, --describe-plan "
+                            "and --explore need a fault contract; "
+                            "--kill9 takes any)")
     chaos.add_argument("--runs", type=int, default=100,
                        help="number of seeded runs (default 100)")
     chaos.add_argument("--seed", type=int, default=0,

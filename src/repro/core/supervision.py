@@ -122,20 +122,6 @@ class Supervisor:
     # Critical: abort the performance and release survivors
     # ------------------------------------------------------------------
 
-    def abort_current(self) -> bool:
-        """Abort the instance's forming/active performance, if any.
-
-        For escalation paths *outside* the crash pipeline — e.g. a
-        restart policy quarantining a critical role's process: the role
-        can never be refilled, so a performance waiting on it would
-        deadlock the run.  Returns True when a performance was aborted.
-        """
-        performance = self.instance.current
-        if performance is None or performance.ended:
-            return False
-        self._abort(performance)
-        return True
-
     def _abort(self, performance: Performance) -> None:
         instance = self.instance
         scheduler = instance.scheduler

@@ -290,16 +290,16 @@ def _owner_of(error: ReproError) -> str:
     return "convergence"
 
 
-def evaluate(outcome: RunOutcome) -> list[tuple[str, str]]:
-    """Judge one execution; ``(oracle, detail)`` per violated oracle."""
+def evaluate(outcome: RunOutcome,
+             contract: FaultContract) -> list[tuple[str, str]]:
+    """Judge one execution under ``contract``; ``(oracle, detail)`` per
+    violated oracle."""
     failures: list[tuple[str, str]] = []
     if outcome.error is not None:
         failures.append((_owner_of(outcome.error), str(outcome.error)))
     run = outcome.run
-    if (run is not None and run.outcome == "aborted"
-            and run.contract.critical
-            and not any(name in run.contract.critical
-                        for name in run.killed)):
+    if (run is not None and run.outcome == "aborted" and contract.critical
+            and not any(name in contract.critical for name in run.killed)):
         failures.append(("abort",
                          f"aborted without a critical-process kill "
                          f"(killed: {run.killed!r})"))
@@ -319,8 +319,8 @@ def evaluate(outcome: RunOutcome) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
-           oracle: str, *, sizes: dict[str, Any], workdir: str
-           ) -> tuple[FaultSchedule, str, int]:
+           oracle: str, *, sizes: dict[str, Any], contract: FaultContract,
+           workdir: str) -> tuple[FaultSchedule, str, int]:
     """Minimize ``schedule`` while the same oracle keeps failing.
 
     Plan schedules go through repeated ddmin passes (chunk sizes from
@@ -339,7 +339,7 @@ def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
         outcome = execute_schedule(scenario, seed, candidate, sizes=sizes,
                                    workdir=workdir, tag=f"shrink-{runs}")
         runs += outcome.runs
-        for name, detail in evaluate(outcome):
+        for name, detail in evaluate(outcome, contract):
             if name == oracle:
                 last_detail = detail
                 return True
@@ -476,12 +476,14 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
     schedules anchored at the injection points of its journal, stopping
     at the first oracle violation, shrunk to a locally minimal
     counterexample.  ``sizes`` reach the runner on every run — base,
-    schedules, replays and shrinking — and the base run's
-    :class:`~repro.scenarios.FaultContract` shapes the frontier.
-    ``workdir`` keeps the run journals (default: a temporary directory).
-    Deterministic: same arguments, same report.
+    schedules, replays and shrinking — and the entry's
+    :class:`~repro.scenarios.FaultContract` at those sizes, read before
+    the base run, shapes the frontier.  ``workdir`` keeps the run
+    journals (default: a temporary directory).  Deterministic: same
+    arguments, same report.
     """
-    sc = lookup(scenario, explorable=True)
+    sc = lookup(scenario, faulted=True)
+    contract = sc.contract(**sizes)
     report = ExploreReport(scenario=scenario, seed=seed, budget=budget)
     with (tempfile.TemporaryDirectory(prefix="repro-explore-")
           if workdir is None else contextlib.nullcontext(workdir)) as workdir:
@@ -496,7 +498,7 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
         report.points = Counter(point.kind for point in points)
 
         rng = random.Random(seed)
-        frontier = _frontier(base.contract, points, rng, budget)
+        frontier = _frontier(contract, points, rng, budget)
         for index, schedule in enumerate(itertools.islice(frontier, budget)):
             outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
                                        workdir=workdir, tag=f"run-{index}")
@@ -504,7 +506,7 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             report.schedules += 1
             report.families[schedule.family] += 1
             description = "; ".join(schedule.describe())
-            failures = evaluate(outcome)
+            failures = evaluate(outcome, contract)
             if not failures:
                 report.verdicts["pass"] += 1
                 report.schedule_log.append(f"#{index} {description} -> pass")
@@ -516,7 +518,8 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             original_events = (len(schedule.plan)
                                if schedule.plan is not None else 0)
             minimized, shrunk_detail, shrink_runs = shrink(
-                sc, seed, schedule, oracle, sizes=sizes, workdir=workdir)
+                sc, seed, schedule, oracle, sizes=sizes, contract=contract,
+                workdir=workdir)
             if shrunk_detail:
                 detail = shrunk_detail
             report.shrink_runs = shrink_runs
@@ -572,7 +575,7 @@ def check_saved_schedule(path: str) -> ReplayCheck:
         raise ChaosInvariantError(f"{path}: not a counterexample file")
     scenario_name = data.get("scenario")
     try:
-        sc = lookup(scenario_name, explorable=True)
+        sc = lookup(scenario_name, faulted=True)
     except ChaosInvariantError as error:
         raise ChaosInvariantError(f"{path}: {error}") from None
     seed = data.get("seed", 0)
@@ -581,6 +584,6 @@ def check_saved_schedule(path: str) -> ReplayCheck:
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as workdir:
         outcome = execute_schedule(sc, seed, schedule, sizes=sizes,
                                    workdir=workdir, tag="replay")
-        failures = evaluate(outcome)
+        failures = evaluate(outcome, sc.contract(**sizes))
     return ReplayCheck(scenario=scenario_name, seed=seed, schedule=schedule,
                        failures=failures)

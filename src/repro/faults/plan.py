@@ -39,6 +39,7 @@ from ..runtime import EventKind
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.transport import NetworkTransport
     from ..runtime.scheduler import Scheduler, TimerHandle
+    from ..scenarios import FaultContract
 
 # -- event kinds ----------------------------------------------------------
 
@@ -134,10 +135,10 @@ class FaultPlan:
     """An ordered, deterministic schedule of fault events.
 
     Build one with the fluent methods (:meth:`crash`, :meth:`partition`,
-    ...), generate one with :meth:`random`, then :meth:`install` it on a
-    scheduler before (or during) a run.  Events fire in ``(time,
-    insertion)`` order, matching the scheduler's timer tie-break, so two
-    installs of the same plan replay identically.
+    ...) or draw a seeded one from a contract with :func:`draw_plan`,
+    then :meth:`install` it on a scheduler before (or during) a run.
+    Events fire in ``(time, insertion)`` order, matching the scheduler's
+    timer tie-break, so two installs of the same plan replay identically.
     """
 
     def __init__(self, events: Iterable[FaultEvent] = ()):
@@ -304,6 +305,47 @@ class FaultPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FaultPlan {len(self.events)} events>"
+
+
+def draw_plan(contract: "FaultContract", seed: int) -> FaultPlan:
+    """The seeded fault plan of ``contract``: every soak run's plan.
+
+    Each listed process may crash once, in the first half of the
+    horizon and after its floor (a critical one a little less often);
+    each restarted process crashes once more.  One listed link may be
+    cut early and healed a little later, or never where healing is not
+    required.  Latency and drop windows appear only where transport
+    faults are allowed.  The draws come from ``random.Random(seed)``
+    alone, so a run handed the plan is the run that drew it.
+    """
+    rng = random.Random(seed)
+    horizon = contract.horizon
+    plan = FaultPlan()
+    for process in contract.processes:
+        chance = 0.25 if process in contract.critical else 0.3
+        crashes = (process in contract.restarted) + (rng.random() < chance)
+        floor = contract.crash_after.get(process)
+        earliest = 0.2 if floor is None else floor + 0.5
+        for _ in range(crashes):
+            plan.crash(round(rng.uniform(earliest, horizon / 2), 3), process)
+    if contract.links and rng.random() < 0.5:
+        a, b = rng.choice(contract.links)
+        start = round(rng.uniform(0.2, 5.0), 3)
+        if not contract.heal_required and rng.random() < 0.35:
+            plan.partition(start, a, b)
+        else:
+            plan.partition(start, a, b,
+                           heal_at=round(start + rng.uniform(0.5, 4.0), 3))
+    if contract.transport_faults:
+        if rng.random() < 0.3:
+            start = round(rng.uniform(0.2, horizon / 3), 3)
+            plan.slow(start, round(rng.uniform(2.0, 5.0), 2),
+                      until=round(start + rng.uniform(1.0, 5.0), 3))
+        if rng.random() < 0.3:
+            start = round(rng.uniform(0.2, horizon / 3), 3)
+            plan.drop(start, rng.randint(1, 3),
+                      until=round(start + rng.uniform(1.0, 5.0), 3))
+    return plan
 
 
 # -------------------------------------------------------------------------

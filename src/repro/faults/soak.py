@@ -3,9 +3,15 @@
 The harness runs three scripts — the broadcast (Section II's running
 example, in an open-membership chaos variant), the Figure 5 replicated
 lock manager, and an open chatroom with member churn (Section V's
-open-ended scripts under load) — for hundreds of performances, each under
-a deterministic :class:`~repro.faults.plan.FaultPlan`, and checks after
-every run that the kernel is residue-free:
+open-ended scripts under load) — for hundreds of performances.  Each
+entry states what it tolerates once, as a
+:class:`~repro.scenarios.FaultContract` of its sizes (the paper's
+critical-role-set rule: a critical process crashes only after its seal,
+a non-critical one at any time), and each run installs the
+:class:`~repro.faults.plan.FaultPlan` that
+:func:`~repro.faults.plan.draw_plan` draws from that contract at the
+run's seed (:func:`plan_for_seed`).  After every run the harness checks
+that the kernel is residue-free:
 
 * the rendezvous board is empty (no orphaned offers),
 * no process is still parked on a condition,
@@ -39,7 +45,7 @@ from ..reporting import kv_lines
 from ..runtime import TIMED_OUT, Delay, RunResult
 from ..scenarios import FaultContract, Run, finish, lookup, run_checked, world
 from ..scripts.lockmanager import MAJORITY, ReplicatedLockService
-from .plan import FaultPlan
+from .plan import FaultPlan, draw_plan
 
 Body = Generator[Any, Any, Any]
 
@@ -161,98 +167,57 @@ def make_chatroom(max_members: int = 4) -> ScriptDef:
 
 
 # ---------------------------------------------------------------------------
-# Seed-derived fault plans (shared by the runners, `plan_for_seed`, and
-# the --describe-plan CLI: one draw sequence, two consumers)
+# What each entry tolerates, and a seed's plan within it
 # ---------------------------------------------------------------------------
 
-def broadcast_plan(rng: random.Random, n: int = 4) -> FaultPlan:
-    """The seed-derived default plan of :func:`run_chaos_broadcast`.
-
-    Possible sender crash (only after the seal window — a pre-seal sender
-    crash leaves an unsealable performance, which is a scripted-system
-    design error, not a chaos finding), recipient crashes at any time,
-    one hub-leaf partition window, and optional latency/drop windows.
-    """
-    window, horizon = BROADCAST_WINDOW, BROADCAST_HORIZON
-    plan = FaultPlan()
-    if rng.random() < 0.25:
-        plan.crash(round(rng.uniform(window + 0.5, horizon / 2), 3), "S")
-    for i in range(1, n + 1):
-        if rng.random() < 0.3:
-            plan.crash(round(rng.uniform(0.2, horizon / 2), 3), ("R", i))
-    if rng.random() < 0.5:
-        leaf = rng.randint(1, n)
-        start = round(rng.uniform(0.2, window + 2.0), 3)
-        plan.partition(start, "hub", ("leaf", leaf),
-                       heal_at=round(start + rng.uniform(0.5, 4.0), 3))
-    if rng.random() < 0.3:
-        start = round(rng.uniform(0.2, horizon / 3), 3)
-        plan.slow(start, round(rng.uniform(2.0, 5.0), 2),
-                  until=round(start + rng.uniform(1.0, 5.0), 3))
-    if rng.random() < 0.3:
-        start = round(rng.uniform(0.2, horizon / 3), 3)
-        plan.drop(start, rng.randint(1, 3),
-                  until=round(start + rng.uniform(1.0, 5.0), 3))
-    return plan
+def star_contract(hub: str, leaf: str, n: int, seal_window: float,
+                  horizon: float, heal_required: bool) -> FaultContract:
+    """A star run's contract: the critical hub process may crash only
+    after its seal window; every hub-leaf link may be cut."""
+    return FaultContract(
+        processes=(hub,) + tuple((leaf, i) for i in range(1, n + 1)),
+        critical=frozenset({hub}),
+        links=tuple(("hub", ("leaf", i)) for i in range(1, n + 1)),
+        crash_after={hub: seal_window}, heal_required=heal_required,
+        transport_faults=True, horizon=horizon)
 
 
-def lock_plan(rng: random.Random, clients: int = 4) -> FaultPlan:
-    """The seed-derived default plan of :func:`run_chaos_lock`.
-
-    Client crashes only: managers hold the lock tables, which must
-    survive the soak, so killing one is out of contract by design.
-    """
-    plan = FaultPlan()
-    for i in range(1, clients + 1):
-        if rng.random() < 0.4:
-            plan.crash(round(rng.uniform(0.2, LOCK_HORIZON * 0.6), 3),
-                       ("client", i))
-    return plan
+def broadcast_contract(n: int = 4) -> FaultContract:
+    """The chaos broadcast's contract: the sender crashes only after the
+    seal window (a pre-seal sender crash leaves an unsealable
+    performance, a scripted-system design error, not a chaos finding),
+    and a cut link must heal, since recipients retry forever."""
+    return star_contract("S", "R", n, BROADCAST_WINDOW, BROADCAST_HORIZON,
+                         heal_required=True)
 
 
-def chatroom_plan(rng: random.Random, n: int = 4) -> FaultPlan:
-    """The seed-derived default plan of :func:`run_chaos_chatroom`.
+def lock_contract(clients: int = 4) -> FaultContract:
+    """The lock workload's contract: clients crash at any time.  Managers
+    hold the lock tables and must outlive the run; no link or transport
+    faults either — the lock protocol has no retry story."""
+    return FaultContract(
+        processes=tuple(("client", i) for i in range(1, clients + 1)),
+        critical=frozenset(), links=(), crash_after={}, heal_required=True,
+        transport_faults=False, horizon=LOCK_HORIZON)
 
-    Possible host crash (post-seal only, like the broadcast's sender),
-    member crashes at any time, one hub-leaf partition that sometimes
-    *never heals* (chatrooms tolerate a member falling off the net: the
-    member departs on timeout), and optional latency/drop windows.
-    """
-    window, horizon = CHATROOM_WINDOW, CHATROOM_HORIZON
-    plan = FaultPlan()
-    if rng.random() < 0.25:
-        plan.crash(round(rng.uniform(window + 0.5, horizon / 2), 3), "H")
-    for i in range(1, n + 1):
-        if rng.random() < 0.3:
-            plan.crash(round(rng.uniform(0.2, horizon / 2), 3), ("M", i))
-    if rng.random() < 0.5:
-        leaf = rng.randint(1, n)
-        start = round(rng.uniform(0.2, window + 2.0), 3)
-        if rng.random() < 0.35:
-            plan.partition(start, "hub", ("leaf", leaf))  # never heals
-        else:
-            plan.partition(start, "hub", ("leaf", leaf),
-                           heal_at=round(start + rng.uniform(0.5, 4.0), 3))
-    if rng.random() < 0.3:
-        start = round(rng.uniform(0.2, horizon / 3), 3)
-        plan.slow(start, round(rng.uniform(2.0, 5.0), 2),
-                  until=round(start + rng.uniform(1.0, 5.0), 3))
-    if rng.random() < 0.3:
-        start = round(rng.uniform(0.2, horizon / 3), 3)
-        plan.drop(start, rng.randint(1, 3),
-                  until=round(start + rng.uniform(1.0, 5.0), 3))
-    return plan
+
+def chatroom_contract(n: int = 4) -> FaultContract:
+    """The chatroom's contract: the host crashes only after the seal, and
+    a cut link need never heal — members depart on timeout."""
+    return star_contract("H", "M", n, CHATROOM_WINDOW, CHATROOM_HORIZON,
+                         heal_required=False)
 
 
 def plan_for_seed(script: str, seed: int, **sizes: Any) -> FaultPlan:
     """The fault plan a plan-less run of ``script`` at ``seed`` installs.
 
-    Replays exactly the runner's RNG draw sequence (the generators above
-    run first against a fresh ``random.Random(seed)`` in every runner),
-    so ``plan_for_seed(s, seed).describe() == run(seed).faults`` — pinned
-    by test.  ``sizes`` accepts the plan generator's sizing keywords.
+    :meth:`Scenario.run <repro.scenarios.Scenario.run>` calls this
+    whenever it is given no plan, and the plan is drawn from its own
+    RNG, so a run handed this plan is the plan-less run.  ``sizes`` are
+    the entry's sizing keywords.
     """
-    return lookup(script, planned=True).plan(random.Random(seed), **sizes)
+    contract = lookup(script, faulted=True).contract(**sizes)
+    return draw_plan(contract, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +231,7 @@ def _fail(seed: int, message: str) -> None:
 
 def _chaos_run(seed: int, result: RunResult, supervisor: Any,
                instance: ScriptInstance, plan: FaultPlan,
-               contract: FaultContract, journal: Any) -> Run:
+               journal: Any) -> Run:
     """:func:`~repro.scenarios.finish` for the chaos entries: the outcome
     follows the supervisor, and the headline is shared."""
     outcome = "aborted" if supervisor.aborts else "completed"
@@ -276,37 +241,20 @@ def _chaos_run(seed: int, result: RunResult, supervisor: Any,
                   f"{len(faults)} fault event(s), {len(result.killed)} "
                   f"kill(s), t={result.time:g}",
                   performances=performances, crashes=supervisor.crashes,
-                  aborts=supervisor.aborts, faults=faults,
-                  contract=contract)
-
-
-def _star_contract(hub: str, leaf: str, n: int, seal_window: float,
-                   horizon: float, heal_required: bool) -> FaultContract:
-    """A star run's contract: the critical hub process may crash only
-    after its seal window; every hub-leaf link may be cut."""
-    return FaultContract(
-        processes=(hub,) + tuple((leaf, i) for i in range(1, n + 1)),
-        critical=frozenset({hub}),
-        links=tuple(("hub", ("leaf", i)) for i in range(1, n + 1)),
-        crash_after={hub: seal_window}, heal_required=heal_required,
-        transport_faults=True, horizon=horizon)
+                  aborts=supervisor.aborts, faults=faults)
 
 
 # ---------------------------------------------------------------------------
 # Broadcast under chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_broadcast(seed: int, *, n: int = 4,
-                        plan: FaultPlan | None = None,
+def run_chaos_broadcast(seed: int, *, n: int = 4, plan: FaultPlan,
                         journal: Any = None) -> Run:
-    """One chaos broadcast: star network, seeded faults, full invariants.
+    """One chaos broadcast: star network, ``plan``'s faults, full
+    invariants.
 
-    The sender sits on the hub, recipient *i* on leaf *i*.  Without an
-    explicit ``plan``, a seed-derived one is generated: possible sender
-    crash (only after the seal window — a pre-seal sender crash leaves an
-    unsealable performance, which is a scripted-system design error, not a
-    chaos finding), recipient crashes at any time, one hub-leaf partition
-    window, and optional latency/drop windows.
+    The sender sits on the hub, recipient *i* on leaf *i*; the seed
+    draws the recipients' arrival staggers.
 
     ``journal`` is the run's hook (see :mod:`repro.scenarios`): a frame
     sink (journal recorder or resume) or metrics bundle, attached before
@@ -324,8 +272,6 @@ def run_chaos_broadcast(seed: int, *, n: int = 4,
     supervisor = instance.supervise()
 
     rng = random.Random(seed)
-    if plan is None:
-        plan = broadcast_plan(rng, n)
     plan.install(scheduler, transport=transport)
 
     def sender_process() -> Body:
@@ -364,25 +310,20 @@ def run_chaos_broadcast(seed: int, *, n: int = 4,
             if result.results.get(name) != PAYLOAD:
                 _fail(seed, f"recipient {i} survived a completed broadcast "
                             f"but holds {result.results.get(name)!r}")
-    contract = _star_contract("S", "R", n, BROADCAST_WINDOW,
-                              BROADCAST_HORIZON, heal_required=True)
-    return _chaos_run(seed, result, supervisor, instance, plan, contract,
-                      journal)
+    return _chaos_run(seed, result, supervisor, instance, plan, journal)
 
 
 # ---------------------------------------------------------------------------
 # Lock manager under chaos
 # ---------------------------------------------------------------------------
 
-def run_chaos_lock(seed: int, *, clients: int = 4,
-                   plan: FaultPlan | None = None,
+def run_chaos_lock(seed: int, *, clients: int = 4, plan: FaultPlan,
                    journal: Any = None) -> Run:
     """One chaos lock-manager workload: client crashes mid-protocol.
 
     Each client starts at a staggered virtual time, takes a majority lock
     on one of two contended items, holds it for a while and releases; the
-    fault plan kills a random subset of clients at random times inside
-    that window.  A crashed lone client aborts its performance (no
+    fault plan kills clients inside that window.  A crashed lone client aborts its performance (no
     critical set stays covered) and the managers — supervised, unlike the
     plain demo — catch :class:`~repro.errors.PerformanceAborted` and
     re-enroll for the survivors.  A crashed client whose performance also
@@ -404,12 +345,6 @@ def run_chaos_lock(seed: int, *, clients: int = 4,
     instance = service.instance
     supervisor = instance.supervise()
     rng = random.Random(seed)
-    # The plan is drawn before the client staggers so that a fresh
-    # ``random.Random(seed)`` reproduces it: the contract behind
-    # :func:`plan_for_seed` and the ``--describe-plan`` CLI.
-    if plan is None:
-        plan = lock_plan(rng, clients)
-
     finished: set[int] = set()
 
     def all_done() -> bool:
@@ -474,24 +409,14 @@ def run_chaos_lock(seed: int, *, clients: int = 4,
                                                            "aborted"):
             _fail(seed, f"client {i} was granted but never released: "
                         f"{history!r}")
-    contract = FaultContract(
-        processes=tuple(("client", i) for i in range(1, clients + 1)),
-        critical=frozenset(),
-        # Managers hold the lock tables and must outlive the run; no link
-        # or transport faults either — the lock protocol has no retry
-        # story, which is the scenario's documented contract.
-        links=(), crash_after={}, heal_required=True,
-        transport_faults=False, horizon=horizon)
-    return _chaos_run(seed, result, supervisor, instance, plan, contract,
-                      journal)
+    return _chaos_run(seed, result, supervisor, instance, plan, journal)
 
 
 # ---------------------------------------------------------------------------
 # Chatroom under churn
 # ---------------------------------------------------------------------------
 
-def run_chaos_chatroom(seed: int, *, n: int = 4,
-                       plan: FaultPlan | None = None,
+def run_chaos_chatroom(seed: int, *, n: int = 4, plan: FaultPlan,
                        journal: Any = None) -> Run:
     """One chaos chatroom: open membership, departures, seeded churn.
 
@@ -499,9 +424,9 @@ def run_chaos_chatroom(seed: int, *, n: int = 4,
     arrive staggered — deliberately wider than the join window, so some
     arrive *after* the room sealed and must walk away rather than wedge
     the instance with a hostless second performance.  Each member draws a
-    planned ``stay`` (how many rounds before departing); the fault plan
-    adds crashes, a partition that may never heal, and latency/drop
-    windows on top.
+    planned ``stay`` (how many rounds before departing); ``plan`` adds
+    crashes, a partition that may never heal, and latency/drop windows
+    on top.
 
     Invariants checked per run: an aborted performance implies the host
     was killed; every surviving member's log is a prefix-consistent
@@ -518,8 +443,6 @@ def run_chaos_chatroom(seed: int, *, n: int = 4,
     supervisor = instance.supervise()
 
     rng = random.Random(seed)
-    if plan is None:
-        plan = chatroom_plan(rng, n)
     plan.install(scheduler, transport=transport)
 
     def room_open() -> bool:
@@ -580,11 +503,7 @@ def run_chaos_chatroom(seed: int, *, n: int = 4,
                 _fail(seed, f"member {i} received corrupt round {r}: "
                             f"{entry!r}")
             last_round = r
-    # Members depart on timeout, so a partition need never heal.
-    contract = _star_contract("H", "M", n, CHATROOM_WINDOW,
-                              CHATROOM_HORIZON, heal_required=False)
-    return _chaos_run(seed, result, supervisor, instance, plan, contract,
-                      journal)
+    return _chaos_run(seed, result, supervisor, instance, plan, journal)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +549,11 @@ def soak(script: str = "broadcast", runs: int = 100,
          seed: int = 0) -> SoakReport:
     """Run ``runs`` chaos runs with consecutive seeds; raise on any residue.
 
-    ``script`` names a catalogue entry with a fault plan.  Each run's
-    ``counters`` are summed by name.
+    ``script`` names a catalogue entry with a fault contract; each run
+    installs its seed's :func:`plan_for_seed`.  Each run's ``counters``
+    are summed by name.
     """
-    scenario = lookup(script, planned=True)
+    scenario = lookup(script, faulted=True)
     report = SoakReport(script=script, runs=runs, base_seed=seed,
                         outcomes=Counter())
     for offset in range(runs):

@@ -89,7 +89,6 @@ class Profiler(Sink):
         self.waiters_polled = 0
         self.timer_heap_ops = 0        # cumulative gauge: last sample wins
         self.index_pairs_max = 0
-        self.index_dirty_events = 0    # cumulative gauge: last sample wins
         self.board_depth_max = 0
         self.waiter_depth_max = 0
         self._scheduler: Scheduler | None = None
@@ -136,7 +135,6 @@ class Profiler(Sink):
             self.waiter_depth_max = scheduler.waiter_count
         if board.index_size > self.index_pairs_max:
             self.index_pairs_max = board.index_size
-        self.index_dirty_events = board.dirty_events
 
     # -- reporting ---------------------------------------------------------
 
@@ -148,7 +146,6 @@ class Profiler(Sink):
             matcher = dict(self._scheduler.board.introspect())
         matcher.update(
             index_pairs_max=self.index_pairs_max,
-            index_dirty_events=self.index_dirty_events,
             candidates_per_query=_rate(self.candidates_seen,
                                        self.candidate_queries),
         )
@@ -326,7 +323,7 @@ class ProfileReport:
                          f"(total {self.counters[name]})")
         lines.append(
             f"matcher: pairs max {self.matcher.get('index_pairs_max', 0)}, "
-            f"dirty events {self.matcher.get('index_dirty_events', 0)}, "
+            f"dirty events {self.matcher.get('dirty_events', 0)}, "
             f"candidates/query "
             f"{self.matcher.get('candidates_per_query', 0.0)}")
         lines.append(

@@ -31,12 +31,11 @@ yields a byte-identical formatted trace, recovery included.
 
 from .policy import BackoffSchedule, RestartPolicy
 from .retry import PerformanceRetry
-from .soak import recover_plan, run_recover_broadcast
+from .soak import run_recover_broadcast
 
 __all__ = [
     "BackoffSchedule",
     "RestartPolicy",
     "PerformanceRetry",
-    "recover_plan",
     "run_recover_broadcast",
 ]

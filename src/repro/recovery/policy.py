@@ -6,8 +6,8 @@ body (from a caller-supplied factory) after an exponential backoff in
 virtual time, with seeded jitter so simultaneous crashes do not restart in
 lockstep — and with a restart intensity cap: more than ``max_restarts``
 restarts of one process inside a sliding virtual-time ``window`` escalate
-to *quarantine* (the process stays down and ``on_escalate`` fires),
-preventing crash loops from burning the virtual clock forever.
+to *quarantine* (the process stays down), preventing crash loops from
+burning the virtual clock forever.
 
 Determinism: the jitter RNG is seeded independently of the scheduler's,
 all delays are virtual, and every decision is emitted into the trace as a
@@ -92,7 +92,7 @@ class RestartPolicy:
         The intensity cap: if a crash arrives when ``max_restarts``
         restarts of that process already happened within the trailing
         ``window`` of virtual time, the process is quarantined instead
-        (``on_escalate(name)`` fires, and the policy never touches the
+        (it joins :attr:`quarantined`, and the policy never touches the
         name again).  The backoff exponent is the same windowed count, so
         a process that stays up long enough earns a fresh short backoff.
     seed:
@@ -102,8 +102,6 @@ class RestartPolicy:
         Optional predicate consulted before scheduling *and* before
         executing a restart; once false, restarts are abandoned (used by
         harnesses to stop recovering after the workload's goal is met).
-    on_escalate:
-        Optional callback invoked with the process name on quarantine.
     journal:
         Optional run hook.  When given, ``journal.barrier()`` (flush +
         fsync of an attached
@@ -123,7 +121,6 @@ class RestartPolicy:
                  max_restarts: int = 3, window: float = 10.0,
                  seed: int = 0,
                  only_while: Callable[[], bool] | None = None,
-                 on_escalate: Callable[[Hashable], None] | None = None,
                  journal: Any = None):
         if max_restarts < 1:
             raise RecoveryError("max_restarts must be >= 1")
@@ -136,7 +133,6 @@ class RestartPolicy:
         self.window = window
         self.rng = random.Random(seed)
         self.only_while = only_while
-        self.on_escalate = on_escalate
         self.journal = journal
         self.restarts = 0
         self.quarantined: set[Hashable] = set()
@@ -169,8 +165,6 @@ class RestartPolicy:
                                   restarts=len(history),
                                   window=self.window)
             self._barrier()
-            if self.on_escalate is not None:
-                self.on_escalate(name)
             return
         attempt = len(history)
         delay = self.backoff.delay(attempt, self.rng)

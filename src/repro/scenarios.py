@@ -7,14 +7,14 @@ network.  Every tool that takes a scenario name — ``trace``, ``stats``,
 ``resume`` — resolves it here, so a new entry reaches all of them at once.
 
 Each runner has one signature, ``run(seed, *, journal=None, **sizes)``
-(plus ``plan=`` where the entry has a fault plan), and one run path: it
-builds its world with :func:`world`, runs it with :func:`run_checked`,
-and returns the :class:`Run` that :func:`finish` builds.  ``journal`` is
-the one instrumentation hook: any object with ``attach(scheduler)``,
-``finish(outcome)`` and ``barrier()``.  The journal's frame sink (which
-records, resumes and gives the explorer its injection points) and the
-metrics/profiler bundle of :func:`~repro.obs.scenarios.run_scenario`
-ride it.
+(plus a required ``plan=`` where the entry has a fault contract), and one
+run path: it builds its world with :func:`world`, runs it with
+:func:`run_checked`, and returns the :class:`Run` that :func:`finish`
+builds.  ``journal`` is the one instrumentation hook: any object with
+``attach(scheduler)``, ``finish(outcome)`` and ``barrier()``.  The
+journal's frame sink (which records, resumes and gives the explorer its
+injection points) and the metrics/profiler bundle of
+:func:`~repro.obs.scenarios.run_scenario` ride it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from .runtime import RunResult, Scheduler, TraceEvent, format_trace
 
 @dataclasses.dataclass(frozen=True)
 class FaultContract:
-    """What the fault explorer may legally do to one chaos run.
+    """What a faulted entry tolerates at given sizes: the one statement
+    that the seeded plan generator
+    (:func:`~repro.faults.plan.draw_plan`) and the fault explorer both
+    read.
 
-    Each chaos run records the contract for the sizes it ran with.
     ``crash_after`` maps a process to the earliest *strict* crash time:
     plan timers are installed before any process spawns, so at equal
     timestamps a crash fires before the victim's own timer — a crash at
@@ -41,7 +43,9 @@ class FaultContract:
     performance), not a chaos finding.  ``heal_required`` excludes
     never-healing partitions for scenarios whose roles retry forever;
     ``transport_faults`` gates latency/drop windows to scenarios whose
-    roles are written to absorb them.
+    roles are written to absorb them.  ``restarted`` names the processes
+    a restart policy brings back; every drawn plan crashes each of them
+    at least once, so every seeded run exercises the recovery.
     """
 
     processes: tuple[Hashable, ...]
@@ -51,6 +55,7 @@ class FaultContract:
     heal_required: bool
     transport_faults: bool
     horizon: float
+    restarted: tuple[Hashable, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,24 +63,30 @@ class Scenario:
     """One catalogue entry.
 
     ``size`` is the sizing keyword the CLI's ``--n`` sets (None: the
-    workload has a fixed size).  ``plan`` is the seed-derived fault-plan
-    generator, called as ``plan(random.Random(seed), **sizes)`` with the
-    same draws the runner makes when given no plan.  ``explorable``
-    entries return a :class:`FaultContract` with every run.
+    workload has a fixed size).  ``contract`` gives the entry's
+    :class:`FaultContract` for its sizes, called as ``contract(**sizes)``
+    (None: the entry runs without faults).
     """
 
     name: str
     runner: Callable[..., Any]
     size: str | None = None
-    plan: Callable[..., Any] | None = None
-    explorable: bool = False
+    contract: Callable[..., FaultContract] | None = None
 
     def run(self, seed: int, **options: Any) -> Run:
-        """Run at ``seed``; a ``plan`` given as JSON (journal headers,
-        counterexample files) is decoded here, for every tool."""
-        if isinstance(options.get("plan"), (dict, list)):
+        """Run at ``seed``.  A faulted entry given no ``plan`` runs the
+        one :func:`~repro.faults.soak.plan_for_seed` draws; a plan given
+        as JSON (journal headers, counterexample files) is decoded here,
+        for every tool."""
+        plan = options.get("plan")
+        if isinstance(plan, (dict, list)):
             from .faults.plan import FaultPlan
-            options["plan"] = FaultPlan.from_jsonable(options["plan"])
+            options["plan"] = FaultPlan.from_jsonable(plan)
+        elif plan is None and self.contract is not None:
+            from .faults.soak import plan_for_seed
+            sizes = ({self.size: options[self.size]}
+                     if self.size in options else {})
+            options["plan"] = plan_for_seed(self.name, seed, **sizes)
         return self.runner(seed, **options)
 
     def sized(self, n: int) -> dict[str, int]:
@@ -105,11 +116,10 @@ class Run:
     ``events`` is the run's whole trace, so any entry's run can be
     checked against the paper's properties or exported as spans.
     ``performances`` counts every performance formed, aborted ones too;
-    ``crashes`` and ``aborts`` are the supervisor's counts.  ``faults``
-    describes the installed plan, and ``contract`` is what the fault
-    explorer may do at these sizes (explorable entries only).
-    ``counters`` holds the numbers only some entries have, such as
-    ``recover``'s restarts; a soak sums them per name.
+    ``crashes`` and ``aborts`` are the supervisor's counts, and
+    ``faults`` describes the installed plan.  ``counters`` holds the
+    numbers only some entries have, such as ``recover``'s restarts; a
+    soak sums them per name.
     """
 
     seed: int
@@ -123,7 +133,6 @@ class Run:
     crashes: int = 0
     aborts: int = 0
     faults: list[str] = dataclasses.field(default_factory=list)
-    contract: FaultContract | None = None
     counters: dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
@@ -170,8 +179,8 @@ def finish(seed: int, result: RunResult, journal: Any, outcome: str,
     """Close the run's hook and package what the run produced.
 
     ``fields`` are the :class:`Run` fields the result does not hold:
-    ``performances``, and any of ``crashes``, ``aborts``, ``faults``,
-    ``contract`` and ``counters``.
+    ``performances``, and any of ``crashes``, ``aborts``, ``faults``
+    and ``counters``.
     """
     if journal is not None:
         journal.finish(outcome)
@@ -184,49 +193,44 @@ def catalogue() -> dict[str, Scenario]:
     """Every scenario by name, in the order the tools list them."""
     # The runner modules import this one for ``world`` and
     # ``FaultContract``, so they are resolved when it is called.
-    from .faults.soak import (broadcast_plan, chatroom_plan, lock_plan,
-                              run_chaos_broadcast, run_chaos_chatroom,
-                              run_chaos_lock)
+    from .faults.soak import (broadcast_contract, chatroom_contract,
+                              lock_contract, run_chaos_broadcast,
+                              run_chaos_chatroom, run_chaos_lock)
     from .obs.scenarios import (run_demo_broadcast, run_demo_election,
                                 run_demo_lock)
-    from .recovery.soak import recover_plan, run_recover_broadcast
+    from .recovery.soak import recover_contract, run_recover_broadcast
     entries = (
         Scenario("demo-broadcast", run_demo_broadcast, size="n"),
         Scenario("demo-lock", run_demo_lock),
         Scenario("demo-election", run_demo_election, size="n"),
         Scenario("broadcast", run_chaos_broadcast, size="n",
-                 plan=broadcast_plan, explorable=True),
-        Scenario("lock", run_chaos_lock, size="clients", plan=lock_plan,
-                 explorable=True),
+                 contract=broadcast_contract),
+        Scenario("lock", run_chaos_lock, size="clients",
+                 contract=lock_contract),
         Scenario("chatroom", run_chaos_chatroom, size="n",
-                 plan=chatroom_plan, explorable=True),
+                 contract=chatroom_contract),
         Scenario("recover", run_recover_broadcast, size="n",
-                 plan=recover_plan),
+                 contract=recover_contract),
     )
     return {entry.name: entry for entry in entries}
 
 
-def names(*, planned: bool = False,
-          explorable: bool = False) -> tuple[str, ...]:
-    """Catalogue names; ``planned`` keeps entries with a fault plan,
-    ``explorable`` those the fault explorer accepts."""
+def names(*, faulted: bool = False) -> tuple[str, ...]:
+    """Catalogue names; ``faulted`` keeps the entries with a fault
+    contract, which the soak, ``--describe-plan`` and the explorer take."""
     return tuple(name for name, entry in catalogue().items()
-                 if (entry.plan is not None or not planned)
-                 and (entry.explorable or not explorable))
+                 if entry.contract is not None or not faulted)
 
 
-def lookup(name: str, *, planned: bool = False, explorable: bool = False,
+def lookup(name: str, *, faulted: bool = False,
            error: type[Exception] = ChaosInvariantError) -> Scenario:
     """The entry called ``name``; raise ``error`` naming the entries that
-    would do when it is unknown or lacks what the caller needs."""
-    fits = names(planned=planned, explorable=explorable)
+    would do when it is unknown or lacks the fault contract the caller
+    needs."""
+    fits = names(faulted=faulted)
     entry = catalogue().get(name)
     if name in fits:
         return entry
-    if entry is None:
-        problem = f"unknown scenario {name!r}"
-    elif explorable:
-        problem = f"scenario {name!r} cannot be explored"
-    else:
-        problem = f"scenario {name!r} has no fault plan"
+    problem = (f"unknown scenario {name!r}" if entry is None
+               else f"scenario {name!r} has no fault contract")
     raise error(f"{problem}; choose from {', '.join(fits)}")

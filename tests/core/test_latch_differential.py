@@ -18,12 +18,12 @@ import pytest
 
 import repro.core.instance as instance_module
 from repro.errors import DeadlockError, PerformanceAborted
-from repro.faults.soak import run_chaos_chatroom
 from repro.lang import compile_script
 from repro.lang.figures import FIGURE5_DATABASE
 from repro.net import NetworkTransport, star
 from repro.persist.record import event_record
 from repro.runtime import Delay, EventKind, Scheduler, WaitUntil
+from repro.scenarios import lookup
 from repro.scripts.broadcast import make_broadcast
 
 SEEDS = range(20)
@@ -170,7 +170,7 @@ def test_chatroom_chaos_trace_equal(monkeypatch):
     kinds = set()
     for seed in SEEDS:
         def run():
-            return frames(run_chaos_chatroom(seed).events)
+            return frames(lookup("chatroom").run(seed).events)
         shipped = run()
         kinds.update(json.loads(frame)["kind"] for frame in shipped)
         with monkeypatch.context() as patch:

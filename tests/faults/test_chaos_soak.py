@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ChaosInvariantError
 from repro.faults import (FaultPlan, run_chaos_broadcast, run_chaos_lock,
                           soak, verify_determinism)
+from repro.scenarios import lookup
 
 
 def test_broadcast_soak_hundred_seeds():
@@ -42,7 +43,7 @@ def test_same_seed_replays_bit_for_bit():
 
 
 def test_single_run_report_fields():
-    run = run_chaos_broadcast(seed=7)
+    run = lookup("broadcast").run(7)
     assert run.seed == 7
     assert run.outcome in ("completed", "aborted")
     assert run.performances >= 1

@@ -4,6 +4,7 @@ from collections import Counter
 
 from repro.faults import (FaultPlan, plan_for_seed, run_chaos_chatroom,
                           soak, verify_determinism)
+from repro.scenarios import lookup
 
 
 def test_chatroom_fault_free_run_delivers_all_rounds():
@@ -31,7 +32,7 @@ def test_chatroom_soak_exercises_churn_and_late_arrivals():
     # some member must arrive after the seal and walk away.
     missed = Counter()
     for seed in range(40):
-        run = run_chaos_chatroom(seed)
+        run = lookup("chatroom").run(seed)
         missed.update(value for value in run.results.values()
                       if value == "missed")
     assert missed["missed"] > 0
@@ -71,4 +72,4 @@ def test_chatroom_unhealed_partition_converges():
 def test_chatroom_plan_for_seed_matches_the_runner():
     for seed in (0, 7, 19):
         assert (plan_for_seed("chatroom", seed).describe()
-                == run_chaos_chatroom(seed).faults)
+                == lookup("chatroom").run(seed).faults)

@@ -11,6 +11,7 @@ from repro.faults.explore import (ORACLES, FaultSchedule,
 from repro.faults.plan import FaultPlan
 from repro.faults.soak import run_chaos_broadcast
 from repro.persist import JournalRecorder, read_journal
+from repro.recovery import RestartPolicy
 from repro.scenarios import names
 
 
@@ -73,7 +74,7 @@ def test_different_seed_explores_a_different_frontier():
 # All oracles green on the unmodified runtime
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scenario", sorted(names(explorable=True)))
+@pytest.mark.parametrize("scenario", sorted(names(faulted=True)))
 def test_explorer_green_on_unmodified_runtime(scenario):
     report = explore(scenario, seed=0, budget=12)
     assert report.ok
@@ -116,6 +117,32 @@ def test_planted_regression_found_shrunk_and_replayed(monkeypatch, tmp_path):
     monkeypatch.setattr(Supervisor, "_end_aborted", end_aborted)
     fixed = check_saved_schedule(str(path))
     assert not fixed.reproduced
+
+
+def test_planted_recovery_bug_found_shrunk_and_replayed(monkeypatch,
+                                                        tmp_path):
+    # A restart policy that schedules restarts but never respawns: the
+    # crashed sender never comes back, so recipients wait forever.
+    respawn = RestartPolicy._respawn
+    monkeypatch.setattr(RestartPolicy, "_respawn",
+                        lambda self, name: None)
+    report = explore("recover", seed=0, budget=90)
+    ce = report.counterexample
+    assert ce is not None, "explorer missed the planted recovery bug"
+    assert ce.oracle == "convergence"
+    assert "deadlock" in ce.detail and "'sender'" in ce.detail
+    assert [(event.kind, event.target) for event in ce.schedule.plan] \
+        == [("crash", "S")]
+    assert report.verdicts["fail"] == 1
+
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(ce.to_jsonable(), sort_keys=True))
+    check = check_saved_schedule(str(path))
+    assert check.reproduced
+    assert check.failures[0][0] == "convergence"
+
+    monkeypatch.setattr(RestartPolicy, "_respawn", respawn)
+    assert not check_saved_schedule(str(path)).reproduced
 
 
 def test_counterexample_schedule_round_trips_through_json():

@@ -1,12 +1,16 @@
 """FaultPlan: construction, generation, installation, and network faults."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults import CRASH, FaultEvent, FaultPlan
+from repro.faults import (CRASH, DROP, HEAL, PARTITION, SLOW, FaultEvent,
+                          FaultPlan, draw_plan)
 from repro.net import NetworkTransport, Topology
 from repro.runtime import (TIMED_OUT_BRANCH, Delay, EventKind, Receive,
                            Scheduler, Select, Send)
+from repro.scenarios import lookup, names
 
 
 def test_events_kept_in_time_order():
@@ -360,6 +364,45 @@ def test_garbage_on_an_already_torn_tail_keeps_intact_frames(tmp_path):
     doc = read_journal(path)
     assert doc.torn
     assert [frame["seq"] for frame in doc.frames] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# The one generator: every drawn plan stays inside its contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", names(faulted=True))
+def test_drawn_plans_stay_inside_every_contract(name):
+    seen = Counter()
+    for size in range(2, 6):
+        contract = lookup(name).contract(**lookup(name).sized(size))
+        for seed in range(200):
+            plan = draw_plan(contract, seed)
+            crashed = Counter()
+            cut = {}
+            for event in plan:
+                seen[event.kind] += 1
+                if event.kind == CRASH:
+                    assert event.target in contract.processes
+                    assert event.time > contract.crash_after.get(
+                        event.target, 0.0)
+                    crashed[event.target] += 1
+                elif event.kind == PARTITION:
+                    assert event.target in contract.links
+                    cut[event.target] = event.time
+                elif event.kind == HEAL:
+                    assert cut.pop(event.target) < event.time
+                else:
+                    assert contract.transport_faults, event
+            if cut:
+                assert not contract.heal_required, (seed, cut)
+                seen["never healed"] += 1
+            assert all(crashed[process] for process in contract.restarted)
+    # Every kind the contract allows is drawn somewhere in the sweep.
+    assert seen[CRASH]
+    assert bool(seen[PARTITION]) == bool(contract.links)
+    assert bool(seen["never healed"]) == (bool(contract.links)
+                                          and not contract.heal_required)
+    assert bool(seen[SLOW]) == bool(seen[DROP]) == contract.transport_faults
 
 
 # ---------------------------------------------------------------------------

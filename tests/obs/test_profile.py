@@ -21,12 +21,12 @@ import pathlib
 
 import pytest
 
-from repro.faults.soak import run_chaos_broadcast, run_chaos_chatroom
 from repro.obs import (PHASES, Profiler, build_spans, diff_attributions,
                        dump_chrome_trace, profile_scenario, tick_clock)
 from repro.runtime import (EventKind, IndexedBoard, OracleBoard, Receive,
                            Scheduler, Select, Send, format_trace)
 from repro.runtime.instrument import Sink
+from repro.scenarios import lookup
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -222,21 +222,20 @@ class ProfiledJournal:
 #: digest catches a change to it; a deliberate one regenerates these.
 CHAOS_TRACES_SHA256 = {
     "broadcast":
-        "dbea0a91c5882a7a338fdc19ced6f54c20eed14a214938dbaf28f377fdf21ad0",
+        "1d415f7f464e4b5fe0c68c7cdad8318370333fe5e0374386379b3b42f283328d",
     "chatroom":
-        "4c71d64d4d0b7f426fa12264d4e1176e8d2123abc941517d57907cf3b1213e15",
+        "77694823550455d824e50f130fcdf73d1a6cfaf8c0e502a8cc6239454b0ba10b",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHAOS_TRACES_SHA256))
 def test_match_filtered_profiled_trace_matches_unprofiled(name):
-    runner = {"broadcast": run_chaos_broadcast,
-              "chatroom": run_chaos_chatroom}[name]
+    scenario = lookup(name)
     digest = hashlib.sha256()
     for seed in range(20):
-        plain = runner(seed)
+        plain = scenario.run(seed)
         journal = ProfiledJournal()
-        profiled = runner(seed, journal=journal)
+        profiled = scenario.run(seed, journal=journal)
         assert journal.scheduler.match_filter is not None
         assert profiled.trace == plain.trace, seed
         assert (journal.profiler.report().commits

@@ -80,12 +80,10 @@ def test_crash_loop_restarts_exactly_max_then_quarantines():
     visible in the trace AND the metrics registry."""
     scheduler = Scheduler(seed=0)
     metrics = RuntimeMetrics().attach(scheduler)
-    escalated = []
     policy = RestartPolicy(
         scheduler, {"W": forever},
         backoff=BackoffSchedule(base=1.0, factor=1.0, jitter=0.0),
-        max_restarts=3, window=100.0, seed=0,
-        on_escalate=escalated.append)
+        max_restarts=3, window=100.0, seed=0)
     scheduler.spawn("W", forever())
     # Restart delay is exactly 1.0, so kills at odd times always find the
     # process back up: crash -> restart -> crash -> ... -> 4th crash.
@@ -105,7 +103,6 @@ def test_crash_loop_restarts_exactly_max_then_quarantines():
     assert quarantines[0].process == "W"
     assert quarantines[0].get("restarts") == 3
     assert policy.quarantined == {"W"}
-    assert escalated == ["W"]
     assert policy.restarts == 3
 
     registry = metrics.registry

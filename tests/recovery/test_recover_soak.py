@@ -1,15 +1,13 @@
 """Recovery soak: liveness under a sender-killing plan, deterministically."""
 
-import pytest
-
-from repro.errors import ChaosInvariantError
 from repro.faults import FaultPlan, soak, verify_determinism
 from repro.recovery import run_recover_broadcast
 from repro.recovery.soak import RECOVER_ROUNDS as ROUNDS
+from repro.scenarios import lookup
 
 
 def test_single_seed_recovers_and_traces_recovery_events():
-    run = run_recover_broadcast(0)
+    run = lookup("recover").run(0)
     assert run.counters["completed"] >= ROUNDS
     assert run.counters["restarts"] >= 1   # the plan always crashes the sender
     assert run.killed                  # the kills survive the respawns
@@ -37,24 +35,16 @@ def test_same_seed_replays_byte_identically():
 
 
 def test_regression_seed_138_pre_seal_refill_then_crash():
-    # Seed 138's plan crashes the sender pre-seal, refills the role via a
+    # This plan (the one seed 138 drew before plans came from the
+    # contract) crashes the sender pre-seal, refills the role via a
     # restart, then crashes a recipient post-seal.  The stale crashed-set
     # entry for the refilled sender used to poison the absent-fallback
     # dead set and wedge the run; see ScriptInstance._assign.
-    run = run_recover_broadcast(138)
+    plan = (FaultPlan().crash(3.096, ("R", 2))
+            .partition(3.125, "hub", ("leaf", 3), heal_at=4.142)
+            .crash(4.3, "S").drop(9.007, 1, until=12.648)
+            .slow(11.082, 3.7, until=14.635).crash(11.293, "S")
+            .crash(17.277, ("R", 1)))
+    assert len(plan) == 10
+    run = run_recover_broadcast(138, plan=plan)
     assert run.counters["completed"] >= ROUNDS
-
-
-def test_a_crash_loop_past_the_cap_raises_instead_of_reporting():
-    # The cap covers the one sender crash (two restarts per name); a
-    # recipient crashed four times escalates to quarantine, which the
-    # runner raises like any other liveness failure.  Generated plans
-    # crash each recipient at most once, so only a given plan gets here.
-    plan = FaultPlan().crash(3.0, "S")
-    for t in (1.0, 4.0, 7.0, 10.0):
-        plan.crash(t, ("R", 1))
-    with pytest.raises(ChaosInvariantError,
-                       match=r"intensity cap escalated \[\('R', 1\)\] "
-                             r"despite a covering budget") as excinfo:
-        run_recover_broadcast(0, plan=plan)
-    assert excinfo.value.category == "liveness"

@@ -21,14 +21,15 @@ from repro.runtime import format_trace
 from repro.scenarios import lookup, names
 from repro.verification import check_all
 
-PLANNED = names(planned=True)
-EXPLORABLE = names(explorable=True)
+FAULTED = names(faulted=True)
 
 
 def test_catalogue_partitions():
     assert len(names()) == len(set(names()))
-    assert set(EXPLORABLE) <= set(PLANNED) <= set(names())
-    assert EXPLORABLE and set(names()) - set(PLANNED)
+    assert set(FAULTED) <= set(names())
+    assert FAULTED and set(names()) - set(FAULTED)
+    assert all(lookup(name).contract is None
+               for name in set(names()) - set(FAULTED))
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +88,21 @@ def test_kill9_resume_reproduces_the_oracle(name, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Entries with a fault plan: soak, --verify, --describe-plan
+# Entries with a fault contract: soak, --verify, --describe-plan, --explore
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", PLANNED)
+@pytest.mark.parametrize("name", FAULTED)
 def test_plan_for_seed_is_the_plan_a_planless_run_installs(name):
     scenario = lookup(name)
-    for seed in range(5):
-        assert (plan_for_seed(name, seed).describe()
-                == scenario.run(seed).faults), seed
+    for seed in range(20):
+        plan = plan_for_seed(name, seed)
+        planless = scenario.run(seed)
+        assert plan.describe() == planless.faults, seed
+        # Handed the printed plan, the run is the plan-less run.
+        assert scenario.run(seed, plan=plan).trace == planless.trace, seed
 
 
-@pytest.mark.parametrize("name", PLANNED)
+@pytest.mark.parametrize("name", FAULTED)
 def test_soak_and_determinism(name):
     assert verify_determinism(name, seed=0)
     report = soak(name, runs=2, seed=0)
@@ -108,36 +112,35 @@ def test_soak_and_determinism(name):
 @pytest.mark.parametrize("name", names())
 def test_chaos_modes_that_need_a_plan(name, capsys):
     code = main(["chaos", name, "--describe-plan", "--seed", "1"])
-    if name in PLANNED:
+    if name in FAULTED:
         assert code == 0
         assert f"fault plan: {name}, seed 1" in capsys.readouterr().out
     else:
         assert code == 2
         err = capsys.readouterr().err
-        assert "has no fault plan" in err
-        assert all(other in err for other in PLANNED)
+        assert "has no fault contract" in err
+        assert all(other in err for other in FAULTED)
         assert main(["chaos", name, "--runs", "1"]) == 2
+        assert main(["chaos", name, "--explore", "--budget", "1"]) == 2
+        assert "has no fault contract" in capsys.readouterr().err
 
-
-# ---------------------------------------------------------------------------
-# Explorable entries; the rest are refused by name
-# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", names())
 def test_explore_runs_on_explorable_entries_only(name):
-    if name in EXPLORABLE:
+    if name in FAULTED:
         assert explore(name, budget=4).ok
         return
-    with pytest.raises(ChaosInvariantError, match="cannot be explored") \
-            as info:
+    with pytest.raises(ChaosInvariantError,
+                       match="has no fault contract") as info:
         explore(name, budget=4)
-    assert all(other in str(info.value) for other in EXPLORABLE)
+    assert all(other in str(info.value) for other in FAULTED)
 
 
-def test_chaos_recover_explore_is_refused(capsys):
-    assert main(["chaos", "recover", "--explore", "--budget", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "cannot be explored" in err and "chatroom" in err
+def test_chaos_recover_explore_is_green(capsys):
+    assert main(["chaos", "recover", "--explore", "--budget", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "fault exploration: recover, budget 2" in out
+    assert "every schedule passed every oracle" in out
 
 
 def test_unknown_names_are_refused_by_every_tool(tmp_path):
